@@ -55,17 +55,19 @@ run(SimConfig cfg, bool thermal)
     // performance is normalized against an identical run WITHOUT
     // the failure (removing the diurnal trend from the comparison).
     cfg.horizon = kDay;
-    FailureEvent event;
+    // Thermal = every aisle's AHU group; power = UPS 0.
+    ScriptedFault event;
     event.at = 12 * kHour;
     event.until = 16 * kHour;
-    event.thermal = thermal;
+    event.kind = thermal ? FaultKind::Ahu : FaultKind::Ups;
+    event.target = thermal ? -1 : 0;
     event.remainingFrac = thermal ? 0.90 : 0.75;
 
     ClusterSim control(cfg);
     control.run();
 
     SimConfig failed_cfg = cfg;
-    failed_cfg.failures.push_back(event);
+    failed_cfg.faults.scripted.push_back(event);
     ClusterSim sim(failed_cfg);
     sim.run();
 

@@ -70,6 +70,13 @@ echo "== kill-9 crash-recovery drill (Release) =="
 # structured error (scripts/crash_drill.sh).
 scripts/crash_drill.sh build
 
+echo "== benchmark digest gate (Release) =="
+# Each gated perfbench workload (fleet_week, oversub_place,
+# recovery_drill) must print `digest ... identical` against
+# perfbench/reference.json with failed_frac 0: behaviour-preserving
+# changes stay bit-identical (scripts/digest_gate.sh).
+scripts/digest_gate.sh
+
 echo "== configure (Debug) =="
 cmake -B build-dbg -S . -DCMAKE_BUILD_TYPE=Debug
 

@@ -7,11 +7,11 @@
  * Under clang with `-Wthread-safety` (CMake option
  * `TAPAS_THREAD_SAFETY`, the build-clang leg of scripts/check.sh)
  * the annotations turn the repo's lock discipline — which members
- * `ThreadPool::queueMutex` and `PerfModel::cacheMutex`/`opTableMutex`
- * guard, which functions must or must not hold them — into
- * compile-time errors. Under GCC (the default toolchain) every macro
- * expands to nothing and the wrappers are zero-cost forwarding shims
- * around `std::mutex`, so annotating costs nothing at runtime.
+ * `ThreadPool::queueMutex` and `PerfModel::cacheMutex` guard, which
+ * functions must or must not hold them — into compile-time errors.
+ * Under GCC (the default toolchain) every macro expands to nothing
+ * and the wrappers are zero-cost forwarding shims around
+ * `std::mutex`, so annotating costs nothing at runtime.
  *
  * The macro set mirrors the clang documentation's canonical
  * mutex.h / Abseil thread_annotations.h vocabulary.

@@ -94,11 +94,6 @@ PerfModel::PerfModel(const PerfModel &other)
         cacheHits = other.cacheHits;
         cacheMisses = other.cacheMisses;
     }
-    // Table grids rebuild lazily (pure functions of spec + params),
-    // so copying the enable parameters is enough.
-    MutexLock lock(other.opTableMutex);
-    opTableStepTps = other.opTableStepTps;
-    opTableMaxTps = other.opTableMaxTps;
 }
 
 PerfModel &
@@ -106,19 +101,13 @@ PerfModel::operator=(const PerfModel &other)
 {
     if (this == &other)
         return *this;
-    {
-        MutexLock2 lock(cacheMutex, other.cacheMutex);
-        hwSpec = other.hwSpec;
-        perfParams = other.perfParams;
-        sloSpec = other.sloSpec;
-        profileCache = other.profileCache;
-        cacheHits = other.cacheHits;
-        cacheMisses = other.cacheMisses;
-    }
-    MutexLock2 lock(opTableMutex, other.opTableMutex);
-    opTableStepTps = other.opTableStepTps;
-    opTableMaxTps = other.opTableMaxTps;
-    opTables.clear();
+    MutexLock2 lock(cacheMutex, other.cacheMutex);
+    hwSpec = other.hwSpec;
+    perfParams = other.perfParams;
+    sloSpec = other.sloSpec;
+    profileCache = other.profileCache;
+    cacheHits = other.cacheHits;
+    cacheMisses = other.cacheMisses;
     return *this;
 }
 
@@ -637,10 +626,6 @@ PerfModel::operatingPointBatch(const ConfigProfile *const *profiles,
                                std::size_t n,
                                OperatingPoint *out) const
 {
-    if (operatingPointTableEnabled()) {
-        tableOpBatch(profiles, demand_tps, n, out, true);
-        return;
-    }
     solveOpBatch(profiles, demand_tps, n, out, true);
 }
 
@@ -649,143 +634,7 @@ PerfModel::operatingGpuPointBatch(
     const ConfigProfile *const *profiles, const double *demand_tps,
     std::size_t n, OperatingPoint *out) const
 {
-    if (operatingPointTableEnabled()) {
-        tableOpBatch(profiles, demand_tps, n, out, false);
-        return;
-    }
     solveOpBatch(profiles, demand_tps, n, out, false);
-}
-
-void
-PerfModel::operatingPointBatch(const ConfigProfile *profiles,
-                               const std::uint32_t *profile_idx,
-                               const double *demand_tps,
-                               std::size_t n,
-                               OperatingPoint *out) const
-{
-    const ConfigProfile *ptrs[kOpChunk];
-    for (std::size_t base = 0; base < n; base += kOpChunk) {
-        const std::size_t m = std::min(kOpChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i)
-            ptrs[i] = profiles + profile_idx[base + i];
-        if (operatingPointTableEnabled())
-            tableOpBatch(ptrs, demand_tps + base, m, out + base,
-                         true);
-        else
-            solveOpChunk(ptrs, demand_tps + base, m, out + base,
-                         true);
-    }
-}
-
-void
-PerfModel::operatingGpuPointBatch(const ConfigProfile *profiles,
-                                  const std::uint32_t *profile_idx,
-                                  const double *demand_tps,
-                                  std::size_t n,
-                                  OperatingPoint *out) const
-{
-    const ConfigProfile *ptrs[kOpChunk];
-    for (std::size_t base = 0; base < n; base += kOpChunk) {
-        const std::size_t m = std::min(kOpChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i)
-            ptrs[i] = profiles + profile_idx[base + i];
-        if (operatingPointTableEnabled())
-            tableOpBatch(ptrs, demand_tps + base, m, out + base,
-                         false);
-        else
-            solveOpChunk(ptrs, demand_tps + base, m, out + base,
-                         false);
-    }
-}
-
-void
-PerfModel::enableOperatingPointTable(double demand_step_tps,
-                                     double max_demand_tps)
-{
-    tapas_assert(demand_step_tps > 0.0 &&
-                     max_demand_tps > demand_step_tps,
-                 "operating-point table needs positive step < max");
-    MutexLock lock(opTableMutex);
-    opTableStepTps = demand_step_tps;
-    opTableMaxTps = max_demand_tps;
-    opTables.clear();
-}
-
-const PerfModel::OpTableGrid *
-PerfModel::opGridFor(const ConfigProfile &profile) const
-{
-    MutexLock lock(opTableMutex);
-    auto it = opTables.find(profile.config);
-    if (it != opTables.end())
-        return it->second.get();
-    auto grid = std::make_unique<OpTableGrid>();
-    grid->stepTps = opTableStepTps;
-    // One node past the configured max so the last interpolation
-    // interval still has a right endpoint.
-    const std::size_t nodes = static_cast<std::size_t>(
-                                  opTableMaxTps / opTableStepTps) +
-        2;
-    grid->nodes.resize(nodes);
-    for (std::size_t j = 0; j < nodes; ++j) {
-        // Exact full solve at each grid node (the scalar reference
-        // path); the GPU-only entry points zero serverPower on
-        // output.
-        grid->nodes[j] = operatingPointAt(
-            profile, grid->stepTps * static_cast<double>(j));
-    }
-    // Demands at/past the last node fall back to the exact solve.
-    grid->maxDemandTps =
-        grid->stepTps * static_cast<double>(nodes - 1);
-    const OpTableGrid *out = grid.get();
-    opTables.emplace(profile.config, std::move(grid));
-    return out;
-}
-
-void
-PerfModel::tableOpBatch(const ConfigProfile *const *profiles,
-                        const double *demand_tps, std::size_t n,
-                        OperatingPoint *out, bool server_power) const
-{
-    // Consecutive lanes usually share a profile (demand-sorted
-    // sweeps, per-candidate blocks), so memoize the last grid lookup
-    // on the profile pointer before falling back to the map.
-    const ConfigProfile *last_p = nullptr;
-    const OpTableGrid *grid = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-        const ConfigProfile *p = profiles[i];
-        if (p != last_p) {
-            grid = opGridFor(*p);
-            last_p = p;
-        }
-        const double d = std::max(0.0, demand_tps[i]);
-        if (d >= grid->maxDemandTps) {
-            // Beyond the grid: exact solve — the table is a pure
-            // accelerator, never an extrapolator.
-            solveOpChunk(&p, &d, 1, &out[i], server_power);
-            continue;
-        }
-        const std::size_t j =
-            static_cast<std::size_t>(d / grid->stepTps);
-        const double t =
-            (d - grid->stepTps * static_cast<double>(j)) /
-            grid->stepTps;
-        const OperatingPoint &a = grid->nodes[j];
-        const OperatingPoint &b = grid->nodes[j + 1];
-        OperatingPoint &o = out[i];
-        o.busyFrac = a.busyFrac + t * (b.busyFrac - a.busyFrac);
-        o.prefillShare =
-            a.prefillShare + t * (b.prefillShare - a.prefillShare);
-        o.decodeBatch =
-            a.decodeBatch + t * (b.decodeBatch - a.decodeBatch);
-        o.gpuPower =
-            Watts(a.gpuPower.value() +
-                  t * (b.gpuPower.value() - a.gpuPower.value()));
-        o.serverPower = server_power
-            ? Watts(a.serverPower.value() +
-                    t * (b.serverPower.value() -
-                         a.serverPower.value()))
-            : Watts(0.0);
-    }
 }
 
 std::vector<ConfigProfile>

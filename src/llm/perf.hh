@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -273,56 +272,19 @@ class PerfModel
     // Results are bit-identical to the scalar solves above in the
     // default FP mode (-ffp-contract=off pins this even under
     // -march=native).
-    //
-    // When the optional operating-point table is enabled (see
-    // enableOperatingPointTable), these entry points answer from the
-    // precomputed (config, quantized-demand) grid with linear
-    // interpolation instead of the exact solve; the scalar calls
-    // above always stay exact.
     // ------------------------------------------------------------
 
-    /** Batched full solve over packed (profile-index, demand)
-     *  lanes; profile_idx indexes into the packed profiles span. */
-    void operatingPointBatch(const ConfigProfile *profiles,
-                             const std::uint32_t *profile_idx,
-                             const double *demand_tps, std::size_t n,
-                             OperatingPoint *out) const;
-
-    /** Batched GPU-only solve (serverPower left 0), index lanes. */
-    void operatingGpuPointBatch(const ConfigProfile *profiles,
-                                const std::uint32_t *profile_idx,
-                                const double *demand_tps,
-                                std::size_t n,
-                                OperatingPoint *out) const;
-
-    /** Batched full solve over per-lane profile pointers (callers
-     *  holding heterogeneous profile refs, e.g. per-VM engines). */
+    /** Batched full solve over per-lane profile pointers (lanes may
+     *  mix configs, e.g. per-VM engines or candidate blocks). */
     void operatingPointBatch(const ConfigProfile *const *profiles,
                              const double *demand_tps, std::size_t n,
                              OperatingPoint *out) const;
 
-    /** Batched GPU-only solve over per-lane profile pointers. */
+    /** Batched GPU-only solve (serverPower left 0). */
     void operatingGpuPointBatch(const ConfigProfile *const *profiles,
                                 const double *demand_tps,
                                 std::size_t n,
                                 OperatingPoint *out) const;
-
-    /**
-     * Enable the precomputed (config, quantized-demand) →
-     * operating-point table consulted by the batch entry points:
-     * per-config demand grids at @p demand_step_tps spacing over
-     * [0, max_demand_tps], built lazily per config and answered with
-     * linear interpolation. Demands at/beyond the grid end fall back
-     * to the exact solve, as do the scalar entry points. Off by
-     * default (SimConfig::opTableEnabled gates it in simulations);
-     * tests A/B-gate it against the exact batched path.
-     */
-    void enableOperatingPointTable(double demand_step_tps,
-                                   double max_demand_tps);
-
-    /** Whether the interpolated operating-point table is active. */
-    bool operatingPointTableEnabled() const
-    { return opTableStepTps > 0.0; }
 
     /** Decode per-GPU power at an arbitrary running batch size. */
     Watts decodeGpuPowerAt(const ConfigProfile &profile,
@@ -360,7 +322,7 @@ class PerfModel
 
     /**
      * One chunk (<= kOpChunk lanes) of the branch-free batched
-     * operating-point solve; the shared kernel behind all four batch
+     * operating-point solve; the shared kernel behind both batch
      * entry points. @p server_power selects the full solve (inlined
      * serverPowerFromGpu arithmetic) versus the GPU-only variant.
      */
@@ -368,27 +330,8 @@ class PerfModel
                       const double *demand_tps, std::size_t m,
                       OperatingPoint *out, bool server_power) const;
 
-    /** Chunked dispatch over pointer lanes (exact path). */
+    /** Chunked dispatch over pointer lanes. */
     void solveOpBatch(const ConfigProfile *const *profiles,
-                      const double *demand_tps, std::size_t n,
-                      OperatingPoint *out, bool server_power) const;
-
-    /** Per-config demand grid of the interpolated table. */
-    struct OpTableGrid
-    {
-        double stepTps = 0.0;
-        double maxDemandTps = 0.0;
-        /** Exact operating points at demand j * stepTps (full solve
-         *  including serverPower; the GPU-only entry points zero it
-         *  on output). */
-        std::vector<OperatingPoint> nodes;
-    };
-
-    /** Lazily built grid for one config (locks opTableMutex). */
-    const OpTableGrid *opGridFor(const ConfigProfile &profile) const;
-
-    /** Table-mode batch answer (falls back to exact past the grid). */
-    void tableOpBatch(const ConfigProfile *const *profiles,
                       const double *demand_tps, std::size_t n,
                       OperatingPoint *out, bool server_power) const;
 
@@ -399,23 +342,6 @@ class PerfModel
     mutable std::uint64_t cacheHits TAPAS_GUARDED_BY(cacheMutex) = 0;
     mutable std::uint64_t cacheMisses TAPAS_GUARDED_BY(cacheMutex) =
         0;
-
-    /**
-     * Interpolated-table state; stepTps <= 0 means disabled. The
-     * step/max scalars are configure-time constants (set by
-     * enableOperatingPointTable before the model is shared across
-     * threads) read locklessly by the batch hot paths; only the
-     * lazily grown grid map needs the mutex. Grids are immutable
-     * once inserted and unique_ptr-stable, so the pointer opGridFor
-     * returns stays valid after the lock drops.
-     */
-    double opTableStepTps = 0.0;
-    double opTableMaxTps = 0.0;
-    mutable Mutex opTableMutex;
-    mutable std::unordered_map<InstanceConfig,
-                               std::unique_ptr<OpTableGrid>,
-                               InstanceConfigHash>
-        opTables TAPAS_GUARDED_BY(opTableMutex);
 };
 
 /** The reference configuration the paper's SLOs anchor on. */

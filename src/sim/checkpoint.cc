@@ -237,17 +237,8 @@ ClusterSim::configDigest() const
     f64(cfg.endpointPeakUtil);
     f64(cfg.demandPeakHour);
     f64(cfg.demandNoiseSigma);
-    u64(static_cast<std::uint64_t>(cfg.opTableEnabled));
-    f64(cfg.opTableStepTps);
     f64(cfg.inletLimitC);
     i64(cfg.profileRefitPeriod);
-    u64(cfg.failures.size());
-    for (const FailureEvent &event : cfg.failures) {
-        i64(event.at);
-        i64(event.until);
-        u64(static_cast<std::uint64_t>(event.thermal));
-        f64(event.remainingFrac);
-    }
     f64(cfg.faults.ahu.mtbfS);
     f64(cfg.faults.ups.mtbfS);
     f64(cfg.faults.chiller.mtbfS);

@@ -98,17 +98,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
     refProfile = perf.profile(referenceConfig());
     refGoodput = refProfile.goodputTps;
 
-    if (cfg.opTableEnabled) {
-        const double step = cfg.opTableStepTps > 0.0
-            ? cfg.opTableStepTps
-            : refGoodput / 256.0;
-        // The reference config has the largest goodput and flow
-        // routing caps per-VM demand at 1.2x goodput, so 2x the
-        // reference covers every profile's reachable demand; rarer
-        // demands past the grid fall back to the exact solve.
-        perf.enableOperatingPointTable(step, refGoodput * 2.0);
-    }
-
     tapas = std::make_unique<TapasController>(
         cfg.policy, layout, cooling, hierarchy, &bank, &perf);
     failureMgr =
@@ -155,27 +144,10 @@ ClusterSim::ClusterSim(const SimConfig &config)
     hottestGpuC.assign(layout.serverCount(), 25.0);
     inletC.assign(layout.serverCount(), 22.0);
 
-    // Fault engine: the configured plan plus the legacy scheduled
-    // failures translated to scripted faults (thermal = every
-    // aisle's AHU group, power = UPS 0 — the exact semantics the
-    // old schedule walker applied). No plan, no engine, no step
-    // overhead.
-    {
-        FaultPlan plan = cfg.faults;
-        for (const FailureEvent &event : cfg.failures) {
-            ScriptedFault fault;
-            fault.at = event.at;
-            fault.until = event.until;
-            fault.kind =
-                event.thermal ? FaultKind::Ahu : FaultKind::Ups;
-            fault.target = event.thermal ? -1 : 0;
-            fault.remainingFrac = event.remainingFrac;
-            plan.scripted.push_back(fault);
-        }
-        if (plan.any()) {
-            faultEngine = std::make_unique<FaultEngine>(
-                plan, layout, cfg.horizon, cfg.seed);
-        }
+    // Fault engine: no plan, no engine, no step overhead.
+    if (cfg.faults.any()) {
+        faultEngine = std::make_unique<FaultEngine>(
+            cfg.faults, layout, cfg.horizon, cfg.seed);
     }
 
     throttleAtC.reserve(layout.serverCount());

@@ -100,8 +100,8 @@ class ClusterSim
     const PerfModel &perfModel() const { return perf; }
     TapasController &controller() { return *tapas; }
     FailureManager &failures() { return *failureMgr; }
-    /** The fault-injection engine, or nullptr when the config has
-     *  neither a fault plan nor legacy failure events. */
+    /** The fault-injection engine, or nullptr when the config's
+     *  fault plan is empty. */
     FaultEngine *faultInjector() { return faultEngine.get(); }
     const FaultEngine *faultInjector() const
     { return faultEngine.get(); }

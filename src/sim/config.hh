@@ -7,7 +7,6 @@
 #define TAPAS_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "core/context.hh"
 #include "core/faults.hh"
@@ -28,16 +27,6 @@ enum class SimMode
     /** Aggregate token flows with utilization-law latency estimates
      *  (datacenter-scale, week-long sweeps). */
     FlowLevel,
-};
-
-/** A scheduled infrastructure failure. */
-struct FailureEvent
-{
-    SimTime at = 0;
-    SimTime until = 0;
-    /** True = thermal (AHU, 90%), false = power (UPS, 75%). */
-    bool thermal = false;
-    double remainingFrac = 0.75;
 };
 
 /** Full experiment description. */
@@ -66,6 +55,9 @@ struct SimConfig
      */
     SimTime telemetryRetention = 0;
 
+    /** Peak demand as a fraction of fleet goodput (production LLM
+     *  fleets provision for spikes; typical peaks sit well below
+     *  capacity). */
     double endpointPeakUtil = 0.45;
 
     /**
@@ -79,31 +71,9 @@ struct SimConfig
     double demandNoiseSigma = 0.18;
 
     /**
-     * Answer the hot-loop operating-point queries from a precomputed
-     * (config, quantized-demand) interpolation table instead of the
-     * exact batched solve. Off by default — the exact solve is the
-     * reference; tests/sim/test_integration.cc A/B-gates the table
-     * against it on a scenario suite before it is worth flipping on
-     * for what-if sweeps.
-     */
-    bool opTableEnabled = false;
-    /** Demand grid spacing of the table, tokens/s; 0 = auto
-     *  (reference goodput / 256). */
-    double opTableStepTps = 0.0;
-
-    /** Peak demand as a fraction of fleet goodput (production LLM
-     *  fleets provision for spikes; typical peaks sit well below
-     *  capacity). */
-
-    /** Scheduled failures. Legacy shorthand: each event is fed to
-     *  the FaultEngine as a scripted fault (thermal = every aisle's
-     *  AHU group, power = UPS 0), exactly the old semantics. */
-    std::vector<FailureEvent> failures;
-
-    /**
      * Fault-injection plan: stochastic MTBF/MTTR component and
      * sensor fault processes plus scripted windows (core/faults.hh).
-     * Empty plan + empty failures = no engine, zero step overhead.
+     * Empty plan = no engine, zero step overhead.
      */
     FaultPlan faults;
 

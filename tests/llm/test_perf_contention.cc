@@ -1,9 +1,8 @@
 /**
  * @file
- * Contention smoke test for the PerfModel's two lock domains: the
- * profile cache (cacheMutex) and the lazily grown operating-point
- * table (opTableMutex). Shared-pool workers hammer profile() and the
- * table-backed operatingPointBatch() concurrently while a driver
+ * Contention smoke test for the PerfModel's one lock domain, the
+ * profile cache (cacheMutex). Shared-pool workers hammer profile()
+ * and the batched operatingPointBatch() concurrently while a driver
  * thread reads the cache counters. Functionally it pins that results
  * under contention match a serial reference; its real teeth are the
  * TSan leg of scripts/check.sh, where any lock-discipline regression
@@ -22,41 +21,35 @@ namespace tapas {
 namespace {
 
 PerfModel
-makeTableModel()
+makeModel()
 {
-    PerfModel perf = PerfModel::withReferenceSlo(
+    return PerfModel::withReferenceSlo(
         ServerSpec::a100(), PerfParams::forSku(GpuSku::A100));
-    // Coarse grid: the point is concurrent lazy growth under
-    // opTableMutex, not interpolation accuracy (test_perf_op_batch
-    // pins that).
-    perf.enableOperatingPointTable(50.0, 4000.0);
-    return perf;
 }
 
-TEST(PerfContention, ConcurrentProfileAndTableSolvesMatchSerial)
+TEST(PerfContention, ConcurrentProfileAndBatchSolvesMatchSerial)
 {
-    const PerfModel perf = makeTableModel();
+    const PerfModel perf = makeModel();
 
     // Serial reference on an identical model: the batch solves below
-    // must reproduce these bit for bit regardless of which worker
-    // first populated each lazily built per-config grid. The profile
-    // space comes from the reference so perf's cache counters start
-    // at an accountable baseline.
-    const PerfModel reference = makeTableModel();
+    // must reproduce these bit for bit while other workers contend
+    // on the profile cache. The profile space comes from the
+    // reference so perf's cache counters start at an accountable
+    // baseline.
+    const PerfModel reference = makeModel();
     const std::vector<ConfigProfile> space =
         reference.allProfiles();
     ASSERT_FALSE(space.empty());
     const std::size_t lanes = space.size();
-    std::vector<std::uint32_t> idx(lanes);
+    std::vector<const ConfigProfile *> ptrs(lanes);
     std::vector<double> demands(lanes);
     for (std::size_t i = 0; i < lanes; ++i) {
-        idx[i] = static_cast<std::uint32_t>(i);
+        ptrs[i] = &space[i];
         demands[i] =
             space[i].goodputTps * (0.25 + 0.5 * double(i % 3));
     }
     std::vector<PerfModel::OperatingPoint> expected(lanes);
-    reference.operatingPointBatch(space.data(), idx.data(),
-                                  demands.data(), lanes,
+    reference.operatingPointBatch(ptrs.data(), demands.data(), lanes,
                                   expected.data());
 
     ThreadPool &pool = ThreadPool::shared();
@@ -65,11 +58,11 @@ TEST(PerfContention, ConcurrentProfileAndTableSolvesMatchSerial)
     constexpr std::size_t kRounds = 64;
     std::vector<int> mismatches(kRounds, 0);
     pool.parallelFor(kRounds, [&](std::size_t round) {
-        // Table-backed batch solve: first arrivals race to build the
-        // per-config grids under opTableMutex, later ones read them.
+        // Exact batch solve, concurrent with the profile() lookups
+        // below.
         std::vector<PerfModel::OperatingPoint> got(lanes);
-        perf.operatingPointBatch(space.data(), idx.data(),
-                                 demands.data(), lanes, got.data());
+        perf.operatingPointBatch(ptrs.data(), demands.data(), lanes,
+                                 got.data());
         int bad = 0;
         for (std::size_t i = 0; i < lanes; ++i) {
             if (got[i].busyFrac != expected[i].busyFrac ||
@@ -102,7 +95,7 @@ TEST(PerfContention, ConcurrentProfileAndTableSolvesMatchSerial)
 
 TEST(PerfContention, CounterReadsRaceWithWorkers)
 {
-    const PerfModel perf = makeTableModel();
+    const PerfModel perf = makeModel();
     const std::vector<InstanceConfig> space =
         ConfigSpace::enumerate(perf.spec());
     ASSERT_FALSE(space.empty());

@@ -5,13 +5,11 @@
  * bit for bit across every configuration profile and every demand
  * regime (zero, sub-saturated, saturated, clamped-batch), in the
  * default FP mode (-ffp-contract=off pins per-operation IEEE
- * semantics even under -march=native). The interpolated table mode
- * is A/B-checked against the exact path with explicit error bounds.
+ * semantics even under -march=native).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 #include "llm/perf.hh"
@@ -87,7 +85,7 @@ TEST(PerfOpBatch, PointerLanesBitIdenticalToScalarAllProfiles)
     }
 }
 
-TEST(PerfOpBatch, IndexLanesHeterogeneousProfilesBitIdentical)
+TEST(PerfOpBatch, MixedProfileLanesBitIdentical)
 {
     const PerfModel model = makeModel();
     const std::vector<ConfigProfile> profiles = model.allProfiles();
@@ -95,27 +93,25 @@ TEST(PerfOpBatch, IndexLanesHeterogeneousProfilesBitIdentical)
 
     // Interleave every profile against a shared demand grid so one
     // batch call mixes regimes and configs across its chunks.
-    std::vector<std::uint32_t> idx;
+    std::vector<const ConfigProfile *> lanes;
     std::vector<double> demands;
     const std::vector<double> shared =
         demandGridFor(profiles.front());
     for (std::size_t d = 0; d < shared.size(); ++d) {
-        for (std::uint32_t pi = 0; pi < profiles.size(); ++pi) {
-            idx.push_back(pi);
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+            lanes.push_back(&profiles[pi]);
             demands.push_back(shared[d] * (1.0 + 0.013 * pi));
         }
     }
 
-    std::vector<PerfModel::OperatingPoint> full(idx.size());
-    std::vector<PerfModel::OperatingPoint> gpu(idx.size());
-    model.operatingPointBatch(profiles.data(), idx.data(),
-                              demands.data(), idx.size(),
-                              full.data());
-    model.operatingGpuPointBatch(profiles.data(), idx.data(),
-                                 demands.data(), idx.size(),
-                                 gpu.data());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-        const ConfigProfile &p = profiles[idx[i]];
+    std::vector<PerfModel::OperatingPoint> full(lanes.size());
+    std::vector<PerfModel::OperatingPoint> gpu(lanes.size());
+    model.operatingPointBatch(lanes.data(), demands.data(),
+                              lanes.size(), full.data());
+    model.operatingGpuPointBatch(lanes.data(), demands.data(),
+                                 lanes.size(), gpu.data());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const ConfigProfile &p = *lanes[i];
         expectPointsIdentical(
             full[i], model.operatingPointAt(p, demands[i]), p,
             demands[i]);
@@ -171,92 +167,6 @@ TEST(PerfOpBatch, ChunkBoundariesCoverEveryResidue)
                 demands[i]);
         }
     }
-}
-
-TEST(PerfOpBatch, TableDisabledByDefault)
-{
-    const PerfModel model = makeModel();
-    EXPECT_FALSE(model.operatingPointTableEnabled());
-}
-
-TEST(PerfOpBatch, TableInterpolationWithinErrorBounds)
-{
-    PerfModel exact = makeModel();
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = exact.profile(referenceConfig());
-    const double step = ref.goodputTps / 256.0;
-    tabled.enableOperatingPointTable(step, ref.goodputTps * 2.0);
-    ASSERT_TRUE(tabled.operatingPointTableEnabled());
-
-    const std::vector<ConfigProfile> profiles = exact.allProfiles();
-    for (const ConfigProfile &p : profiles) {
-        // Off-node demands across the grid (worst case for linear
-        // interpolation sits mid-interval).
-        for (int k = 0; k < 64; ++k) {
-            const double demand =
-                step * (0.5 + 7.0 * static_cast<double>(k));
-            const ConfigProfile *lane = &p;
-            PerfModel::OperatingPoint t_op;
-            tabled.operatingPointBatch(&lane, &demand, 1, &t_op);
-            const PerfModel::OperatingPoint e_op =
-                exact.operatingPointAt(p, demand);
-            // The solve is piecewise-smooth in demand with one kink
-            // (the saturation boundary). The step is shared across
-            // configs (sized off the reference goodput), so for the
-            // slowest profiles the kink can land mid-interval and
-            // busy time absorbs the largest relative error — bounded
-            // at 3% absolute here; power stays within 2%.
-            EXPECT_NEAR(t_op.busyFrac, e_op.busyFrac, 0.03)
-                << p.config.label() << " @ " << demand;
-            EXPECT_NEAR(t_op.gpuPower.value(), e_op.gpuPower.value(),
-                        0.02 * ServerSpec::a100().gpuMaxPower.value())
-                << p.config.label() << " @ " << demand;
-            EXPECT_NEAR(
-                t_op.serverPower.value(), e_op.serverPower.value(),
-                0.02 * e_op.serverPower.value())
-                << p.config.label() << " @ " << demand;
-        }
-    }
-}
-
-TEST(PerfOpBatch, TableExactAtNodesAndPastGridEnd)
-{
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = tabled.profile(referenceConfig());
-    const double step = ref.goodputTps / 64.0;
-    tabled.enableOperatingPointTable(step, ref.goodputTps);
-
-    PerfModel exact = makeModel();
-    // On-node demands interpolate with t = 0: exactly the node
-    // value, which is the exact solve there.
-    for (int j = 0; j < 8; ++j) {
-        const double demand = step * static_cast<double>(j * 3);
-        const ConfigProfile *lane = &ref;
-        PerfModel::OperatingPoint t_op;
-        tabled.operatingPointBatch(&lane, &demand, 1, &t_op);
-        expectPointsIdentical(
-            t_op, exact.operatingPointAt(ref, demand), ref, demand);
-    }
-    // Demands past the grid fall back to the exact batched solve.
-    const double beyond = ref.goodputTps * 5.0;
-    const ConfigProfile *lane = &ref;
-    PerfModel::OperatingPoint t_op;
-    tabled.operatingPointBatch(&lane, &beyond, 1, &t_op);
-    expectPointsIdentical(
-        t_op, exact.operatingPointAt(ref, beyond), ref, beyond);
-}
-
-TEST(PerfOpBatch, CopiedModelKeepsTableMode)
-{
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = tabled.profile(referenceConfig());
-    tabled.enableOperatingPointTable(ref.goodputTps / 64.0,
-                                     ref.goodputTps);
-    const PerfModel copy(tabled);
-    EXPECT_TRUE(copy.operatingPointTableEnabled());
-    PerfModel assigned = makeModel();
-    assigned = tabled;
-    EXPECT_TRUE(assigned.operatingPointTableEnabled());
 }
 
 } // namespace
