@@ -71,8 +71,9 @@ echo "== kill-9 crash-recovery drill (Release) =="
 scripts/crash_drill.sh build
 
 echo "== benchmark digest gate (Release) =="
-# Each gated perfbench workload (fleet_week, oversub_place,
-# recovery_drill) must print `digest ... identical` against
+# Every perfbench workload (fleet_week, oversub_place,
+# recovery_drill, cluster_requests), at seed 7 and held-out seed
+# 1009, must print `digest ... identical` against
 # perfbench/reference.json with failed_frac 0: behaviour-preserving
 # changes stay bit-identical (scripts/digest_gate.sh).
 scripts/digest_gate.sh

@@ -33,24 +33,14 @@ BaselineAllocator::place(const PlacementRequest &request,
     return best;
 }
 
-namespace {
-
-constexpr double kSaasControllableLoad =
-    TapasAllocator::kSaasControllableLoad;
-
-} // namespace
-
 void
 TapasAllocator::peakLoadByServer(const ClusterView &view,
                                  std::vector<double> &peaks)
 {
     peaks.assign(view.layout->serverCount(), 0.0);
-    for (const PlacedVmView &vm : view.vms) {
-        double peak = vm.predictedPeakLoad;
-        if (vm.kind == VmKind::SaaS)
-            peak = std::min(peak, kSaasControllableLoad);
-        peaks[vm.server.index] = peak;
-    }
+    for (const PlacedVmView &vm : view.vms)
+        peaks[vm.server.index] =
+            validatorLoad(vm.kind, vm.predictedPeakLoad);
 }
 
 double
@@ -141,16 +131,16 @@ TapasAllocator::place(const PlacementRequest &request,
     double best_score = -1e18;
     // Soft fallback: the thermal margin is a preference, not a
     // physical limit; if no server clears it, place on the coolest
-    // projection rather than starving the VM.
+    // projection rather than starving the VM. Every server that
+    // passes both validators becomes best or fallback, so only the
+    // validators (i.e. admissionLoad) can reject.
     std::optional<ServerId> fallback;
     double fallback_hottest = 1e18;
 
     // SaaS requests count at their controllable floor for the
     // airflow/power validators; the thermal projection uses the raw
     // predicted peak.
-    const double request_peak = request.kind == VmKind::SaaS
-        ? std::min(request.predictedPeakLoad, kSaasControllableLoad)
-        : request.predictedPeakLoad;
+    const double request_peak = admissionLoad(request);
 
     // Precompute every per-server prediction the candidate loop
     // needs as fleet-wide batched passes: the occupied-peak demand
@@ -240,7 +230,7 @@ TapasAllocator::place(const PlacementRequest &request,
         const double hottest = hottestScratch[server.id.index];
         const double throttle = spec.throttleTemp.value();
         if (hottest > throttle - cfg.gpuTempMarginC) {
-            if (hottest < fallback_hottest) {
+            if (!fallback.has_value() || hottest < fallback_hottest) {
                 fallback_hottest = hottest;
                 fallback = server.id;
             }
@@ -289,7 +279,7 @@ TapasAllocator::place(const PlacementRequest &request,
         const double score = 2.0 * class_score +
             1.0 * balance_score + 3.0 * headroom_score +
             thermal_score;
-        if (score > best_score) {
+        if (!best.has_value() || score > best_score) {
             best_score = score;
             best = server.id;
         }

@@ -14,6 +14,7 @@
 #ifndef TAPAS_CORE_ALLOCATOR_HH
 #define TAPAS_CORE_ALLOCATOR_HH
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -46,6 +47,17 @@ class VmAllocator
     place(const PlacementRequest &request,
           const ClusterView &view) = 0;
 
+    /**
+     * The part of a request that decides whether place() can reject
+     * it. Contract: on an unchanged view, once place() has returned
+     * nullopt for one request, it returns nullopt for every request
+     * with an equal admissionLoad — whatever its id, kind, customer
+     * or endpoint. Callers may therefore skip such requests until
+     * the view changes (ClusterSim's rejection memo).
+     */
+    virtual double
+    admissionLoad(const PlacementRequest &request) const = 0;
+
     virtual const char *name() const = 0;
 };
 
@@ -55,6 +67,13 @@ class BaselineAllocator : public VmAllocator
   public:
     std::optional<ServerId> place(const PlacementRequest &request,
                                   const ClusterView &view) override;
+
+    /** Only a full cluster rejects, whatever the request. */
+    double
+    admissionLoad(const PlacementRequest &) const override
+    {
+        return 0.0;
+    }
 
     const char *name() const override { return "baseline"; }
 };
@@ -70,6 +89,17 @@ class TapasAllocator : public VmAllocator
     std::optional<ServerId> place(const PlacementRequest &request,
                                   const ClusterView &view) override;
 
+    /**
+     * The validator load (Eqs. 3-4): place() rejects only when no
+     * free server passes the airflow and power validators at this
+     * load; the thermal rule falls back instead of rejecting.
+     */
+    double
+    admissionLoad(const PlacementRequest &request) const override
+    {
+        return validatorLoad(request.kind, request.predictedPeakLoad);
+    }
+
     const char *name() const override { return "tapas"; }
 
     /**
@@ -80,6 +110,16 @@ class TapasAllocator : public VmAllocator
      * TAPAS creates).
      */
     static constexpr double kSaasControllableLoad = 0.45;
+
+    /** A VM's predicted peak as every budget validator counts it:
+     *  SaaS clamped to the controllable floor, IaaS as predicted. */
+    static double
+    validatorLoad(VmKind kind, double predicted_peak)
+    {
+        return kind == VmKind::SaaS
+            ? std::min(predicted_peak, kSaasControllableLoad)
+            : predicted_peak;
+    }
 
     /**
      * Per-server predicted peak loads from the placed VM views,

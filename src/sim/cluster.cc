@@ -560,10 +560,25 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     request.customer = rec.customer;
     request.predictedPeakLoad = vmPredictedPeakLoad(rec);
 
-    const auto pick =
-        tapas->allocator().place(request, currentView());
-    if (!pick.has_value())
+    // An unchanged view rejects a load it has rejected before (the
+    // VmAllocator::admissionLoad contract): skip the fleet scan.
+    VmAllocator &alloc = tapas->allocator();
+    const double load = alloc.admissionLoad(request);
+    if (std::find(rejectedLoads.begin(), rejectedLoads.end(), load) !=
+        rejectedLoads.end()) {
+#ifndef NDEBUG
+        tapas_assert(!alloc.place(request, currentView()).has_value(),
+                     "allocator placed VM %u at memoized rejected "
+                     "load %g",
+                     request.id.index, load);
+#endif
         return false;
+    }
+    const auto pick = alloc.place(request, currentView());
+    if (!pick.has_value()) {
+        rejectedLoads.push_back(load);
+        return false;
+    }
     tapas_assert(serverVm[pick->index] == npos,
                  "allocator picked an occupied server");
     std::unique_ptr<InferenceEngine> engine;
@@ -585,6 +600,7 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     // construction site reproduces exactly what a view rebuild
     // would add.
     viewInsertVm(vm_index);
+    rejectedLoads.clear(); // the view changed
     ++simMetrics.vmsPlaced;
     return true;
 }
@@ -592,6 +608,8 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
 void
 ClusterSim::processArrivals()
 {
+    // Departures and last step's phases moved the view.
+    rejectedLoads.clear();
     const auto &records = vmGen.records();
     while (arrivalCursor < records.size() &&
            records[arrivalCursor].arrival <= currentTime) {

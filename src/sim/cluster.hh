@@ -283,6 +283,15 @@ class ClusterSim
     std::vector<Request> requestsScratch;
     std::vector<std::uint32_t> waitingScratch;
     /**
+     * Rejection memo of the placement phase: the admissionLoad()s the
+     * allocator has rejected on the current view. Per the
+     * VmAllocator contract every request with one of these loads is
+     * rejected too, so tryPlace skips the fleet scan for it. Cleared
+     * at the start of processArrivals and whenever a placement
+     * changes the view; never carried across steps or checkpointed.
+     */
+    std::vector<double> rejectedLoads;
+    /**
      * Flow-mode per-VM base GPU power cache, filled by
      * assignSaasLoadFlowMode from the same operating point that set
      * the VM's load. Demand and profile are fixed for the rest of

@@ -5,7 +5,9 @@
 
 #include "fixture.hh"
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "core/allocator.hh"
 
@@ -165,6 +167,71 @@ TEST_F(AllocatorTest, PredictedAirflowGrowsWithExtraVm)
     const double after = TapasAllocator::predictedAisleAirflow(
         view, aisle, target, 1.0);
     EXPECT_GT(after, before);
+}
+
+TEST_F(AllocatorTest, TapasRejectionDependsOnlyOnAdmissionLoad)
+{
+    // The rejection memo's contract: free servers remain, but the
+    // derated row budgets refuse one more VM at the controllable
+    // floor on every one of them while still admitting a lighter VM.
+    const double rejected = TapasAllocator::kSaasControllableLoad;
+    const double lighter = 0.1;
+    double lighter_frac = 0.0;
+    double rejected_frac = 1e18;
+    for (const Row &row : dc.rows()) {
+        const double budget =
+            hierarchy.effectiveRowProvision(row.id).value();
+        for (ServerId sid : row.servers) {
+            lighter_frac = std::max(
+                lighter_frac, TapasAllocator::predictedRowPower(
+                                  view, row.id, sid, lighter) /
+                                  budget);
+            rejected_frac = std::min(
+                rejected_frac, TapasAllocator::predictedRowPower(
+                                   view, row.id, sid, rejected) /
+                                   budget);
+        }
+    }
+    const double derate = 0.5 * (lighter_frac + rejected_frac);
+    ASSERT_LT(lighter_frac, rejected_frac);
+    ASSERT_LE(derate, 1.0);
+    hierarchy.failUps(UpsId(0), derate);
+
+    TapasAllocator alloc{TapasPolicyConfig{}};
+    PlacementRequest iaas = makeRequest(VmKind::IaaS, rejected);
+    iaas.id = VmId(2000);
+    iaas.customer = CustomerId(3);
+    PlacementRequest saas_floor = makeRequest(VmKind::SaaS, rejected);
+    saas_floor.id = VmId(2001);
+    saas_floor.endpoint = EndpointId(1);
+    PlacementRequest saas_peak = makeRequest(VmKind::SaaS, 0.9);
+    saas_peak.id = VmId(2002);
+    saas_peak.endpoint = EndpointId(2);
+    for (const PlacementRequest &req : {iaas, saas_floor, saas_peak}) {
+        SCOPED_TRACE("VM " + std::to_string(req.id.index));
+        EXPECT_EQ(alloc.admissionLoad(req), rejected);
+        EXPECT_FALSE(alloc.place(req, view).has_value());
+    }
+
+    // A lower admission load is a different key: it still places.
+    const PlacementRequest light = makeRequest(VmKind::IaaS, lighter);
+    EXPECT_LT(alloc.admissionLoad(light), rejected);
+    EXPECT_TRUE(alloc.place(light, view).has_value());
+}
+
+TEST_F(AllocatorTest, BaselineRejectsAFullClusterWhateverTheRequest)
+{
+    BaselineAllocator alloc;
+    for (const Server &server : dc.servers())
+        occupy(server.id, VmKind::IaaS, 0.5);
+    const PlacementRequest requests[] = {
+        makeRequest(VmKind::IaaS, 0.1), makeRequest(VmKind::IaaS, 1.0),
+        makeRequest(VmKind::SaaS, 0.3), makeRequest(VmKind::SaaS, 0.9)};
+    for (const PlacementRequest &req : requests) {
+        EXPECT_EQ(alloc.admissionLoad(req),
+                  alloc.admissionLoad(requests[0]));
+        EXPECT_FALSE(alloc.place(req, view).has_value());
+    }
 }
 
 TEST_F(AllocatorTest, TapasReturnsNulloptWhenAllRowsBlocked)

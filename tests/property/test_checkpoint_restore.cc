@@ -5,13 +5,17 @@
  * faults and sensor corruption live, a run restored at that boundary
  * must be bit-identical to the straight-through run — on
  * stateDigest() at the restore point, on stateDigest() at the
- * horizon, and on the full serialized metric state.
+ * horizon, and on the full serialized metric state. An
+ * oversubscribed backlog input keeps VMs waiting, so the placement
+ * retry path (and its per-step rejection memo) runs across every
+ * restore point.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.hh"
@@ -60,40 +64,83 @@ faultyScenario(std::uint64_t seed)
     return cfg;
 }
 
-class CheckpointRestoreEquivalence
-    : public ::testing::TestWithParam<bool> // true = TAPAS policy
+/**
+ * faultyScenario with 40% extra racks and more VMs than servers:
+ * both policies hold a waiting backlog that is retried every step.
+ * Short-lived VMs average ~2.4 h, so departures keep freeing servers
+ * for the backlog; a rejection memo carried across steps or
+ * restores would then diverge.
+ */
+SimConfig
+backlogScenario(std::uint64_t seed)
 {
+    SimConfig cfg = faultyScenario(seed);
+    cfg.oversubscriptionPct = 40;
+    cfg.vmTrace.targetVmCount = 96;
+    cfg.vmTrace.shortMeanDays = 0.1;
+    return cfg;
+}
+
+/** (TAPAS policy?, backlog input?) */
+using Case = std::tuple<bool, bool>;
+
+class CheckpointRestoreEquivalence
+    : public ::testing::TestWithParam<Case>
+{
+  protected:
+    static SimConfig
+    config(std::uint64_t seed)
+    {
+        const auto [tapas_policy, backlog] = GetParam();
+        const SimConfig cfg =
+            backlog ? backlogScenario(seed) : faultyScenario(seed);
+        return tapas_policy ? cfg.asTapas() : cfg.asBaseline();
+    }
+
+    /** The backlog input must actually exercise the retry path. */
+    static void
+    expectBacklog(const ClusterSim &reference)
+    {
+        if (std::get<1>(GetParam())) {
+            EXPECT_GT(reference.metrics().vmsRejected, 0u);
+        }
+    }
+
+    static std::string
+    tag()
+    {
+        const auto [tapas_policy, backlog] = GetParam();
+        return std::string(tapas_policy ? "tapas" : "base") +
+            (backlog ? "_backlog" : "");
+    }
 };
 
 TEST_P(CheckpointRestoreEquivalence, RestoreAtRandomEpochsIsExact)
 {
-    const bool tapas_policy = GetParam();
-    const SimConfig cfg = tapas_policy
-        ? faultyScenario(601).asTapas()
-        : faultyScenario(601).asBaseline();
+    const SimConfig cfg = config(601);
     const int total =
         static_cast<int>(cfg.horizon / cfg.stepLength);
 
     // Straight-through reference plus its per-boundary digests.
     ClusterSim reference(cfg);
     reference.run();
+    expectBacklog(reference);
     const std::uint64_t final_digest = reference.stateDigest();
     const std::vector<std::uint8_t> final_metrics =
         metricsBytes(reference.metrics());
 
     // N random interior step boundaries (deterministic stream so
     // failures reproduce).
-    Rng rng(tapas_policy ? 0xc0ffee01u : 0xc0ffee02u);
+    Rng rng(std::get<0>(GetParam()) ? 0xc0ffee01u : 0xc0ffee02u);
     constexpr int kBoundaries = 6;
     for (int trial = 0; trial < kBoundaries; ++trial) {
         const int boundary = 1 + static_cast<int>(
             rng.uniformInt(0, total - 2));
         SCOPED_TRACE("restore at step " +
                      std::to_string(boundary));
-        const std::string path = tmpPath(
-            std::string("ckpt_prop_") +
-            (tapas_policy ? "tapas_" : "base_") +
-            std::to_string(trial) + ".tapasckp");
+        const std::string path = tmpPath("ckpt_prop_" + tag() + "_" +
+                                         std::to_string(trial) +
+                                         ".tapasckp");
 
         ClusterSim writer(cfg);
         writer.runSteps(boundary);
@@ -116,20 +163,17 @@ TEST_P(CheckpointRestoreEquivalence, ChainedRestoresStayExact)
     // Restore-of-a-restore: checkpoint at T1, restore, run to T2,
     // checkpoint again, restore again, finish. Error would compound
     // if any restore were only approximately faithful.
-    const bool tapas_policy = GetParam();
-    const SimConfig cfg = tapas_policy
-        ? faultyScenario(603).asTapas()
-        : faultyScenario(603).asBaseline();
+    const SimConfig cfg = config(603);
     const int total =
         static_cast<int>(cfg.horizon / cfg.stepLength);
     const int t1 = total / 3;
     const int t2 = 2 * total / 3;
-    const std::string path = tmpPath(
-        std::string("ckpt_chain_") +
-        (tapas_policy ? "tapas" : "base") + ".tapasckp");
+    const std::string path =
+        tmpPath("ckpt_chain_" + tag() + ".tapasckp");
 
     ClusterSim reference(cfg);
     reference.run();
+    expectBacklog(reference);
 
     ClusterSim first(cfg);
     first.runSteps(t1);
@@ -151,13 +195,15 @@ TEST_P(CheckpointRestoreEquivalence, ChainedRestoresStayExact)
     removeFileIfExists(path);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CheckpointRestoreEquivalence,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>
-                                &info) {
-                             return info.param ? "Tapas"
-                                               : "Baseline";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Policies, CheckpointRestoreEquivalence,
+    ::testing::Combine(::testing::Values(false, true),
+                       ::testing::Values(false, true)),
+    [](const ::testing::TestParamInfo<Case> &info) {
+        return std::string(std::get<0>(info.param) ? "Tapas"
+                                                   : "Baseline") +
+            (std::get<1>(info.param) ? "Backlog" : "");
+    });
 
 } // namespace
 } // namespace tapas
