@@ -9,7 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/allocator.hh"
 #include "core/configurator.hh"
@@ -42,19 +44,21 @@ struct World
         view.profiles = &bank;
         view.outsideC = 26.0;
         view.dcLoadFrac = 0.6;
-        view.serverLoads.assign(dc.serverCount(), 0.5);
-        view.occupied.assign(dc.serverCount(), false);
+        // Every other server hosts a VM whose id is the server's.
+        serverLoads.assign(dc.serverCount(), 0.5);
+        serverVm.assign(dc.serverCount(), VmId::invalidIndex);
+        vmSlot.assign(dc.serverCount(), VmSlot::Empty);
+        vmPeakLoad.assign(dc.serverCount(), 0.0);
         Rng rng(3);
         for (std::size_t s = 0; s < dc.serverCount(); s += 2) {
-            PlacedVmView vm;
-            vm.id = VmId(static_cast<std::uint32_t>(s));
-            vm.kind = s % 4 == 0 ? VmKind::IaaS : VmKind::SaaS;
-            vm.server = ServerId(static_cast<std::uint32_t>(s));
-            vm.predictedPeakLoad = rng.uniform(0.4, 1.0);
-            vm.currentLoad = rng.uniform(0.2, 0.9);
-            view.vms.push_back(vm);
-            view.occupied[s] = true;
+            serverVm[s] = static_cast<std::uint32_t>(s);
+            vmSlot[s] = s % 4 == 0 ? VmSlot::Iaas : VmSlot::Saas;
+            vmPeakLoad[s] = rng.uniform(0.4, 1.0);
         }
+        view.serverLoads = serverLoads;
+        view.serverVm = serverVm;
+        view.vmSlot = vmSlot;
+        view.vmPeakLoad = vmPeakLoad;
         gpuPower.assign(dc.serverCount() * 8, 200.0);
     }
 
@@ -76,6 +80,10 @@ struct World
     PowerHierarchy hierarchy;
     ProfileBank bank;
     PerfModel perf;
+    std::vector<double> serverLoads;
+    std::vector<std::uint32_t> serverVm;
+    std::vector<VmSlot> vmSlot;
+    std::vector<double> vmPeakLoad;
     ClusterView view;
     std::vector<double> gpuPower;
 };

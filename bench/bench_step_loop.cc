@@ -318,7 +318,7 @@ main(int argc, char **argv)
         std::cout << "Gate passed.\n";
 #else
         // Debug builds run --check to exercise the per-step
-        // incremental-view and predictor cross-check asserts under
+        // membership and predictor cross-check asserts under
         // the bench workload; the steps/s comparison against the
         // Release baseline would be meaningless here, so only the
         // assert exercise gates.

@@ -7,7 +7,9 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -110,8 +112,16 @@ main()
         view.profiles = &bank;
         view.outsideC = 31.0;
         view.dcLoadFrac = 0.8;
-        view.serverLoads.assign(dc.serverCount(), 0.0);
-        view.occupied.assign(dc.serverCount(), false);
+        // The view reads these tables (index = server id / VM id).
+        const std::vector<double> loads(dc.serverCount(), 0.0);
+        std::vector<std::uint32_t> server_vm(dc.serverCount(),
+                                             VmId::invalidIndex);
+        std::vector<VmSlot> vm_slot(vms.size(), VmSlot::Empty);
+        std::vector<double> vm_peak(vms.size(), 0.0);
+        view.serverLoads = loads;
+        view.serverVm = server_vm;
+        view.vmSlot = vm_slot;
+        view.vmPeakLoad = vm_peak;
         std::vector<std::pair<ServerId, Workload>> placed;
         for (std::size_t i = 0; i < vms.size(); ++i) {
             PlacementRequest request;
@@ -122,13 +132,10 @@ main()
             if (!pick.has_value())
                 continue;
             placed.emplace_back(*pick, vms[i]);
-            view.occupied[pick->index] = true;
-            PlacedVmView pv;
-            pv.id = request.id;
-            pv.kind = request.kind;
-            pv.server = *pick;
-            pv.predictedPeakLoad = vms[i].peakLoad;
-            view.vms.push_back(pv);
+            server_vm[pick->index] = request.id.index;
+            vm_slot[i] = vms[i].kind == VmKind::SaaS ? VmSlot::Saas
+                                                     : VmSlot::Iaas;
+            vm_peak[i] = vms[i].peakLoad;
         }
         return evaluate(dc, thermal, power, placed);
     };

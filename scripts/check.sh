@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local pre-PR gate: tapas-lint, the tier-1 verify line plus the
 # step-loop bench perf gate in Release, a Debug pass that actually
-# executes the incremental-view/predictor cross-check asserts,
+# executes the membership/predictor cross-check asserts,
 # sanitizer legs, and (when clang++ is available) the compile-time
 # thread-safety analysis. Run from anywhere inside the repo.
 set -euo pipefail
@@ -93,8 +93,8 @@ fail_on_skipped "$debug_log"
 echo "== step-loop bench under Debug asserts =="
 # Smoke mode with --check: in a Debug build the binary skips the
 # (meaningless) steps/s comparison but drives the full step loop, so
-# the per-step ClusterView-vs-rebuild and SoA/routing cross-check
-# asserts actually execute pre-PR.
+# the per-step SoA-table, routing-index and rejection-memo
+# cross-check asserts actually execute pre-PR.
 (cd build-dbg && ./bench_step_loop --smoke --check \
     ../BENCH_step_loop.json)
 

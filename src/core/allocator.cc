@@ -18,11 +18,11 @@ BaselineAllocator::place(const PlacementRequest &request,
     std::optional<ServerId> best;
     int best_score = -1;
     for (const Server &server : layout.servers()) {
-        if (view.occupied[server.id.index])
+        if (view.occupied(server.id.index))
             continue;
         int occupied_in_rack = 0;
         for (ServerId sibling : layout.rack(server.rack).servers) {
-            if (view.occupied[sibling.index])
+            if (view.occupied(sibling.index))
                 ++occupied_in_rack;
         }
         if (occupied_in_rack > best_score) {
@@ -37,10 +37,17 @@ void
 TapasAllocator::peakLoadByServer(const ClusterView &view,
                                  std::vector<double> &peaks)
 {
-    peaks.assign(view.layout->serverCount(), 0.0);
-    for (const PlacedVmView &vm : view.vms)
-        peaks[vm.server.index] =
-            validatorLoad(vm.kind, vm.predictedPeakLoad);
+    const std::size_t servers = view.layout->serverCount();
+    peaks.resize(servers);
+    for (std::size_t s = 0; s < servers; ++s) {
+        const std::uint32_t vm = view.serverVm[s];
+        peaks[s] = vm == VmId::invalidIndex
+            ? 0.0
+            : validatorLoad(view.vmSlot[vm] == VmSlot::Saas
+                                ? VmKind::SaaS
+                                : VmKind::IaaS,
+                            view.vmPeakLoad[vm]);
+    }
 }
 
 double
@@ -50,7 +57,6 @@ TapasAllocator::predictedAisleAirflow(const ClusterView &view,
                                       double extra_peak_load)
 {
     tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    view.assertFresh();
     std::vector<double> peaks;
     peakLoadByServer(view, peaks);
     const std::vector<ServerId> &servers =
@@ -78,7 +84,6 @@ TapasAllocator::predictedRowPower(const ClusterView &view, RowId row,
                                   double extra_peak_load)
 {
     tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    view.assertFresh();
     std::vector<double> peaks;
     peakLoadByServer(view, peaks);
     const std::vector<ServerId> &servers =
@@ -88,11 +93,8 @@ TapasAllocator::predictedRowPower(const ClusterView &view, RowId row,
     for (std::size_t i = 0; i < servers.size(); ++i) {
         const ServerId sid = servers[i];
         double load = peaks[sid.index];
-        const bool is_occupied = view.occupied[sid.index];
         if (extra_server.valid() && sid == extra_server)
             load = std::max(load, extra_peak_load);
-        else if (!is_occupied)
-            load = 0.0;
         loads[i] = load;
     }
     view.profiles->predictPowerGather(servers.data(), loads.data(),
@@ -108,7 +110,6 @@ TapasAllocator::place(const PlacementRequest &request,
                       const ClusterView &view)
 {
     tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    view.assertFresh();
     const DatacenterLayout &layout = *view.layout;
     const ProfileBank &profiles = *view.profiles;
     const std::size_t servers = layout.serverCount();
@@ -118,12 +119,14 @@ TapasAllocator::place(const PlacementRequest &request,
     rowSaasScratch.assign(layout.rowCount(), 0);
     std::vector<int> &row_iaas = rowIaasScratch;
     std::vector<int> &row_saas = rowSaasScratch;
-    for (const PlacedVmView &vm : view.vms) {
-        const RowId row = layout.server(vm.server).row;
-        if (vm.kind == VmKind::IaaS) {
-            ++row_iaas[row.index];
+    for (const Server &server : layout.servers()) {
+        const std::uint32_t vm = view.serverVm[server.id.index];
+        if (vm == VmId::invalidIndex)
+            continue;
+        if (view.vmSlot[vm] == VmSlot::Saas) {
+            ++row_saas[server.row.index];
         } else {
-            ++row_saas[row.index];
+            ++row_iaas[server.row.index];
         }
     }
 
@@ -149,10 +152,6 @@ TapasAllocator::place(const PlacementRequest &request,
     // arrays; per candidate only its own delta changes (keeps
     // place() linear).
     peakLoadByServer(view, peaksScratch);
-    for (std::size_t s = 0; s < servers; ++s) {
-        if (!view.occupied[s])
-            peaksScratch[s] = 0.0;
-    }
     airflowZeroScratch.resize(servers);
     airflowReqScratch.resize(servers);
     powerZeroScratch.resize(servers);
@@ -201,7 +200,7 @@ TapasAllocator::place(const PlacementRequest &request,
                                            hottestScratch.data());
 
     for (const Server &server : layout.servers()) {
-        if (view.occupied[server.id.index])
+        if (view.occupied(server.id.index))
             continue;
 
         // --- Validator rule: Eq. 3 (airflow) and Eq. 4 (power). ---

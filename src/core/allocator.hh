@@ -27,8 +27,6 @@ struct PlacementRequest
 {
     VmId id;
     VmKind kind = VmKind::IaaS;
-    EndpointId endpoint;
-    CustomerId customer;
     /** Predicted peak load of the VM (templates; 1.0 = assume peak). */
     double predictedPeakLoad = 1.0;
 };
@@ -51,8 +49,8 @@ class VmAllocator
      * The part of a request that decides whether place() can reject
      * it. Contract: on an unchanged view, once place() has returned
      * nullopt for one request, it returns nullopt for every request
-     * with an equal admissionLoad — whatever its id, kind, customer
-     * or endpoint. Callers may therefore skip such requests until
+     * with an equal admissionLoad, whatever its id, kind or
+     * predicted peak. Callers may therefore skip such requests until
      * the view changes (ClusterSim's rejection memo).
      */
     virtual double
@@ -122,10 +120,11 @@ class TapasAllocator : public VmAllocator
     }
 
     /**
-     * Per-server predicted peak loads from the placed VM views,
-     * SaaS counted at the controllable floor (the accounting every
-     * budget validator shares — allocator admission, migration
-     * donor ranking, and the what-if helpers below).
+     * Per-server predicted peak loads of the hosted VMs, SaaS
+     * counted at the controllable floor and free servers at 0 (the
+     * accounting every budget validator shares — allocator
+     * admission, migration donor ranking, and the what-if helpers
+     * below).
      */
     static void peakLoadByServer(const ClusterView &view,
                                  std::vector<double> &out);

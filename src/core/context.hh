@@ -8,9 +8,9 @@
 #define TAPAS_CORE_CONTEXT_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <type_traits>
 
-#include "common/logging.hh"
 #include "common/types.hh"
 #include "dcsim/layout.hh"
 #include "dcsim/power.hh"
@@ -20,21 +20,14 @@
 
 namespace tapas {
 
-/** Summary of a placed VM as decision components see it. */
-struct PlacedVmView
-{
-    VmId id;
-    VmKind kind = VmKind::IaaS;
-    ServerId server;
-    EndpointId endpoint;
-    CustomerId customer;
-    /** Predicted peak load of this VM (history templates or 1.0). */
-    double predictedPeakLoad = 1.0;
-    /** Current observed load fraction. */
-    double currentLoad = 0.0;
-};
-
-/** Snapshot of cluster state for placement and risk decisions. */
+/**
+ * Read-only view of cluster state for placement, risk, configuration
+ * and migration decisions. It owns nothing: the spans point into the
+ * owner's tables (the simulator's per-server arrays and VM table, or
+ * a test's vectors), so it is always as current as those tables and
+ * cheap to copy. A caller that wants a what-if rebinds one span to
+ * its own scratch copy.
+ */
 struct ClusterView
 {
     const DatacenterLayout *layout = nullptr;
@@ -47,48 +40,25 @@ struct ClusterView
     double outsideC = 20.0;
     double dcLoadFrac = 0.5;
 
-    /** Current per-server load fractions, indexed by server id. */
-    std::vector<double> serverLoads;
-    /** All currently placed VMs, ordered by ascending VM id. */
-    std::vector<PlacedVmView> vms;
-    /** Per-server occupancy (each GPU VM takes a whole server). */
-    std::vector<bool> occupied;
+    /** Current load fraction, indexed by server id. */
+    std::span<const double> serverLoads;
+    /** Hosted VM index (each GPU VM takes a whole server), or
+     *  VmId::invalidIndex, indexed by server id. */
+    std::span<const std::uint32_t> serverVm;
+    /** Placement state and service kind, indexed by VM id. */
+    std::span<const VmSlot> vmSlot;
+    /** Predicted peak load (history templates or 1.0), indexed by
+     *  VM id. */
+    std::span<const double> vmPeakLoad;
 
-    /**
-     * Snapshot epoch of the load/time state this view reflects. The
-     * owning simulator bumps its epoch counter whenever the
-     * observable snapshot moves (step boundary, post-load update,
-     * telemetry-digest refresh) and lazily re-syncs the maintained
-     * view on the next access; the debug cross-check validates that
-     * a consumed view is at the owner's current epoch before
-     * comparing contents against a fresh rebuild.
-     */
-    std::uint64_t snapshotEpoch = 0;
-
-    /**
-     * Staleness guard for the single maintained view: the owner
-     * bumps *ownerGeneration and restamps this view on every refresh
-     * or membership mutation, so a detached copy (or a reference
-     * held across a rebuild, the old makeView() hazard) trips
-     * assertFresh() at the next consumer entry. Standalone views
-     * (tests, benches) leave ownerGeneration null and always pass.
-     */
-    const std::uint64_t *ownerGeneration = nullptr;
-    std::uint64_t stampedGeneration = 0;
-
-    void
-    assertFresh() const
+    bool
+    occupied(std::size_t server) const
     {
-        tapas_assert(!ownerGeneration ||
-                         *ownerGeneration == stampedGeneration,
-                     "stale ClusterView: generation %llu read after "
-                     "invalidation (owner is at %llu)",
-                     static_cast<unsigned long long>(
-                         stampedGeneration),
-                     static_cast<unsigned long long>(
-                         *ownerGeneration));
+        return serverVm[server] != VmId::invalidIndex;
     }
 };
+
+static_assert(std::is_trivially_copyable_v<ClusterView>);
 
 /** Tunable policy parameters of TAPAS (Section 4.5 defaults). */
 struct TapasPolicyConfig

@@ -11,15 +11,11 @@ MigrationPlanner::rowPeakPowers(const ClusterView &view)
 {
     const DatacenterLayout &layout = *view.layout;
     // Shared per-server peak accounting (SaaS at the controllable
-    // floor), unoccupied servers zeroed, one fleet-wide batched
-    // power pass, then a per-row accumulation — the same values
+    // floor, free servers at 0), one fleet-wide batched power pass,
+    // then a per-row accumulation — the same values
     // TapasAllocator::predictedRowPower produces row by row, without
     // the per-row fleet walks.
     TapasAllocator::peakLoadByServer(view, peaksScratch);
-    for (std::size_t s = 0; s < peaksScratch.size(); ++s) {
-        if (!view.occupied[s])
-            peaksScratch[s] = 0.0;
-    }
     powerScratch.resize(layout.serverCount());
     view.profiles->predictPowerBatch(peaksScratch.data(),
                                      layout.serverCount(),
@@ -32,10 +28,9 @@ MigrationPlanner::rowPeakPowers(const ClusterView &view)
 }
 
 std::optional<MigrationPlan>
-MigrationPlanner::planOne(ClusterView &view)
+MigrationPlanner::planOne(const ClusterView &view)
 {
     tapas_assert(view.profiles, "migration planning needs profiles");
-    view.assertFresh();
     const DatacenterLayout &layout = *view.layout;
 
     // Rank rows by predicted peak power utilization.
@@ -59,73 +54,58 @@ MigrationPlanner::planOne(ClusterView &view)
     const double donor_before = rowPowerScratch[donor.index];
 
     // Candidate: the SaaS VM with the highest predicted peak in the
-    // donor row (moving it relieves the most pressure).
-    const PlacedVmView *candidate_ref = nullptr;
-    for (const PlacedVmView &vm : view.vms) {
-        if (vm.kind != VmKind::SaaS)
+    // donor row (moving it relieves the most pressure). SaaS VMs of
+    // one endpoint share a predicted peak, so ties go to the lowest
+    // VM id, whatever server hosts it.
+    std::uint32_t candidate = VmId::invalidIndex;
+    ServerId from;
+    for (ServerId sid : layout.row(donor).servers) {
+        const std::uint32_t vm = view.serverVm[sid.index];
+        if (vm == VmId::invalidIndex ||
+            view.vmSlot[vm] != VmSlot::Saas) {
             continue;
-        if (!(layout.server(vm.server).row == donor))
-            continue;
-        if (!candidate_ref ||
-            vm.predictedPeakLoad >
-                candidate_ref->predictedPeakLoad) {
-            candidate_ref = &vm;
+        }
+        if (candidate == VmId::invalidIndex ||
+            view.vmPeakLoad[vm] > view.vmPeakLoad[candidate] ||
+            (view.vmPeakLoad[vm] == view.vmPeakLoad[candidate] &&
+             vm < candidate)) {
+            candidate = vm;
+            from = sid;
         }
     }
-    if (!candidate_ref)
+    if (candidate == VmId::invalidIndex)
         return std::nullopt;
 
-    // Overlay: lift the candidate out of the view in place (the
-    // erase position is remembered so a rejected what-if restores
-    // the entry exactly — same index, same field values).
-    const PlacedVmView candidate = *candidate_ref;
-    const std::size_t at = static_cast<std::size_t>(
-        candidate_ref - view.vms.data());
-    view.occupied[candidate.server.index] = false;
-    view.vms.erase(view.vms.begin() +
-                   static_cast<std::ptrdiff_t>(at));
-
-    auto undo = [&]() {
-        view.vms.insert(view.vms.begin() +
-                            static_cast<std::ptrdiff_t>(at),
-                        candidate);
-        view.occupied[candidate.server.index] = true;
-    };
-
+    // What-if: lift the candidate out of the map; a rejected move
+    // puts it back.
+    serverVmScratch[from.index] = VmId::invalidIndex;
     PlacementRequest request;
-    request.id = candidate.id;
+    request.id = VmId(candidate);
     request.kind = VmKind::SaaS;
-    request.endpoint = candidate.endpoint;
-    request.predictedPeakLoad = candidate.predictedPeakLoad;
+    request.predictedPeakLoad = view.vmPeakLoad[candidate];
 
     const auto target = alloc.place(request, view);
     // A move within the same row relieves nothing.
     if (!target.has_value() ||
         layout.server(*target).row == donor) {
-        undo();
+        serverVmScratch[from.index] = candidate;
         return std::nullopt;
     }
 
-    // Donor-row relief, evaluated on the lifted-out overlay state.
+    // Donor-row relief, evaluated with the candidate lifted out.
     rowPeakPowers(view);
     const double donor_after = rowPowerScratch[donor.index];
     if (donor_after >= donor_before) {
-        undo();
+        serverVmScratch[from.index] = candidate;
         return std::nullopt;
     }
 
-    // Accept: apply the move to the view (the entry keeps its index,
-    // so ascending-id order is preserved).
-    PlacedVmView moved = candidate;
-    moved.server = *target;
-    view.vms.insert(view.vms.begin() +
-                        static_cast<std::ptrdiff_t>(at),
-                    moved);
-    view.occupied[target->index] = true;
+    // Accept: later rounds see the VM at its target.
+    serverVmScratch[target->index] = candidate;
 
     MigrationPlan plan;
-    plan.vm = candidate.id;
-    plan.from = candidate.server;
+    plan.vm = request.id;
+    plan.from = from;
     plan.to = *target;
     plan.donorRowPeakW = donor_before;
     plan.donorRowAfterW = donor_after;
@@ -133,11 +113,14 @@ MigrationPlanner::planOne(ClusterView &view)
 }
 
 std::vector<MigrationPlan>
-MigrationPlanner::plan(ClusterView &view, int max_moves)
+MigrationPlanner::plan(const ClusterView &view, int max_moves)
 {
+    serverVmScratch.assign(view.serverVm.begin(), view.serverVm.end());
+    ClusterView what_if = view;
+    what_if.serverVm = serverVmScratch;
     std::vector<MigrationPlan> out;
     for (int i = 0; i < max_moves; ++i) {
-        const auto move = planOne(view);
+        const auto move = planOne(what_if);
         if (!move.has_value())
             break;
         out.push_back(*move);

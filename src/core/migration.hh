@@ -46,13 +46,13 @@ class MigrationPlanner
      * re-placing it through the TAPAS allocator. Returns an empty
      * vector when no move improves the donor row.
      *
-     * What-if exploration works by overlay/undo on @p view itself
-     * (no O(fleet) view copies): rejected candidates are restored
-     * exactly, and accepted moves stay applied so the caller's view
-     * matches the plan it is handed back.
+     * What-ifs run on a scratch copy of the view's server->VM map,
+     * and accepted moves are applied to that copy so later rounds
+     * see them; the caller's tables are left untouched for the
+     * caller to apply the returned plans.
      */
     std::vector<MigrationPlan>
-    plan(ClusterView &view, int max_moves);
+    plan(const ClusterView &view, int max_moves);
 
   private:
     TapasPolicyConfig cfg;
@@ -64,8 +64,12 @@ class MigrationPlanner
     std::vector<double> peaksScratch;
     std::vector<double> powerScratch;
     std::vector<double> rowPowerScratch;
+    /** What-if server->VM map (the planner's view binds to it). */
+    std::vector<std::uint32_t> serverVmScratch;
 
-    std::optional<MigrationPlan> planOne(ClusterView &view);
+    /** One planning round on a view whose serverVm is bound to
+     *  serverVmScratch (moves are tried and applied there). */
+    std::optional<MigrationPlan> planOne(const ClusterView &view);
 
     /** Predicted peak power of every row in one batched pass. */
     void rowPeakPowers(const ClusterView &view);

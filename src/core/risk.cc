@@ -12,7 +12,6 @@ RiskAssessor::refresh(const ClusterView &view,
                       const std::vector<double> &gpu_power_w)
 {
     tapas_assert(view.profiles, "risk assessment needs profiles");
-    view.assertFresh();
     const DatacenterLayout &layout = *view.layout;
     const ProfileBank &profiles = *view.profiles;
     const int gpus = layout.specs().front().gpusPerServer;

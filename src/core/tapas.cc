@@ -52,7 +52,6 @@ TapasController::configurePass(
 {
     if (!configurator || instances.empty())
         return;
-    view.assertFresh();
     // Size the dwell table before entering the hot region: the one
     // growth this pass may need happens here, so the per-instance
     // dwell reads/writes below are plain indexed accesses.
@@ -92,7 +91,7 @@ TapasController::configurePass(
     fixedAirflowScratch.resize(servers);
     inletScratch.resize(servers);
     for (std::size_t s = 0; s < servers; ++s) {
-        fixedLoadScratch[s] = view.occupied[s] && !saas_server[s]
+        fixedLoadScratch[s] = view.occupied(s) && !saas_server[s]
             ? view.serverLoads[s]
             : 0.0;
     }

@@ -58,8 +58,9 @@ class TapasController
 
     /**
      * Whether the next maybeRefreshRisk() would actually recompute.
-     * Lets the simulator skip building the cluster view entirely on
-     * steps where the cache is still fresh.
+     * Lets the simulator skip gathering the observed GPU power (a
+     * corrupted copy while a sensor fault is active) on steps where
+     * the cache is still fresh.
      */
     bool
     riskRefreshDue(SimTime now) const

@@ -6,11 +6,11 @@
  * A checkpoint captures the *canonical* stepping state — everything
  * the step loop reads that is not reconstructed deterministically by
  * the constructor from SimConfig. Derived structures (the active-VM
- * list, the server->VM inverse map, the routing index, the
- * maintained ClusterView, memo caches, scratch buffers) are rebuilt
- * after the sections apply; the debug-build cross-checks that verify
- * the incremental structures against fresh scans every step also
- * hold immediately after a restore.
+ * list, the server->VM inverse map, the routing index, memo caches,
+ * scratch buffers) are rebuilt after the sections apply; the
+ * debug-build cross-checks that verify the incremental structures
+ * against fresh scans every step also hold immediately after a
+ * restore.
  *
  * The contract is bit-exactness: a sim restored at step boundary T
  * steps forward identically to the sim that wrote the checkpoint —
@@ -119,7 +119,15 @@ ClusterSim::checkpointCore(Archive &ar)
     ar.value(recoveringFromFault);
     ar.value(faultClearAt);
     ar.value(stepDemandTps);
-    ar.value(viewLoadEpoch);
+    // Retired view-epoch field, kept so the section layout and
+    // every stateDigest stay unchanged: it always held two ticks per
+    // completed step, so it is derived on write and checked on read.
+    const std::uint64_t step_ticks =
+        2 * static_cast<std::uint64_t>(currentTime / cfg.stepLength);
+    std::uint64_t stored_ticks = step_ticks;
+    ar.value(stored_ticks);
+    if (stored_ticks != step_ticks)
+        ar.fail();
     noiseRng.checkpointState(ar);
     bool has_request_gen = requestGen != nullptr;
     ar.value(has_request_gen);
@@ -169,7 +177,7 @@ ClusterSim::rebuildDerivedState()
 {
     // Hot-list and inverse-map mirrors of the restored VM table.
     activeVms.clear();
-    serverVm.assign(layout.serverCount(), npos);
+    serverVm.assign(layout.serverCount(), VmId::invalidIndex);
     for (std::vector<RouteCandidate> &list : routeIndex)
         list.clear();
     const std::size_t n = vmTable.size();
@@ -177,7 +185,7 @@ ClusterSim::rebuildDerivedState()
         if (!vmTable.active(i))
             continue;
         activeVms.push_back(static_cast<std::uint32_t>(i));
-        serverVm[vmTable.serverOf[i]] = i;
+        serverVm[vmTable.serverOf[i]] = static_cast<std::uint32_t>(i);
         // Ascending walk => each endpoint's candidate list lands
         // sorted by VM id, exactly as routeIndexAdd maintains it.
         if (vmTable.isSaas(i))
@@ -191,12 +199,6 @@ ClusterSim::rebuildDerivedState()
 
     // Memo caches: drop and let the next step refill them.
     idleSpecCache = nullptr;
-
-    // The maintained view: rebuild from the restored state at the
-    // restored snapshot epoch and restamp its freshness generation.
-    buildViewInto(liveView);
-    liveView.ownerGeneration = &viewGeneration;
-    stampView();
 }
 
 std::uint64_t

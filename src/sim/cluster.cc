@@ -133,7 +133,7 @@ ClusterSim::ClusterSim(const SimConfig &config)
 
     vmTable.reset(vmGen.records().size());
     saasOpGpuPowerW.assign(vmGen.records().size(), 0.0);
-    serverVm.assign(layout.serverCount(), npos);
+    serverVm.assign(layout.serverCount(), VmId::invalidIndex);
     serverLoads.assign(layout.serverCount(), 0.0);
     serverDrawW.assign(layout.serverCount(), 0.0);
     gpusPerServer = layout.specs().front().gpusPerServer;
@@ -156,9 +156,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
             layout.specOf(server.id).throttleTemp.value());
 
     routeIndex.resize(vmGen.endpointVmCounts().size());
-    buildViewInto(liveView);
-    liveView.ownerGeneration = &viewGeneration;
-    stampView();
     serverDrawWatts.assign(layout.serverCount(), Watts(0.0));
     drawsScratch.assign(static_cast<std::size_t>(gpusPerServer),
                         Watts(0.0));
@@ -199,163 +196,22 @@ ClusterSim::vmPredictedPeakLoad(const VmRecord &record) const
     return store.endpointPredictedPeak(record.endpoint, kMinHistory);
 }
 
-void
-ClusterSim::buildViewInto(ClusterView &out) const
+ClusterView
+ClusterSim::view() const
 {
-    // Full rebuild (construction, tests, and the debug cross-check
-    // against the incrementally maintained liveView). Everything
-    // needed lives in the hot VM arrays; the cached predicted peaks
-    // are exact because the underlying telemetry digests only move
-    // on telemetry ticks (see refreshPredictedPeaks).
-    out.layout = &layout;
-    out.cooling = &cooling;
-    out.power = &hierarchy;
-    out.profiles = &bank;
-    out.now = currentTime;
-    out.outsideC = weatherModel.outsideAt(currentTime).value();
-    out.dcLoadFrac = dcLoadFrac;
-    out.serverLoads = serverLoads;
-    out.occupied.assign(layout.serverCount(), false);
-    for (std::size_t s = 0; s < serverVm.size(); ++s)
-        out.occupied[s] = serverVm[s] != npos;
-    out.vms.clear();
-    const std::size_t n = vmTable.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (vmTable.active(i))
-            out.vms.push_back(placedVmView(i));
-    }
-    out.snapshotEpoch = viewLoadEpoch;
-}
-
-void
-ClusterSim::stampView()
-{
-    ++viewGeneration;
-    liveView.stampedGeneration = viewGeneration;
-}
-
-void
-ClusterSim::refreshViewSnapshot()
-{
-    // Lazy load/time re-sync of the maintained view: membership
-    // (vms, occupied) is kept current eagerly by
-    // viewInsertVm/viewRemoveVm and the migration planner, so only
-    // the per-step snapshot fields move here — two packed-array
-    // reads per placed VM instead of the full rebuild the old
-    // makeView() paid two to three times per step.
-    liveView.now = currentTime;
-    liveView.outsideC = weatherModel.outsideAt(currentTime).value();
-    liveView.dcLoadFrac = dcLoadFrac;
-    liveView.serverLoads = serverLoads;
-    for (PlacedVmView &pv : liveView.vms) {
-        pv.currentLoad = vmTable.load[pv.id.index];
-        pv.predictedPeakLoad = vmTable.predictedPeak[pv.id.index];
-    }
-    liveView.snapshotEpoch = viewLoadEpoch;
-    stampView();
-}
-
-const ClusterView &
-ClusterSim::currentView()
-{
-    if (liveView.snapshotEpoch != viewLoadEpoch)
-        refreshViewSnapshot();
-    return liveView;
-}
-
-std::size_t
-ClusterSim::viewIndexOf(std::uint32_t vm_id) const
-{
-    // liveView.vms stays sorted by VM id (insertions keep it so),
-    // mirroring the ascending-id order of a full rebuild.
-    std::size_t lo = 0;
-    std::size_t hi = liveView.vms.size();
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (liveView.vms[mid].id.index < vm_id) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    return lo;
-}
-
-void
-ClusterSim::viewInsertVm(std::size_t vm_index)
-{
-    const std::size_t at =
-        viewIndexOf(static_cast<std::uint32_t>(vm_index));
-    // placedVmView() is the single construction site shared with the
-    // full rebuild, so the incremental entry is field-for-field what
-    // buildViewInto would produce.
-    liveView.vms.insert(liveView.vms.begin() +
-                            static_cast<std::ptrdiff_t>(at),
-                        placedVmView(vm_index));
-    liveView.occupied[vmTable.serverOf[vm_index]] = true;
-    stampView();
-}
-
-void
-ClusterSim::viewRemoveVm(std::size_t vm_index)
-{
-    const std::size_t at =
-        viewIndexOf(static_cast<std::uint32_t>(vm_index));
-    tapas_assert(at < liveView.vms.size() &&
-                     liveView.vms[at].id.index == vm_index,
-                 "VM %zu missing from the maintained view",
-                 vm_index);
-    liveView.vms.erase(liveView.vms.begin() +
-                       static_cast<std::ptrdiff_t>(at));
-    liveView.occupied[vmTable.serverOf[vm_index]] = false;
-    stampView();
-}
-
-bool
-ClusterSim::verifyClusterView()
-{
-    const ClusterView &live = currentView();
-    if (live.snapshotEpoch != viewLoadEpoch)
-        return false;
-    buildViewInto(debugViewScratch);
-    const ClusterView &fresh = debugViewScratch;
-    if (live.now != fresh.now || live.outsideC != fresh.outsideC ||
-        live.dcLoadFrac != fresh.dcLoadFrac ||
-        live.serverLoads != fresh.serverLoads ||
-        live.occupied != fresh.occupied ||
-        live.vms.size() != fresh.vms.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < fresh.vms.size(); ++i) {
-        const PlacedVmView &a = live.vms[i];
-        const PlacedVmView &b = fresh.vms[i];
-        if (a.id != b.id || a.kind != b.kind ||
-            a.server != b.server || a.endpoint != b.endpoint ||
-            a.customer != b.customer ||
-            a.predictedPeakLoad != b.predictedPeakLoad ||
-            a.currentLoad != b.currentLoad) {
-            return false;
-        }
-    }
-    return true;
-}
-
-PlacedVmView
-ClusterSim::placedVmView(std::size_t vm_index) const
-{
-    // Single construction site for view entries: the full rebuild
-    // (buildViewInto) and the incremental membership updates must
-    // agree field for field.
-    PlacedVmView pv;
-    pv.id = VmId(static_cast<std::uint32_t>(vm_index));
-    pv.kind =
-        vmTable.isSaas(vm_index) ? VmKind::SaaS : VmKind::IaaS;
-    pv.server = vmTable.server(vm_index);
-    pv.endpoint = EndpointId(vmTable.endpointOf[vm_index]);
-    pv.customer = CustomerId(vmTable.customerOf[vm_index]);
-    pv.predictedPeakLoad = vmTable.predictedPeak[vm_index];
-    pv.currentLoad = vmTable.load[vm_index];
-    return pv;
+    ClusterView v;
+    v.layout = &layout;
+    v.cooling = &cooling;
+    v.power = &hierarchy;
+    v.profiles = &bank;
+    v.now = currentTime;
+    v.outsideC = weatherModel.outsideAt(currentTime).value();
+    v.dcLoadFrac = dcLoadFrac;
+    v.serverLoads = serverLoads;
+    v.serverVm = serverVm;
+    v.vmSlot = vmTable.slot;
+    v.vmPeakLoad = vmTable.predictedPeak;
+    return v;
 }
 
 void
@@ -412,8 +268,7 @@ ClusterSim::processDepartures()
         }
         if (vmTable.isSaas(i))
             routeIndexRemove(i);
-        viewRemoveVm(i);
-        serverVm[vmTable.serverOf[i]] = npos;
+        serverVm[vmTable.serverOf[i]] = VmId::invalidIndex;
         vmTable.depart(i);
     }
     activeVms.swap(activeScratch);
@@ -540,7 +395,7 @@ ClusterSim::verifyVmTable() const
     }
     std::size_t mapped = 0;
     for (std::size_t s = 0; s < serverVm.size(); ++s) {
-        if (serverVm[s] == npos)
+        if (serverVm[s] == VmId::invalidIndex)
             continue;
         ++mapped;
         if (vmTable.serverOf[serverVm[s]] != s)
@@ -556,8 +411,6 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     PlacementRequest request;
     request.id = rec.id;
     request.kind = rec.kind;
-    request.endpoint = rec.endpoint;
-    request.customer = rec.customer;
     request.predictedPeakLoad = vmPredictedPeakLoad(rec);
 
     // An unchanged view rejects a load it has rejected before (the
@@ -567,19 +420,19 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     if (std::find(rejectedLoads.begin(), rejectedLoads.end(), load) !=
         rejectedLoads.end()) {
 #ifndef NDEBUG
-        tapas_assert(!alloc.place(request, currentView()).has_value(),
+        tapas_assert(!alloc.place(request, view()).has_value(),
                      "allocator placed VM %u at memoized rejected "
                      "load %g",
                      request.id.index, load);
 #endif
         return false;
     }
-    const auto pick = alloc.place(request, currentView());
+    const auto pick = alloc.place(request, view());
     if (!pick.has_value()) {
         rejectedLoads.push_back(load);
         return false;
     }
-    tapas_assert(serverVm[pick->index] == npos,
+    tapas_assert(serverVm[pick->index] == VmId::invalidIndex,
                  "allocator picked an occupied server");
     std::unique_ptr<InferenceEngine> engine;
     if (rec.kind == VmKind::SaaS) {
@@ -590,16 +443,12 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
                   request.predictedPeakLoad);
     serverVm[pick->index] = vm_index;
     // Sorted insert keeps the active list in the ascending-id order
-    // the sweeps (and the maintained view) rely on.
+    // the sweeps rely on.
     activeVms.insert(std::lower_bound(activeVms.begin(),
                                       activeVms.end(), vm_index),
                      vm_index);
     if (rec.kind == VmKind::SaaS)
         routeIndexAdd(vm_index);
-    // place() stored the request's predicted peak, so the shared
-    // construction site reproduces exactly what a view rebuild
-    // would add.
-    viewInsertVm(vm_index);
     rejectedLoads.clear(); // the view changed
     ++simMetrics.vmsPlaced;
     return true;
@@ -905,9 +754,9 @@ ClusterSim::computeDraws()
     for (const Server &server : layout.servers()) {
         const ServerSpec &spec = layout.specOf(server.id);
         const std::size_t s = server.id.index;
-        const std::size_t vm_index = serverVm[s];
+        const std::uint32_t vm_index = serverVm[s];
 
-        if (vm_index == npos) {
+        if (vm_index == VmId::invalidIndex) {
             // Empty server: all-idle draws are deterministic per
             // spec, so compute heat/power once and replay the cached
             // values (bit-identical: same code path, same inputs).
@@ -1036,8 +885,8 @@ ClusterSim::enforcePowerBudgets()
             bool iaas_headroom = false;
             if (iaas_first) {
                 for (ServerId sid : row.servers) {
-                    const std::size_t vi = serverVm[sid.index];
-                    if (vi != npos && vmTable.isIaas(vi) &&
+                    const std::uint32_t vi = serverVm[sid.index];
+                    if (vi != VmId::invalidIndex && vmTable.isIaas(vi) &&
                         vmTable.freqCap[vi] > kFreqFloor + 0.01) {
                         iaas_headroom = true;
                         break;
@@ -1046,8 +895,8 @@ ClusterSim::enforcePowerBudgets()
             }
 
             for (ServerId sid : row.servers) {
-                const std::size_t vi = serverVm[sid.index];
-                if (vi == npos)
+                const std::uint32_t vi = serverVm[sid.index];
+                if (vi == VmId::invalidIndex)
                     continue;
                 if (iaas_first && iaas_headroom &&
                     vmTable.isSaas(vi)) {
@@ -1137,8 +986,8 @@ ClusterSim::evaluateThermal(bool enforce)
         for (const Server &server : layout.servers()) {
             const std::size_t s = server.id.index;
             const bool hot = hottestGpuC[s] > throttleAtC[s];
-            const std::size_t vi = serverVm[s];
-            if (hot && vi != npos) {
+            const std::uint32_t vi = serverVm[s];
+            if (hot && vi != VmId::invalidIndex) {
                 vmTable.freqCap[vi] = std::max(
                     kFreqFloor, vmTable.freqCap[vi] * 0.85);
             }
@@ -1294,7 +1143,7 @@ ClusterSim::configuratorPass()
     }
     if (instances.empty())
         return;
-    tapas->configurePass(currentView(), instances);
+    tapas->configurePass(view(), instances);
     simMetrics.reconfigs = tapas->reconfigsIssued();
 }
 
@@ -1307,18 +1156,16 @@ ClusterSim::migrationPass()
         return;
     }
     MigrationPlanner planner(cfg.policy);
-    // The planner explores what-ifs by overlay/undo on the live
-    // view and leaves accepted moves applied to it; the table
-    // updates below keep the simulator state consistent with what
-    // the view already reflects.
-    currentView();
+    // The planner explores what-ifs on its own copy of the server
+    // map; its plans are applied to the tables here.
     for (const MigrationPlan &move :
-         planner.plan(liveView, cfg.policy.migrationMaxMoves)) {
-        const std::size_t vm_index = serverVm[move.from.index];
-        tapas_assert(vm_index != npos, "migration donor is empty");
+         planner.plan(view(), cfg.policy.migrationMaxMoves)) {
+        const std::uint32_t vm_index = serverVm[move.from.index];
+        tapas_assert(vm_index != VmId::invalidIndex,
+                     "migration donor is empty");
         tapas_assert(vmTable.isSaas(vm_index),
                      "only SaaS VMs migrate");
-        serverVm[move.from.index] = npos;
+        serverVm[move.from.index] = VmId::invalidIndex;
         serverVm[move.to.index] = vm_index;
         vmTable.serverOf[vm_index] = move.to.index;
         routeIndexUpdateServer(vm_index);
@@ -1326,9 +1173,6 @@ ClusterSim::migrationPass()
             cfg.policy.migrationDelayS);
         ++simMetrics.migrations;
     }
-    // The planner rewrote view entries in place; restamp so any
-    // copies detached before the pass read as stale.
-    stampView();
 }
 
 void
@@ -1494,18 +1338,17 @@ ClusterSim::step()
 
     processFaults();
     processDepartures();
-    // Placement and the risk refresh below share the maintained
-    // view at the pre-load snapshot (last step's loads, this step's
-    // membership) — the same state the per-phase rebuilds observed.
+    // Placement and the risk refresh below see the pre-load
+    // snapshot: last step's loads, this step's membership.
     processArrivals();
     tryPlaceWaiting();
     lap(phaseTimes_.placeS);
 
     // Risk refresh uses last step's sensor data (5-min cadence).
-    // Skip even the lazy view re-sync on steps where the cache is
+    // Skip gathering the observed power on steps where the cache is
     // still fresh.
     if (tapas->riskRefreshDue(currentTime))
-        tapas->maybeRefreshRisk(currentView(), observedGpuPower());
+        tapas->maybeRefreshRisk(view(), observedGpuPower());
     lap(phaseTimes_.riskS);
 
     // Reset this step's hardware caps.
@@ -1542,11 +1385,8 @@ ClusterSim::step()
     recordTelemetry(from);
     maybeRefitProfiles();
     lap(phaseTimes_.telemetryS);
-    // Loads (and on telemetry ticks, predicted peaks) moved: advance
-    // the snapshot epoch so the configurator/migration phases see
-    // this step's post-load state, exactly as their per-phase
-    // rebuilds used to.
-    ++viewLoadEpoch;
+    // The configurator and migration phases see this step's
+    // post-load state (and, on telemetry ticks, refreshed peaks).
     configuratorPass();
     lap(phaseTimes_.configureS);
     migrationPass();
@@ -1565,16 +1405,11 @@ ClusterSim::step()
         : 0.5;
 
     currentTime = to;
-    // Step boundary: time and the datacenter load fraction moved.
-    ++viewLoadEpoch;
     lap(phaseTimes_.metricsS);
 
 #ifndef NDEBUG
     tapas_assert(verifyVmTable(),
                  "SoA VM table diverged from the cold side table");
-    tapas_assert(verifyClusterView(),
-                 "incremental ClusterView diverged from a fresh "
-                 "rebuild");
 #endif
 }
 

@@ -145,14 +145,6 @@ class ClusterSim
      */
     bool verifyVmTable() const;
 
-    /**
-     * Consistency of the incrementally maintained ClusterView
-     * against a freshly rebuilt one at the current snapshot epoch
-     * (tests; debug builds assert it every step). Re-syncs the
-     * maintained view to the current epoch first.
-     */
-    bool verifyClusterView();
-
     // ------------------------------- checkpoint/restore (durability)
 
     /**
@@ -225,8 +217,8 @@ class ClusterSim
     std::vector<std::uint32_t> activeVms;
     /** Compaction scratch for the departure sweep. */
     std::vector<std::uint32_t> activeScratch;
-    /** server index -> vm index (or npos). */
-    std::vector<std::size_t> serverVm;
+    /** server index -> vm index (or VmId::invalidIndex). */
+    std::vector<std::uint32_t> serverVm;
     std::vector<std::uint32_t> waitingVms;
     /** Fault-injection timeline (nullptr = faults disabled). */
     std::unique_ptr<FaultEngine> faultEngine;
@@ -332,28 +324,9 @@ class ClusterSim
     /** Total SaaS token demand of this step (flow mode). */
     double stepDemandTps = 0.0;
 
-    /**
-     * The single maintained ClusterView shared by the placement,
-     * risk, configurator, and migration phases. Membership changes
-     * (place/depart/migrate) are applied eagerly; the load/time
-     * snapshot re-syncs lazily when the sim's snapshot epoch has
-     * moved past the view's (see currentView()). Debug builds
-     * cross-check it against a freshly rebuilt view every step.
-     */
-    ClusterView liveView;
-    /** Snapshot epoch: bumped whenever the observable load/time
-     *  state moves (post-load update, step boundary). */
-    std::uint64_t viewLoadEpoch = 0;
-    /** Staleness generation backing ClusterView::assertFresh(). */
-    std::uint64_t viewGeneration = 0;
-    /** Fresh-rebuild scratch for the debug cross-check. */
-    ClusterView debugViewScratch;
-
     /** Per-phase step-loop wall time (see StepPhaseTimes). */
     StepPhaseTimes phaseTimes_;
     bool phaseTiming_ = false;
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     void step();
     void processFaults();
@@ -363,13 +336,8 @@ class ClusterSim
     void processArrivals();
     void tryPlaceWaiting();
     bool tryPlace(std::uint32_t vm_index);
-    const ClusterView &currentView();
-    void refreshViewSnapshot();
-    void stampView();
-    void buildViewInto(ClusterView &out) const;
-    std::size_t viewIndexOf(std::uint32_t vm_id) const;
-    void viewInsertVm(std::size_t vm_index);
-    void viewRemoveVm(std::size_t vm_index);
+    /** Decision components' view: spans into this sim's tables. */
+    ClusterView view() const;
     void assignSaasLoadRequestMode(SimTime from, SimTime to);
     void assignSaasLoadFlowMode(SimTime from, SimTime to);
     void replayIaasLoads(SimTime t);
@@ -382,7 +350,6 @@ class ClusterSim
     void configuratorPass();
     void migrationPass();
     double vmPredictedPeakLoad(const VmRecord &record) const;
-    PlacedVmView placedVmView(std::size_t vm_index) const;
     const std::vector<RouteCandidate> &
     endpointCandidates(EndpointId id);
     bool verifyEndpointList(std::size_t endpoint_index) const;

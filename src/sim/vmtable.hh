@@ -28,9 +28,6 @@ namespace tapas {
 class Archive;
 class InferenceEngine;
 
-/** Hot placement/service state of a VM slot (Empty = not placed). */
-enum class VmSlot : std::uint8_t { Empty = 0, Iaas = 1, Saas = 2 };
-
 /**
  * SoA VM table: hot per-step arrays plus a cold side table, all
  * indexed by VmId (the trace pre-assigns dense ids).
@@ -65,9 +62,10 @@ class VmTable
     std::vector<SimTime> departureAt;
     /** Raw serving-engine pointer (SaaS); cold table owns it. */
     std::vector<InferenceEngine *> engine;
-    /** Owning endpoint index, mirrored hot for view building. */
+    /** Owning endpoint index, mirrored hot for routing and
+     *  telemetry sweeps. */
     std::vector<std::uint32_t> endpointOf;
-    /** Owning customer index, mirrored hot for view building. */
+    /** Owning customer index, mirrored hot for telemetry sweeps. */
     std::vector<std::uint32_t> customerOf;
     /**
      * Cached predicted peak load. The underlying telemetry digests

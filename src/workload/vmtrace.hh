@@ -27,6 +27,9 @@ namespace tapas {
 /** Service model of a VM. */
 enum class VmKind { IaaS, SaaS };
 
+/** Placement/service state of a VM slot (Empty = not placed). */
+enum class VmSlot : std::uint8_t { Empty = 0, Iaas = 1, Saas = 2 };
+
 /** Diurnal load shape shared by VMs of one IaaS customer. */
 struct LoadPattern
 {

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/context.hh"
 #include "dcsim/layout.hh"
 #include "dcsim/power.hh"
@@ -38,8 +41,7 @@ class CoreFixture : public ::testing::Test
         view.now = 0;
         view.outsideC = 24.0;
         view.dcLoadFrac = 0.5;
-        view.serverLoads.assign(dc.serverCount(), 0.0);
-        view.occupied.assign(dc.serverCount(), false);
+        growServers();
     }
 
     static LayoutConfig
@@ -53,25 +55,36 @@ class CoreFixture : public ::testing::Test
         return cfg;
     }
 
-    /** Mark a server occupied by a VM view. */
+    /** Size the per-server tables to the layout (after addRack)
+     *  and rebind the view to them. */
+    void
+    growServers()
+    {
+        serverLoads.resize(dc.serverCount(), 0.0);
+        serverVm.resize(dc.serverCount(), VmId::invalidIndex);
+        bindView();
+    }
+
+    /** Place the next VM id on a server. */
     void
     occupy(ServerId sid, VmKind kind, double peak_load,
            double current_load = 0.5)
     {
-        PlacedVmView vm;
-        vm.id = VmId(static_cast<std::uint32_t>(view.vms.size()));
-        vm.kind = kind;
-        vm.server = sid;
-        vm.predictedPeakLoad = peak_load;
-        vm.currentLoad = current_load;
-        if (kind == VmKind::SaaS) {
-            vm.endpoint = EndpointId(0);
-        } else {
-            vm.customer = CustomerId(0);
-        }
-        view.vms.push_back(vm);
-        view.occupied[sid.index] = true;
-        view.serverLoads[sid.index] = current_load;
+        serverVm[sid.index] = static_cast<std::uint32_t>(vmSlot.size());
+        vmSlot.push_back(kind == VmKind::SaaS ? VmSlot::Saas
+                                              : VmSlot::Iaas);
+        vmPeakLoad.push_back(peak_load);
+        serverLoads[sid.index] = current_load;
+        bindView();
+    }
+
+    void
+    bindView()
+    {
+        view.serverLoads = serverLoads;
+        view.serverVm = serverVm;
+        view.vmSlot = vmSlot;
+        view.vmPeakLoad = vmPeakLoad;
     }
 
     DatacenterLayout dc;
@@ -81,6 +94,11 @@ class CoreFixture : public ::testing::Test
     PowerHierarchy hierarchy;
     ProfileBank bank;
     PerfModel perf;
+    /** Backing tables of the view (index = server id / VM id). */
+    std::vector<double> serverLoads;
+    std::vector<std::uint32_t> serverVm;
+    std::vector<VmSlot> vmSlot;
+    std::vector<double> vmPeakLoad;
     ClusterView view;
 };
 

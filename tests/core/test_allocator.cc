@@ -24,11 +24,6 @@ class AllocatorTest : public CoreFixture
         req.id = VmId(1000);
         req.kind = kind;
         req.predictedPeakLoad = peak;
-        if (kind == VmKind::SaaS) {
-            req.endpoint = EndpointId(0);
-        } else {
-            req.customer = CustomerId(0);
-        }
         return req;
     }
 };
@@ -38,7 +33,7 @@ TEST_F(AllocatorTest, BaselinePlacesOnEmptyCluster)
     BaselineAllocator alloc;
     const auto pick = alloc.place(makeRequest(VmKind::IaaS), view);
     ASSERT_TRUE(pick.has_value());
-    EXPECT_FALSE(view.occupied[pick->index]);
+    EXPECT_FALSE(view.occupied(pick->index));
 }
 
 TEST_F(AllocatorTest, BaselinePacksIntoPartialRacks)
@@ -93,8 +88,7 @@ TEST_F(AllocatorTest, TapasValidatorBlocksOverdrawnRow)
     // profiling them.
     thermal.extend();
     bank.profileNewServers(thermal, powerModel, 9);
-    view.occupied.resize(dc.serverCount(), false);
-    view.serverLoads.resize(dc.serverCount(), 0.0);
+    growServers();
 
     const auto pick = alloc.place(makeRequest(VmKind::IaaS, 1.0),
                                   view);
@@ -133,9 +127,12 @@ TEST_F(AllocatorTest, TapasBalancesIaasAndSaasWithinRows)
     }
     // Every row that hosts VMs should host both kinds.
     std::map<std::uint32_t, std::pair<int, int>> mix;
-    for (const PlacedVmView &vm : view.vms) {
-        auto &entry = mix[dc.server(vm.server).row.index];
-        if (vm.kind == VmKind::IaaS) {
+    for (const Server &server : dc.servers()) {
+        const std::uint32_t vm = serverVm[server.id.index];
+        if (vm == VmId::invalidIndex)
+            continue;
+        auto &entry = mix[server.row.index];
+        if (vmSlot[vm] == VmSlot::Iaas) {
             ++entry.first;
         } else {
             ++entry.second;
@@ -200,13 +197,10 @@ TEST_F(AllocatorTest, TapasRejectionDependsOnlyOnAdmissionLoad)
     TapasAllocator alloc{TapasPolicyConfig{}};
     PlacementRequest iaas = makeRequest(VmKind::IaaS, rejected);
     iaas.id = VmId(2000);
-    iaas.customer = CustomerId(3);
     PlacementRequest saas_floor = makeRequest(VmKind::SaaS, rejected);
     saas_floor.id = VmId(2001);
-    saas_floor.endpoint = EndpointId(1);
     PlacementRequest saas_peak = makeRequest(VmKind::SaaS, 0.9);
     saas_peak.id = VmId(2002);
-    saas_peak.endpoint = EndpointId(2);
     for (const PlacementRequest &req : {iaas, saas_floor, saas_peak}) {
         SCOPED_TRACE("VM " + std::to_string(req.id.index));
         EXPECT_EQ(alloc.admissionLoad(req), rejected);

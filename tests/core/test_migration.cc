@@ -49,38 +49,50 @@ TEST_F(MigrationTest, NeverMovesIaas)
     EXPECT_TRUE(planner.plan(view, 3).empty());
 }
 
-TEST_F(MigrationTest, AppliesAcceptedMovesToTheView)
+TEST_F(MigrationTest, PlansLeaveTheCallersTablesUntouched)
 {
-    // The planner explores what-ifs by overlay/undo on the caller's
-    // view and leaves accepted moves applied, so the view matches
-    // the plan it hands back (the simulator then mirrors the same
-    // moves into its tables).
+    // What-ifs run on the planner's own copy of the server map: the
+    // caller's tables are unchanged, so every plan reads against
+    // them (the simulator applies the plans itself).
     const Row &row = dc.row(RowId(0));
     for (ServerId sid : row.servers)
         occupy(sid, VmKind::SaaS, 0.95, 0.8);
+    const std::vector<double> loads_before = serverLoads;
+    const std::vector<std::uint32_t> server_vm_before = serverVm;
+    const std::vector<VmSlot> slots_before = vmSlot;
+    const std::vector<double> peaks_before = vmPeakLoad;
     const auto plans = planner.plan(view, 2);
     ASSERT_FALSE(plans.empty());
-    for (const MigrationPlan &plan : plans) {
-        EXPECT_FALSE(view.occupied[plan.from.index]);
-        EXPECT_TRUE(view.occupied[plan.to.index]);
-        bool found = false;
-        for (const PlacedVmView &vm : view.vms) {
-            if (vm.id == plan.vm) {
-                found = true;
-                EXPECT_EQ(vm.server, plan.to);
-            }
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        const MigrationPlan &plan = plans[i];
+        EXPECT_EQ(view.serverVm[plan.from.index], plan.vm.index);
+        EXPECT_FALSE(view.occupied(plan.to.index));
+        for (std::size_t j = i + 1; j < plans.size(); ++j) {
+            EXPECT_NE(plans[j].vm, plan.vm);
+            EXPECT_NE(plans[j].to, plan.to);
         }
-        EXPECT_TRUE(found);
     }
-    // Rejected explorations must leave no trace: every VM still has
-    // exactly one entry and the occupancy count is unchanged.
-    EXPECT_EQ(view.vms.size(), row.servers.size());
-    std::size_t occupied_count = 0;
-    for (std::size_t s = 0; s < view.occupied.size(); ++s) {
-        if (view.occupied[s])
-            ++occupied_count;
-    }
-    EXPECT_EQ(occupied_count, row.servers.size());
+    EXPECT_EQ(serverLoads, loads_before);
+    EXPECT_EQ(serverVm, server_vm_before);
+    EXPECT_EQ(vmSlot, slots_before);
+    EXPECT_EQ(vmPeakLoad, peaks_before);
+}
+
+TEST_F(MigrationTest, EqualPeaksMoveTheLowestVmIdFirst)
+{
+    // Row 0 is the donor (IaaS at full peak). Its two SaaS VMs share
+    // a predicted peak; the lower VM id sits on the higher server
+    // index, so a scan that keeps the first maximum in server order
+    // would pick the other one.
+    const Row &row = dc.row(RowId(0));
+    occupy(row.servers.back(), VmKind::SaaS, 0.95, 0.8); // VM 0
+    occupy(row.servers.front(), VmKind::SaaS, 0.95, 0.8); // VM 1
+    for (std::size_t i = 1; i + 1 < row.servers.size(); ++i)
+        occupy(row.servers[i], VmKind::IaaS, 1.0, 0.9);
+    const auto plans = planner.plan(view, 1);
+    ASSERT_EQ(plans.size(), 1u);
+    EXPECT_EQ(plans[0].vm, VmId(0));
+    EXPECT_EQ(plans[0].from, row.servers.back());
 }
 
 TEST_F(MigrationTest, RespectsMaxMoves)

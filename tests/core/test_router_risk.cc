@@ -87,10 +87,8 @@ TEST_F(RouterTest, RiskAssessorFlagsPowerTightRow)
     RiskAssessor assessor{TapasPolicyConfig{}};
     // Load every server in row 0 to full: predicted power equals the
     // row budget, leaving less than the margin.
-    for (ServerId sid : dc.row(RowId(0)).servers) {
+    for (ServerId sid : dc.row(RowId(0)).servers)
         occupy(sid, VmKind::IaaS, 1.0, 1.0);
-        view.serverLoads[sid.index] = 1.0;
-    }
     assessor.refresh(view, gpuPower);
     const ServerId in_row = dc.row(RowId(0)).servers.front();
     EXPECT_TRUE(assessor.risk(in_row).powerRisk);

@@ -149,7 +149,7 @@ TEST_F(TapasControllerTest, PowerEmergencyTriggersReconfigs)
     for (ServerId sid : dc.row(RowId(0)).servers) {
         instances.push_back(makeInstance(
             id++, sid, 0.9 * refProfile.goodputTps));
-        view.serverLoads[sid.index] = 0.9;
+        serverLoads[sid.index] = 0.9;
     }
 
     manager.triggerPowerEmergency(0.60);

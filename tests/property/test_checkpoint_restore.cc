@@ -8,7 +8,8 @@
  * horizon, and on the full serialized metric state. An
  * oversubscribed backlog input keeps VMs waiting, so the placement
  * retry path (and its per-step rejection memo) runs across every
- * restore point.
+ * restore point; a migration input keeps the TAPAS planner moving
+ * SaaS VMs across them.
  */
 
 #include <gtest/gtest.h>
@@ -81,8 +82,37 @@ backlogScenario(std::uint64_t seed)
     return cfg;
 }
 
-/** (TAPAS policy?, backlog input?) */
-using Case = std::tuple<bool, bool>;
+/**
+ * faultyScenario with the SaaS migration planner running every 15
+ * minutes. Migration needs a row whose relief fits elsewhere, which
+ * the small cluster offers only on some traces: seeds 605 and 607
+ * migrate (5 and 1 moves), 601 does not, so config() shifts the
+ * suite's seeds 601/603 by 4 for this input.
+ */
+SimConfig
+migrationScenario(std::uint64_t seed)
+{
+    SimConfig cfg = faultyScenario(seed);
+    cfg.policy.migrationEnabled = true;
+    cfg.policy.migrationPeriod = 15 * kMinute;
+    cfg.policy.migrationMaxMoves = 2;
+    return cfg;
+}
+
+enum class Input { Faulty, Backlog, Migration };
+
+/** (TAPAS policy?, input) */
+using Case = std::tuple<bool, Input>;
+
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    const auto [tapas_policy, input] = info.param;
+    return std::string(tapas_policy ? "Tapas" : "Baseline") +
+        (input == Input::Backlog         ? "Backlog"
+             : input == Input::Migration ? "Migration"
+                                         : "");
+}
 
 class CheckpointRestoreEquivalence
     : public ::testing::TestWithParam<Case>
@@ -91,27 +121,34 @@ class CheckpointRestoreEquivalence
     static SimConfig
     config(std::uint64_t seed)
     {
-        const auto [tapas_policy, backlog] = GetParam();
-        const SimConfig cfg =
-            backlog ? backlogScenario(seed) : faultyScenario(seed);
+        const auto [tapas_policy, input] = GetParam();
+        const SimConfig cfg = input == Input::Backlog
+            ? backlogScenario(seed)
+            : input == Input::Migration ? migrationScenario(seed + 4)
+                                        : faultyScenario(seed);
         return tapas_policy ? cfg.asTapas() : cfg.asBaseline();
     }
 
-    /** The backlog input must actually exercise the retry path. */
+    /** Each input must actually exercise the path it is for. */
     static void
-    expectBacklog(const ClusterSim &reference)
+    expectExercised(const ClusterSim &reference)
     {
-        if (std::get<1>(GetParam())) {
+        switch (std::get<1>(GetParam())) {
+        case Input::Backlog:
             EXPECT_GT(reference.metrics().vmsRejected, 0u);
+            break;
+        case Input::Migration:
+            EXPECT_GT(reference.metrics().migrations, 0u);
+            break;
+        case Input::Faulty:
+            break;
         }
     }
 
     static std::string
     tag()
     {
-        const auto [tapas_policy, backlog] = GetParam();
-        return std::string(tapas_policy ? "tapas" : "base") +
-            (backlog ? "_backlog" : "");
+        return caseName({GetParam(), 0});
     }
 };
 
@@ -124,7 +161,7 @@ TEST_P(CheckpointRestoreEquivalence, RestoreAtRandomEpochsIsExact)
     // Straight-through reference plus its per-boundary digests.
     ClusterSim reference(cfg);
     reference.run();
-    expectBacklog(reference);
+    expectExercised(reference);
     const std::uint64_t final_digest = reference.stateDigest();
     const std::vector<std::uint8_t> final_metrics =
         metricsBytes(reference.metrics());
@@ -173,7 +210,7 @@ TEST_P(CheckpointRestoreEquivalence, ChainedRestoresStayExact)
 
     ClusterSim reference(cfg);
     reference.run();
-    expectBacklog(reference);
+    expectExercised(reference);
 
     ClusterSim first(cfg);
     first.runSteps(t1);
@@ -198,12 +235,15 @@ TEST_P(CheckpointRestoreEquivalence, ChainedRestoresStayExact)
 INSTANTIATE_TEST_SUITE_P(
     Policies, CheckpointRestoreEquivalence,
     ::testing::Combine(::testing::Values(false, true),
-                       ::testing::Values(false, true)),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return std::string(std::get<0>(info.param) ? "Tapas"
-                                                   : "Baseline") +
-            (std::get<1>(info.param) ? "Backlog" : "");
-    });
+                       ::testing::Values(Input::Faulty,
+                                         Input::Backlog)),
+    caseName);
+
+// Migration is a TAPAS-only planner (it re-places through the TAPAS
+// allocator), so the input runs under that policy alone.
+INSTANTIATE_TEST_SUITE_P(
+    Migration, CheckpointRestoreEquivalence,
+    ::testing::Values(Case{true, Input::Migration}), caseName);
 
 } // namespace
 } // namespace tapas

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/serialize.hh"
 #include "common/threadpool.hh"
@@ -118,13 +119,21 @@ TEST_P(AllocatorSafety, PlacementsRespectBudgetsAndOccupancy)
     view.profiles = &bank;
     view.outsideC = 27.0;
     view.dcLoadFrac = 0.7;
-    view.serverLoads.assign(dc.serverCount(), 0.0);
-    view.occupied.assign(dc.serverCount(), false);
+    constexpr int kRequests = 40;
+    const std::vector<double> loads(dc.serverCount(), 0.0);
+    std::vector<std::uint32_t> server_vm(dc.serverCount(),
+                                         VmId::invalidIndex);
+    std::vector<VmSlot> slots(kRequests, VmSlot::Empty);
+    std::vector<double> peaks(kRequests, 0.0);
+    view.serverLoads = loads;
+    view.serverVm = server_vm;
+    view.vmSlot = slots;
+    view.vmPeakLoad = peaks;
 
     TapasAllocator allocator{TapasPolicyConfig{}};
     Rng rng(static_cast<std::uint64_t>(seed) * 7 + 3);
     int placed = 0;
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < kRequests; ++i) {
         PlacementRequest request;
         request.id = VmId(static_cast<std::uint32_t>(i));
         request.kind =
@@ -134,14 +143,11 @@ TEST_P(AllocatorSafety, PlacementsRespectBudgetsAndOccupancy)
         if (!pick.has_value())
             continue;
         // Never an occupied server.
-        ASSERT_FALSE(view.occupied[pick->index]);
-        view.occupied[pick->index] = true;
-        PlacedVmView vm;
-        vm.id = request.id;
-        vm.kind = request.kind;
-        vm.server = *pick;
-        vm.predictedPeakLoad = request.predictedPeakLoad;
-        view.vms.push_back(vm);
+        ASSERT_FALSE(view.occupied(pick->index));
+        server_vm[pick->index] = request.id.index;
+        slots[request.id.index] =
+            request.kind == VmKind::SaaS ? VmSlot::Saas : VmSlot::Iaas;
+        peaks[request.id.index] = request.predictedPeakLoad;
         ++placed;
     }
     EXPECT_GT(placed, 30);

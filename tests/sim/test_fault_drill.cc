@@ -149,7 +149,7 @@ class QuarantineIsolation : public CoreFixture
 
         // Give the fleet a mixed, nontrivial load pattern.
         for (std::size_t s = 0; s < dc.serverCount(); ++s)
-            view.serverLoads[s] = 0.15 + 0.6 * ((s * 7) % 10) / 10.0;
+            serverLoads[s] = 0.15 + 0.6 * ((s * 7) % 10) / 10.0;
     }
 
     /** Per-GPU power exactly consistent with the load identity (what
@@ -161,7 +161,7 @@ class QuarantineIsolation : public CoreFixture
         std::vector<double> out(dc.serverCount() * gpus);
         for (std::size_t s = 0; s < dc.serverCount(); ++s) {
             const double per_gpu = spec.gpuIdlePower.value() +
-                view.serverLoads[s] *
+                serverLoads[s] *
                     (spec.gpuMaxPower.value() -
                      spec.gpuIdlePower.value());
             for (int g = 0; g < gpus; ++g)
