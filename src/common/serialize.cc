@@ -8,30 +8,52 @@
 
 #include "common/serialize.hh"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace tapas {
 
 namespace {
 
-const std::uint32_t *
-crcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+ * classic bytewise table, and t[k][b] is the CRC of byte b followed
+ * by k zero bytes, so eight lookups fold eight input bytes at once.
+ */
+constexpr CrcTables
+makeCrcTables()
 {
-    static const auto table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+        static_cast<std::uint32_t>(p[1]) << 8 |
+        static_cast<std::uint32_t>(p[2]) << 16 |
+        static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::string
@@ -71,11 +93,19 @@ struct FileHandle
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    const std::uint32_t *table = crcTable();
+    const CrcTables &t = kCrcTables;
     const auto *bytes = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ bytes[i]) & 0xFF] ^ (c >> 8);
+    for (; size >= 8; bytes += 8, size -= 8) {
+        const std::uint32_t lo = loadLe32(bytes) ^ c;
+        const std::uint32_t hi = loadLe32(bytes + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+            t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++bytes, --size)
+        c = t[0][(c ^ *bytes) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -89,6 +119,30 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+void
+Archive::grow(std::size_t n)
+{
+    const std::size_t cap =
+        std::max({storeCap * 2, writePos + n, std::size_t{256}});
+    // for_overwrite: the tail is not zero-filled, so its pages stay
+    // untouched (and out of RSS) until written.
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (writePos > 0)
+        std::memcpy(bigger.get(), store.get(), writePos);
+    store = std::move(bigger);
+    storeCap = cap;
+}
+
+std::vector<std::uint8_t>
+Archive::takeBuffer()
+{
+    std::vector<std::uint8_t> bytes(store.get(), store.get() + writePos);
+    store.reset();
+    storeCap = 0;
+    writePos = 0;
+    return bytes;
 }
 
 Error
@@ -136,13 +190,31 @@ readFileBytes(const std::string &path)
     if (!in.fp)
         return Error::io(errnoMessage("cannot open", path));
 
-    std::vector<std::uint8_t> bytes;
+    // Size once and read a regular file in one call; st_size is 0
+    // for pipes, and a file may grow after the fstat, so read on in
+    // chunks until EOF.
+    struct stat st;
+    if (fstat(fileno(in.fp), &st) != 0)
+        return Error::io(errnoMessage("cannot stat", path));
+    std::vector<std::uint8_t> bytes(
+        S_ISREG(st.st_mode) ? static_cast<std::size_t>(st.st_size)
+                            : 0);
+    const std::size_t got =
+        bytes.empty() ? 0
+                      : std::fread(bytes.data(), 1, bytes.size(), in.fp);
+    if (got != bytes.size()) {
+        if (std::ferror(in.fp))
+            return Error::io(errnoMessage("read failed on", path));
+        return Error::io("short read on '" + path + "': " +
+                         std::to_string(got) + " of " +
+                         std::to_string(bytes.size()) + " bytes");
+    }
     std::uint8_t chunk[1 << 16];
     for (;;) {
-        const std::size_t got =
+        const std::size_t more =
             std::fread(chunk, 1, sizeof chunk, in.fp);
-        bytes.insert(bytes.end(), chunk, chunk + got);
-        if (got < sizeof chunk) {
+        bytes.insert(bytes.end(), chunk, chunk + more);
+        if (more < sizeof chunk) {
             if (std::ferror(in.fp))
                 return Error::io(
                     errnoMessage("read failed on", path));

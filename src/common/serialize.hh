@@ -11,8 +11,8 @@
  *    the two directions cannot drift apart. All primitives are
  *    written as fixed-width little-endian values (doubles/floats as
  *    their IEEE-754 bit patterns), so archives are bit-exact across
- *    hosts and the serialized stream doubles as a canonical state
- *    digest input.
+ *    (little-endian) hosts and the serialized stream doubles as a
+ *    canonical state digest input.
  *
  *  - Checkpoint files: magic + format version + per-section framing
  *    ([id][length][payload][crc32]). Truncation, bit flips, and
@@ -30,9 +30,12 @@
 #ifndef TAPAS_COMMON_SERIALIZE_HH
 #define TAPAS_COMMON_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -42,7 +45,7 @@
 
 namespace tapas {
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected). */
+/** CRC-32 (IEEE 802.3 polynomial, reflected; slicing-by-8). */
 std::uint32_t crc32(const void *data, std::size_t size);
 
 /** FNV-1a 64-bit hash; @p seed chains multi-buffer digests. */
@@ -59,7 +62,11 @@ Error atomicWriteFile(const std::string &path, const void *data,
 Error atomicWriteFile(const std::string &path,
                       const std::string &text);
 
-/** Whole-file reads with structured errors (no raw I/O at callers). */
+/**
+ * Whole-file reads with structured errors (no raw I/O at callers).
+ * A regular file is read in one call into a buffer sized up front;
+ * pipes and files that grow meanwhile are read on to EOF.
+ */
 Result<std::vector<std::uint8_t>>
 readFileBytes(const std::string &path);
 Result<std::string> readFileText(const std::string &path);
@@ -71,9 +78,11 @@ bool fileExists(const std::string &path);
 void removeFileIfExists(const std::string &path);
 
 /**
- * Bidirectional field codec over a byte buffer. Write mode appends;
- * read mode consumes with bounds checks. A read past the end (or a
- * semantic mismatch flagged by fail()) latches ok() to false and
+ * Bidirectional field codec over a byte buffer. Write mode appends
+ * through a cursor into storage that grows geometrically, so each
+ * field costs one capacity check plus one memcpy; read mode
+ * consumes with bounds checks. A read past the end (or a semantic
+ * mismatch flagged by fail()) latches ok() to false and
  * turns every later read into a zero-fill no-op — callers run the
  * full checkpointState walk and check ok() once at the end.
  */
@@ -97,7 +106,7 @@ class Archive
     }
 
     static Archive
-    reader(const std::vector<std::uint8_t> &bytes)
+    reader(std::span<const std::uint8_t> bytes)
     {
         return reader(bytes.data(), bytes.size());
     }
@@ -108,9 +117,21 @@ class Archive
     /** Latch the failure flag (semantic mismatch during a read). */
     void fail() { okFlag = false; }
 
-    /** Serialized bytes (write mode). */
-    const std::vector<std::uint8_t> &buffer() const { return buf; }
-    std::vector<std::uint8_t> takeBuffer() { return std::move(buf); }
+    /** Serialized bytes (write mode): exactly what was written. */
+    std::span<const std::uint8_t>
+    buffer() const
+    {
+        return {store.get(), writePos};
+    }
+
+    /**
+     * Copy of buffer() as an exact-size vector; resets the writer.
+     * The copy is deliberate: the up-to-2x write storage is freed at
+     * once, so the next save reuses warm heap blocks. Handing the
+     * oversized storage on instead let it reach the OS again, and
+     * every save page-faulted fresh buffers.
+     */
+    std::vector<std::uint8_t> takeBuffer();
 
     /** Unconsumed bytes (read mode). */
     std::size_t
@@ -203,7 +224,7 @@ class Archive
         std::size_t n = v.size();
         count(n);
         if (readMode) {
-            if (!checkCount(n, 1)) {
+            if (!checkCount(n, wireBytes<T>())) {
                 v.clear();
                 return;
             }
@@ -254,34 +275,44 @@ class Archive
   private:
     Archive() = default;
 
+    /** Bytes one element of a podVector occupies on the wire. */
+    template <typename T>
+    static constexpr std::size_t
+    wireBytes()
+    {
+        if constexpr (std::is_enum_v<T>)
+            return wireBytes<std::underlying_type_t<T>>();
+        else if constexpr (std::is_arithmetic_v<T>)
+            return std::is_same_v<T, bool> ? 1 : sizeof(T);
+        else
+            return wireBytes<decltype(T::index)>();
+    }
+
     template <typename U>
     void
     fixed(U &raw)
     {
         static_assert(std::is_unsigned_v<U>);
-        std::uint8_t bytes[sizeof(U)];
-        if (!readMode) {
-            for (std::size_t i = 0; i < sizeof(U); ++i)
-                bytes[i] =
-                    static_cast<std::uint8_t>(raw >> (8 * i));
-            putBytes(bytes, sizeof(U));
-            return;
-        }
-        if (!getBytes(bytes, sizeof(U))) {
+        // The in-memory bytes are the little-endian wire bytes.
+        static_assert(std::endian::native == std::endian::little,
+                      "checkpoint archives need a little-endian host");
+        if (!readMode)
+            putBytes(&raw, sizeof(U));
+        else if (!getBytes(&raw, sizeof(U)))
             raw = 0;
-            return;
-        }
-        raw = 0;
-        for (std::size_t i = 0; i < sizeof(U); ++i)
-            raw |= static_cast<U>(bytes[i]) << (8 * i);
     }
 
     void
     putBytes(const void *p, std::size_t n)
     {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        buf.insert(buf.end(), b, b + n);
+        if (n > storeCap - writePos)
+            grow(n);
+        std::memcpy(store.get() + writePos, p, n);
+        writePos += n;
     }
+
+    /** Reallocate so @p n more bytes fit (capacity at least doubles). */
+    void grow(std::size_t n);
 
     bool
     getBytes(void *p, std::size_t n)
@@ -314,7 +345,11 @@ class Archive
 
     bool readMode = false;
     bool okFlag = true;
-    std::vector<std::uint8_t> buf;
+    // Write storage: [0, writePos) is written, [writePos, storeCap)
+    // is uninitialized.
+    std::unique_ptr<std::uint8_t[]> store;
+    std::size_t storeCap = 0;
+    std::size_t writePos = 0;
     const std::uint8_t *readData = nullptr;
     std::size_t readSize = 0;
     std::size_t readPos = 0;

@@ -173,6 +173,34 @@ ClusterSim::checkpointFailures(Archive &ar)
 }
 
 void
+ClusterSim::checkpointSection(std::uint32_t id, Archive &ar)
+{
+    switch (id) {
+    case kSecCore:
+        checkpointCore(ar);
+        break;
+    case kSecVms:
+        vmTable.checkpointState(ar);
+        break;
+    case kSecTelemetry:
+        store.checkpointState(ar);
+        break;
+    case kSecProfiles:
+        bank.checkpointState(ar);
+        break;
+    case kSecController:
+        tapas->checkpointState(ar);
+        break;
+    case kSecFailures:
+        checkpointFailures(ar);
+        break;
+    case kSecMetrics:
+        simMetrics.checkpointState(ar);
+        break;
+    }
+}
+
+void
 ClusterSim::rebuildDerivedState()
 {
     // Hot-list and inverse-map mirrors of the restored VM table.
@@ -265,29 +293,7 @@ ClusterSim::saveCheckpoint(const std::string &path)
     sections.reserve(std::size(kAllSections));
     for (std::uint32_t id : kAllSections) {
         Archive ar = Archive::writer();
-        switch (id) {
-        case kSecCore:
-            checkpointCore(ar);
-            break;
-        case kSecVms:
-            vmTable.checkpointState(ar);
-            break;
-        case kSecTelemetry:
-            store.checkpointState(ar);
-            break;
-        case kSecProfiles:
-            bank.checkpointState(ar);
-            break;
-        case kSecController:
-            tapas->checkpointState(ar);
-            break;
-        case kSecFailures:
-            checkpointFailures(ar);
-            break;
-        case kSecMetrics:
-            simMetrics.checkpointState(ar);
-            break;
-        }
+        checkpointSection(id, ar);
         tapas_assert(ar.ok(),
                      "checkpoint write walk cannot fail (%s)",
                      sectionName(id));
@@ -326,29 +332,7 @@ ClusterSim::restoreCheckpoint(const std::string &path)
     for (std::uint32_t id : kAllSections) {
         const CheckpointSection *section = data.find(id);
         Archive ar = Archive::reader(section->payload);
-        switch (id) {
-        case kSecCore:
-            checkpointCore(ar);
-            break;
-        case kSecVms:
-            vmTable.checkpointState(ar);
-            break;
-        case kSecTelemetry:
-            store.checkpointState(ar);
-            break;
-        case kSecProfiles:
-            bank.checkpointState(ar);
-            break;
-        case kSecController:
-            tapas->checkpointState(ar);
-            break;
-        case kSecFailures:
-            checkpointFailures(ar);
-            break;
-        case kSecMetrics:
-            simMetrics.checkpointState(ar);
-            break;
-        }
+        checkpointSection(id, ar);
         if (!ar.done())
             return Error::corrupt(
                 "checkpoint '" + path + "': section '" +
@@ -369,29 +353,7 @@ ClusterSim::stateDigest()
     std::uint64_t digest = fnv1a64(nullptr, 0);
     for (std::uint32_t id : kAllSections) {
         Archive ar = Archive::writer();
-        switch (id) {
-        case kSecCore:
-            checkpointCore(ar);
-            break;
-        case kSecVms:
-            vmTable.checkpointState(ar);
-            break;
-        case kSecTelemetry:
-            store.checkpointState(ar);
-            break;
-        case kSecProfiles:
-            bank.checkpointState(ar);
-            break;
-        case kSecController:
-            tapas->checkpointState(ar);
-            break;
-        case kSecFailures:
-            checkpointFailures(ar);
-            break;
-        case kSecMetrics:
-            simMetrics.checkpointState(ar);
-            break;
-        }
+        checkpointSection(id, ar);
         digest = fnv1a64(ar.buffer().data(), ar.buffer().size(),
                          digest);
     }

@@ -361,6 +361,8 @@ class ClusterSim
     // Checkpoint plumbing (sim/checkpoint.cc).
     void checkpointCore(Archive &ar);
     void checkpointFailures(Archive &ar);
+    /** Walk section @p id (save, restore and stateDigest share it). */
+    void checkpointSection(std::uint32_t id, Archive &ar);
     void rebuildDerivedState();
 };
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for the versioned binary serialization layer: Archive
- * round-trips, CRC32 reference vectors, atomic file replacement, and
- * the checkpoint container's rejection of every corruption class
- * (truncation, bit flips, bad magic, future versions, trailing
- * garbage) as a structured tapas::Error.
+ * round-trips and golden wire bytes, CRC32 reference vectors and a
+ * bytewise CRC oracle, atomic file replacement, and the checkpoint
+ * container's rejection of every corruption class (truncation, bit
+ * flips, bad magic, future versions, trailing garbage) as a
+ * structured tapas::Error.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "common/serialize.hh"
 #include "common/types.hh"
@@ -35,6 +40,52 @@ TEST(Serialize, Crc32ReferenceVectors)
     EXPECT_EQ(crc32(nullptr, 0), 0u);
     const char a[] = "a";
     EXPECT_EQ(crc32(a, 1), 0xE8B7BE43u);
+}
+
+/** Bitwise CRC-32 over the reflected IEEE polynomial: the oracle
+ *  the table-sliced implementation must match bit for bit. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** Deterministic pseudo-random bytes (xorshift64). */
+std::vector<std::uint8_t>
+noiseBytes(std::size_t n, std::uint64_t seed)
+{
+    std::vector<std::uint8_t> out(n);
+    std::uint64_t x = seed;
+    for (std::uint8_t &b : out) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x >> 32);
+    }
+    return out;
+}
+
+TEST(Serialize, Crc32MatchesBytewiseOracleAtEveryLengthAndOffset)
+{
+    // Every length through the 8-byte slices and the bytewise tail,
+    // at every alignment of the start pointer.
+    const std::vector<std::uint8_t> noise = noiseBytes(257 + 8, 11);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            const std::uint8_t *p = noise.data() + offset;
+            ASSERT_EQ(crc32(p, len), bytewiseCrc32(p, len))
+                << "length " << len << " offset " << offset;
+        }
+    }
+    const std::vector<std::uint8_t> big = noiseBytes(1 << 20, 29);
+    EXPECT_EQ(crc32(big.data(), big.size()),
+              bytewiseCrc32(big.data(), big.size()));
 }
 
 TEST(Serialize, Fnv1a64ReferenceVectors)
@@ -116,6 +167,87 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     EXPECT_EQ(dq2, dq);
 }
 
+std::string
+hexOf(std::span<const std::uint8_t> bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 0xF];
+    }
+    return out;
+}
+
+TEST(Serialize, ArchiveWritesGoldenBytes)
+{
+    // The wire layout itself, not just a round trip: fixed-width
+    // little-endian integers, IEEE-754 bit patterns, u64 counts and
+    // length-prefixed strings and vectors. Any layout change (byte
+    // order, widths, count encoding) alters this string.
+    enum class Colour : std::uint8_t { Red = 7 };
+    Archive w = Archive::writer();
+    std::uint32_t u32 = 0x01020304u;
+    std::int16_t i16 = -2;
+    double d = 1.0;
+    bool t = true;
+    float f = -0.5f;
+    std::uint64_t u64 = 0x1122334455667788ull;
+    std::size_t n = 3;
+    std::string s = "ab";
+    std::vector<std::uint16_t> pod = {1, 0x0203};
+    ServerId sid(5);
+    Colour colour = Colour::Red;
+    w.value(u32);
+    w.value(i16);
+    w.value(d);
+    w.value(t);
+    w.value(f);
+    w.value(u64);
+    w.count(n);
+    w.str(s);
+    w.podVector(pod);
+    w.value(sid);
+    w.value(colour);
+    ASSERT_TRUE(w.ok());
+    const std::string golden =
+        "04030201"          // u32
+        "feff"              // i16 -2
+        "000000000000f03f"  // double 1.0
+        "01"                // bool
+        "000000bf"          // float -0.5
+        "8877665544332211"  // u64
+        "0300000000000000"  // count 3
+        "0200000000000000"  // str length
+        "6162"              // "ab"
+        "0200000000000000"  // podVector length
+        "0100"              // u16 1
+        "0302"              // u16 0x0203
+        "05000000"          // ServerId 5
+        "07";               // enum Colour::Red
+    EXPECT_EQ(hexOf(w.buffer()), golden);
+    // takeBuffer hands over exactly the same bytes.
+    EXPECT_EQ(hexOf(w.takeBuffer()), golden);
+    EXPECT_TRUE(w.buffer().empty());
+}
+
+TEST(Serialize, ArchiveWriterGrowsAcrossManyFields)
+{
+    // Enough fields to force several reallocations of the write
+    // storage; every byte must survive each move.
+    Archive w = Archive::writer();
+    for (std::uint64_t i = 0; i < 100000; ++i)
+        w.value(i);
+    ASSERT_EQ(w.buffer().size(), 8u * 100000);
+    Archive r = Archive::reader(w.buffer());
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        std::uint64_t v = ~i;
+        r.value(v);
+        ASSERT_EQ(v, i);
+    }
+    EXPECT_TRUE(r.done());
+}
+
 TEST(Serialize, ArchiveReadPastEndFailsCleanly)
 {
     Archive w = Archive::writer();
@@ -152,6 +284,41 @@ TEST(Serialize, ArchiveRejectsCorruptVectorCount)
     EXPECT_TRUE(v.empty());
 }
 
+TEST(Serialize, PodVectorCountGuardUsesElementWireWidth)
+{
+    // A count that fits the remaining bytes one byte per element but
+    // not at the element's wire width must fail the guard and leave
+    // the vector empty, not resize and zero-fill it.
+    Archive w = Archive::writer();
+    std::size_t count = 10;
+    w.count(count);
+    std::uint64_t filler = 0x0102030405060708ull;
+    w.value(filler);
+    w.value(filler); // 16 bytes after the count: 2 doubles, 4 ids
+
+    Archive doubles = Archive::reader(w.buffer());
+    std::vector<double> dv = {9.0};
+    doubles.podVector(dv);
+    EXPECT_FALSE(doubles.ok());
+    EXPECT_TRUE(dv.empty());
+
+    Archive ids = Archive::reader(w.buffer());
+    std::vector<ServerId> iv;
+    ids.podVector(iv);
+    EXPECT_FALSE(ids.ok());
+    EXPECT_TRUE(iv.empty());
+
+    // An exact fit still decodes.
+    Archive exact = Archive::writer();
+    std::vector<double> two = {1.5, -2.5};
+    exact.podVector(two);
+    Archive back = Archive::reader(exact.buffer());
+    std::vector<double> got;
+    back.podVector(got);
+    EXPECT_TRUE(back.done());
+    EXPECT_EQ(got, two);
+}
+
 TEST(Serialize, AtomicWriteAndReadBack)
 {
     const std::string path = tmpPath("serialize_atomic.bin");
@@ -166,6 +333,52 @@ TEST(Serialize, AtomicWriteAndReadBack)
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), text2);
     removeFileIfExists(path);
+}
+
+TEST(Serialize, ReadFileBytesReturnsExactlyTheFile)
+{
+    const std::string path = tmpPath("serialize_big.bin");
+    const std::vector<std::uint8_t> bytes = noiseBytes((1 << 20) + 3, 5);
+    ASSERT_TRUE(atomicWriteFile(path, bytes.data(), bytes.size()).ok());
+    Result<std::vector<std::uint8_t>> back = readFileBytes(path);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), bytes);
+
+    ASSERT_TRUE(atomicWriteFile(path, bytes.data(), 0).ok());
+    Result<std::vector<std::uint8_t>> empty = readFileBytes(path);
+    ASSERT_TRUE(empty.ok());
+    EXPECT_TRUE(empty.value().empty());
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, ReadFileBytesReadsAPipeToEof)
+{
+    // A FIFO reports st_size 0, so the sized read gets nothing and
+    // the chunked read to EOF must return every byte.
+    const std::string path = tmpPath("serialize_fifo");
+    removeFileIfExists(path);
+    ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+    const std::vector<std::uint8_t> bytes = noiseBytes(200000, 17);
+    std::thread writer([&] {
+        std::FILE *fp = std::fopen(path.c_str(), "wb");
+        if (!fp)
+            return;
+        std::fwrite(bytes.data(), 1, bytes.size(), fp);
+        std::fclose(fp);
+    });
+    Result<std::vector<std::uint8_t>> back = readFileBytes(path);
+    writer.join();
+    removeFileIfExists(path);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), bytes);
+}
+
+TEST(Serialize, ReadDirectoryIsIoError)
+{
+    Result<std::vector<std::uint8_t>> r =
+        readFileBytes(::testing::TempDir());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::Io);
 }
 
 TEST(Serialize, ReadMissingFileIsIoError)
