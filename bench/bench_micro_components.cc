@@ -133,31 +133,62 @@ BM_RiskRefresh(benchmark::State &state)
 }
 BENCHMARK(BM_RiskRefresh);
 
+/** 50 idle reference-config VMs, one on every other server. */
+struct RouterCandidates
+{
+    explicit RouterCandidates(World &w)
+        : profile(w.perf.profile(referenceConfig()))
+    {
+        for (std::uint32_t i = 0; i < 50; ++i) {
+            engines.push_back(std::make_unique<InferenceEngine>(
+                profile, w.perf.slo()));
+            list.push_back(
+                {VmId(i), ServerId(i * 2), engines.back().get()});
+        }
+    }
+
+    ConfigProfile profile;
+    std::vector<std::unique_ptr<InferenceEngine>> engines;
+    std::vector<RouteCandidate> list;
+};
+
 void
 BM_RouterDecision(benchmark::State &state)
 {
     World &w = world();
     TapasRouter router{TapasPolicyConfig{}};
-    const ConfigProfile profile =
-        w.perf.profile(referenceConfig());
-    std::vector<std::unique_ptr<InferenceEngine>> engines;
-    std::vector<RouteCandidate> candidates;
-    for (std::uint32_t i = 0; i < 50; ++i) {
-        engines.push_back(std::make_unique<InferenceEngine>(
-            profile, w.perf.slo()));
-        candidates.push_back(
-            {VmId(i), ServerId(i * 2), engines.back().get()});
-    }
+    const RouterCandidates candidates(w);
     Request request;
     request.customer = CustomerId(7);
     request.promptTokens = 512;
     request.outputTokens = 128;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            router.route(request, candidates, nullptr));
+            router.route(request, candidates.list, nullptr));
     }
 }
 BENCHMARK(BM_RouterDecision);
+
+void
+BM_RouterSplit(benchmark::State &state)
+{
+    World &w = world();
+    TapasRouter router{TapasPolicyConfig{}};
+    RiskAssessor assessor{TapasPolicyConfig{}};
+    assessor.refresh(w.view, w.gpuPower);
+    const RouterCandidates candidates(w);
+    // Half the endpoint's capacity: the slack-weighted path, no spill.
+    const double demand = 0.5 * static_cast<double>(
+        candidates.list.size()) * candidates.profile.goodputTps;
+    std::vector<double> shares(candidates.list.size());
+    for (auto _ : state) {
+        router.split(candidates.list, demand, w.view, &assessor,
+                     shares);
+        benchmark::DoNotOptimize(shares.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_RouterSplit);
 
 void
 BM_ConfiguratorChoice(benchmark::State &state)

@@ -3,7 +3,7 @@
  * Structured recoverable errors.
  *
  * The library draws a hard line between invariant violations and
- * recoverable failures. Invariants (a corrupted routing index, an
+ * recoverable failures. Invariants (a corrupted server map, an
  * out-of-range id) stay on tapas_assert/panic: they mean the program
  * itself is wrong and must die loudly. Recoverable failures — a
  * missing file, a truncated or bit-flipped checkpoint, a malformed

@@ -1,15 +1,45 @@
 #include "core/router.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
 namespace tapas {
 
+void
+RequestRouter::distribute(std::span<const RouteCandidate> candidates,
+                          double demandTps, std::span<double> shares)
+{
+    double total_cap = 0.0;
+    double total_weight = 0.0;
+    std::size_t routed = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (shares[i] == kUnrouted)
+            continue;
+        total_cap += candidates[i].engine->profile().goodputTps;
+        total_weight += shares[i];
+        ++routed;
+    }
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (shares[i] == kUnrouted)
+            continue;
+        const double cap = candidates[i].engine->profile().goodputTps;
+        double share = total_weight > 0.0
+            ? demandTps * shares[i] / total_weight
+            : demandTps / static_cast<double>(routed);
+        if (demandTps > total_cap) {
+            share = cap +
+                (demandTps - total_cap) / static_cast<double>(routed);
+        }
+        shares[i] = std::min(share, cap * 1.2);
+    }
+}
+
 VmId
 BaselineRouter::route(const Request &request,
-                      const std::vector<RouteCandidate> &candidates,
+                      std::span<const RouteCandidate> candidates,
                       const RiskAssessor *risk)
 {
     (void)request;
@@ -28,9 +58,22 @@ BaselineRouter::route(const Request &request,
     return best;
 }
 
+void
+BaselineRouter::split(std::span<const RouteCandidate> candidates,
+                      double demandTps, const ClusterView &,
+                      const RiskAssessor *, std::span<double> shares)
+{
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        shares[i] = candidates[i].engine->accepting()
+            ? candidates[i].engine->profile().goodputTps
+            : kUnrouted;
+    }
+    distribute(candidates, demandTps, shares);
+}
+
 VmId
 TapasRouter::route(const Request &request,
-                   const std::vector<RouteCandidate> &candidates,
+                   std::span<const RouteCandidate> candidates,
                    const RiskAssessor *risk)
 {
     // Load thresholds expressed against the TTFT SLO: a VM whose
@@ -45,22 +88,11 @@ TapasRouter::route(const Request &request,
         cfg.concentrationCeiling * slo_ttft;
 
     // --- Stage 0: risk filter at server/row/aisle levels. ---
-    std::vector<const RouteCandidate *> safe;
-    safe.reserve(candidates.size());
-    for (const RouteCandidate &cand : candidates) {
-        if (!cand.engine->accepting())
-            continue;
-        if (risk && risk->fresh() && risk->risk(cand.server).any())
-            continue;
-        if (cand.engine->estimatedTtftS() > perf_bar)
-            continue;
-        safe.push_back(&cand);
-    }
     // Never drop a request on the floor: if everything is filtered,
     // fall back to any accepting VM (least loaded).
-    if (safe.empty()) {
+    if (!collectSafe(candidates, risk, perf_bar))
         return BaselineRouter().route(request, candidates, nullptr);
-    }
+    const std::vector<const RouteCandidate *> &safe = safeScratch;
 
     auto commit = [&](VmId vm) {
         affinity[request.customer.index] = vm;
@@ -102,6 +134,60 @@ TapasRouter::route(const Request &request,
     }
     tapas_assert(spread, "non-empty safe set must yield a pick");
     return commit(spread->vm);
+}
+
+bool
+TapasRouter::collectSafe(std::span<const RouteCandidate> candidates,
+                         const RiskAssessor *risk, double perfBar)
+{
+    // tapas-hot begin(router-safe-set): split()'s stage 0, once per
+    // endpoint per step; safeScratch keeps its capacity.
+    safeScratch.clear();
+    for (const RouteCandidate &cand : candidates) {
+        if (!cand.engine->accepting())
+            continue;
+        if (risk && risk->fresh() && risk->risk(cand.server).any())
+            continue;
+        if (cand.engine->estimatedTtftS() > perfBar)
+            continue;
+        safeScratch.push_back(&cand);
+    }
+    if (!safeScratch.empty())
+        return true;
+    for (const RouteCandidate &cand : candidates) {
+        if (cand.engine->accepting())
+            safeScratch.push_back(&cand);
+    }
+    return false;
+    // tapas-hot end(router-safe-set)
+}
+
+void
+TapasRouter::split(std::span<const RouteCandidate> candidates,
+                   double demandTps, const ClusterView &view,
+                   const RiskAssessor *risk, std::span<double> shares)
+{
+    // tapas-hot begin(router-split): flow-level routing (paper 4.2:
+    // route on the power and thermal slacks of the infrastructure).
+    // Weight = capacity x row-power headroom.
+    const bool live = risk && risk->fresh();
+    collectSafe(candidates, risk, std::numeric_limits<double>::infinity());
+    std::fill(shares.begin(), shares.end(), kUnrouted);
+    for (const RouteCandidate *cand : safeScratch) {
+        double slack = 1.0;
+        if (live) {
+            const double budget = view.power->effectiveRowProvision(
+                view.layout->server(cand->server).row).value();
+            slack = budget > 0.0
+                ? std::clamp(risk->risk(cand->server).rowHeadroomW /
+                                 budget, 0.05, 1.0)
+                : 1.0;
+        }
+        shares[static_cast<std::size_t>(cand - candidates.data())] =
+            cand->engine->profile().goodputTps * slack;
+    }
+    distribute(candidates, demandTps, shares);
+    // tapas-hot end(router-split)
 }
 
 void

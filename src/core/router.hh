@@ -7,11 +7,13 @@
  * power, airflow, or performance risk, then applies the paper's
  * three-stage policy: (1) KV-cache affinity for repeat customers,
  * (2) energy-saving load concentration, (3) performance spread.
+ * route() serves request-level mode, split() flow-level mode.
  */
 
 #ifndef TAPAS_CORE_ROUTER_HH
 #define TAPAS_CORE_ROUTER_HH
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +39,9 @@ struct RouteCandidate
 class RequestRouter
 {
   public:
+    /** split() share of a candidate that receives no demand. */
+    static constexpr double kUnrouted = -1.0;
+
     virtual ~RequestRouter() = default;
 
     /**
@@ -45,8 +50,15 @@ class RequestRouter
      * re-queues the request).
      */
     virtual VmId route(const Request &request,
-                       const std::vector<RouteCandidate> &candidates,
+                       std::span<const RouteCandidate> candidates,
                        const RiskAssessor *risk) = 0;
+
+    /** Divide @p demandTps across the candidates: shares[i] is
+     *  candidates[i]'s tokens/s, or kUnrouted if it gets nothing. */
+    virtual void split(std::span<const RouteCandidate> candidates,
+                       double demandTps, const ClusterView &view,
+                       const RiskAssessor *risk,
+                       std::span<double> shares) = 0;
 
     virtual const char *name() const = 0;
 
@@ -57,8 +69,13 @@ class RequestRouter
     virtual void checkpointState(Archive &) {}
 
   protected:
-    /** Load-balancing horizon for engine load estimates, seconds. */
-    static constexpr double kLoadHorizonS = 30.0;
+    /**
+     * Turn split weights into rates in place: demand in proportion
+     * to weight; overload above total capacity spills evenly, each
+     * VM capped at 1.2x its capacity. kUnrouted entries stay.
+     */
+    static void distribute(std::span<const RouteCandidate> candidates,
+                           double demandTps, std::span<double> shares);
 };
 
 /** Least-outstanding-load routing, risk-oblivious. */
@@ -66,8 +83,14 @@ class BaselineRouter : public RequestRouter
 {
   public:
     VmId route(const Request &request,
-               const std::vector<RouteCandidate> &candidates,
+               std::span<const RouteCandidate> candidates,
                const RiskAssessor *risk) override;
+
+    /** Every accepting VM, weighted by capacity. */
+    void split(std::span<const RouteCandidate> candidates,
+               double demandTps, const ClusterView &view,
+               const RiskAssessor *risk,
+               std::span<double> shares) override;
 
     const char *name() const override { return "baseline"; }
 };
@@ -81,8 +104,14 @@ class TapasRouter : public RequestRouter
     {}
 
     VmId route(const Request &request,
-               const std::vector<RouteCandidate> &candidates,
+               std::span<const RouteCandidate> candidates,
                const RiskAssessor *risk) override;
+
+    /** The safe VMs, weighted by capacity x row-power slack. */
+    void split(std::span<const RouteCandidate> candidates,
+               double demandTps, const ClusterView &view,
+               const RiskAssessor *risk,
+               std::span<double> shares) override;
 
     const char *name() const override { return "tapas"; }
 
@@ -97,6 +126,17 @@ class TapasRouter : public RequestRouter
     TapasPolicyConfig cfg;
     /** customer -> VM that served them last (KV-cache residency). */
     std::unordered_map<std::uint32_t, VmId> affinity;
+    // ckpt-skip(scratch): per-call safe set, dead between calls
+    std::vector<const RouteCandidate *> safeScratch;
+
+    /**
+     * Stage 0: fill safeScratch with the accepting candidates on
+     * servers a fresh @p risk does not flag, with projected TTFT
+     * within @p perfBar. If none qualify, fall back to every
+     * accepting candidate and return false.
+     */
+    bool collectSafe(std::span<const RouteCandidate> candidates,
+                     const RiskAssessor *risk, double perfBar);
 };
 
 } // namespace tapas

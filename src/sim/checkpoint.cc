@@ -6,11 +6,11 @@
  * A checkpoint captures the *canonical* stepping state — everything
  * the step loop reads that is not reconstructed deterministically by
  * the constructor from SimConfig. Derived structures (the active-VM
- * list, the server->VM inverse map, the routing index, memo caches,
- * scratch buffers) are rebuilt after the sections apply; the
- * debug-build cross-checks that verify the incremental structures
- * against fresh scans every step also hold immediately after a
- * restore.
+ * list, the server->VM inverse map, memo caches, scratch buffers)
+ * are rebuilt after the sections apply; the debug-build cross-checks
+ * that verify the incremental structures against fresh scans every
+ * step also hold immediately after a restore. Routing candidates are
+ * not state at all: each step derives them from the VM table.
  *
  * The contract is bit-exactness: a sim restored at step boundary T
  * steps forward identically to the sim that wrote the checkpoint —
@@ -206,18 +206,12 @@ ClusterSim::rebuildDerivedState()
     // Hot-list and inverse-map mirrors of the restored VM table.
     activeVms.clear();
     serverVm.assign(layout.serverCount(), VmId::invalidIndex);
-    for (std::vector<RouteCandidate> &list : routeIndex)
-        list.clear();
     const std::size_t n = vmTable.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (!vmTable.active(i))
             continue;
         activeVms.push_back(static_cast<std::uint32_t>(i));
         serverVm[vmTable.serverOf[i]] = static_cast<std::uint32_t>(i);
-        // Ascending walk => each endpoint's candidate list lands
-        // sorted by VM id, exactly as routeIndexAdd maintains it.
-        if (vmTable.isSaas(i))
-            routeIndexAdd(i);
     }
 
     // Last-step draw mirror in Watts (capping reads it).

@@ -155,7 +155,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
         throttleAtC.push_back(
             layout.specOf(server.id).throttleTemp.value());
 
-    routeIndex.resize(vmGen.endpointVmCounts().size());
     serverDrawWatts.assign(layout.serverCount(), Watts(0.0));
     drawsScratch.assign(static_cast<std::size_t>(gpusPerServer),
                         Watts(0.0));
@@ -266,97 +265,10 @@ ClusterSim::processDepartures()
             activeScratch.push_back(i);
             continue;
         }
-        if (vmTable.isSaas(i))
-            routeIndexRemove(i);
         serverVm[vmTable.serverOf[i]] = VmId::invalidIndex;
         vmTable.depart(i);
     }
     activeVms.swap(activeScratch);
-}
-
-void
-ClusterSim::routeIndexAdd(std::size_t vm_index)
-{
-    const std::uint32_t endpoint = vmTable.endpointOf[vm_index];
-    tapas_assert(endpoint < routeIndex.size(),
-                 "endpoint %u beyond routing index", endpoint);
-    std::vector<RouteCandidate> &list = routeIndex[endpoint];
-    RouteCandidate cand;
-    cand.vm = VmId(static_cast<std::uint32_t>(vm_index));
-    cand.server = vmTable.server(vm_index);
-    cand.engine = vmTable.engine[vm_index];
-    // Keep the list sorted by VM id so candidates appear in the same
-    // order a fresh VM-table scan would produce them.
-    auto it = list.begin();
-    while (it != list.end() && it->vm.index < cand.vm.index)
-        ++it;
-    list.insert(it, cand);
-}
-
-void
-ClusterSim::routeIndexRemove(std::size_t vm_index)
-{
-    const std::uint32_t endpoint = vmTable.endpointOf[vm_index];
-    tapas_assert(endpoint < routeIndex.size(),
-                 "endpoint %u beyond routing index", endpoint);
-    std::vector<RouteCandidate> &list = routeIndex[endpoint];
-    for (auto it = list.begin(); it != list.end(); ++it) {
-        if (it->vm.index == vm_index) {
-            list.erase(it);
-            return;
-        }
-    }
-    panic("VM %zu missing from its endpoint's routing index",
-          vm_index);
-}
-
-void
-ClusterSim::routeIndexUpdateServer(std::size_t vm_index)
-{
-    std::vector<RouteCandidate> &list =
-        routeIndex[vmTable.endpointOf[vm_index]];
-    for (RouteCandidate &cand : list) {
-        if (cand.vm.index == vm_index) {
-            cand.server = vmTable.server(vm_index);
-            return;
-        }
-    }
-    panic("VM %zu missing from its endpoint's routing index",
-          vm_index);
-}
-
-bool
-ClusterSim::verifyEndpointList(std::size_t endpoint_index) const
-{
-    std::size_t count = 0;
-    const std::vector<RouteCandidate> &list =
-        routeIndex[endpoint_index];
-    for (std::size_t i = 0; i < vmTable.size(); ++i) {
-        if (!vmTable.isSaas(i) ||
-            vmTable.endpointOf[i] != endpoint_index) {
-            continue;
-        }
-        if (count >= list.size())
-            return false;
-        const RouteCandidate &cand = list[count];
-        if (cand.vm.index != i ||
-            cand.server.index != vmTable.serverOf[i] ||
-            cand.engine != vmTable.engine[i]) {
-            return false;
-        }
-        ++count;
-    }
-    return count == list.size();
-}
-
-bool
-ClusterSim::verifyRoutingIndex() const
-{
-    for (std::size_t e = 0; e < routeIndex.size(); ++e) {
-        if (!verifyEndpointList(e))
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -447,8 +359,6 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     activeVms.insert(std::lower_bound(activeVms.begin(),
                                       activeVms.end(), vm_index),
                      vm_index);
-    if (rec.kind == VmKind::SaaS)
-        routeIndexAdd(vm_index);
     rejectedLoads.clear(); // the view changed
     ++simMetrics.vmsPlaced;
     return true;
@@ -487,18 +397,41 @@ ClusterSim::tryPlaceWaiting()
     waitingVms.swap(waitingScratch);
 }
 
-const std::vector<RouteCandidate> &
-ClusterSim::endpointCandidates(EndpointId id)
+void
+ClusterSim::buildRouteCandidates()
 {
-    tapas_assert(id.index < routeIndex.size(),
+    // tapas-hot begin(route-candidates): counting sort of the active
+    // list by endpoint; filling slices back to front leaves each in
+    // ascending VM id and each start at its slice's first entry.
+    const std::size_t endpoints = vmGen.endpointVmCounts().size();
+    candidateStartScratch.assign(endpoints + 1, 0);
+    for (std::uint32_t i : activeVms) {
+        if (vmTable.isSaas(i))
+            ++candidateStartScratch[vmTable.endpointOf[i]];
+    }
+    for (std::size_t e = 1; e <= endpoints; ++e)
+        candidateStartScratch[e] += candidateStartScratch[e - 1];
+    candidateScratch.resize(candidateStartScratch[endpoints]);
+    for (auto it = activeVms.rbegin(); it != activeVms.rend(); ++it) {
+        const std::uint32_t i = *it;
+        if (!vmTable.isSaas(i))
+            continue;
+        const std::uint32_t at =
+            --candidateStartScratch[vmTable.endpointOf[i]];
+        candidateScratch[at] = {VmId(i), vmTable.server(i),
+                                vmTable.engine[i]};
+    }
+    // tapas-hot end(route-candidates)
+}
+
+std::span<const RouteCandidate>
+ClusterSim::endpointCandidates(EndpointId id) const
+{
+    tapas_assert(id.index + 1 < candidateStartScratch.size(),
                  "unknown endpoint %u", id.index);
-#ifndef NDEBUG
-    // Per-endpoint check only: the full-index sweep would make
-    // debug routing quadratic in endpoint count per step.
-    tapas_assert(verifyEndpointList(id.index),
-                 "routing index diverged for endpoint %u", id.index);
-#endif
-    return routeIndex[id.index];
+    const std::uint32_t begin = candidateStartScratch[id.index];
+    return std::span<const RouteCandidate>(candidateScratch)
+        .subspan(begin, candidateStartScratch[id.index + 1] - begin);
 }
 
 double
@@ -520,6 +453,7 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
     const double dt = static_cast<double>(to - from);
     const int gpus = gpusPerServer;
     stepDemandTps = 0.0;
+    buildRouteCandidates();
 
     // Route this step's requests endpoint by endpoint.
     routedTokensScratch.assign(vmTable.size(), 0.0);
@@ -527,7 +461,7 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
     std::vector<double> &routed_tokens = routedTokensScratch;
     std::vector<double> &demand_floor = demandFloorScratch;
     for (const EndpointDemand &ep : requestGen->endpoints()) {
-        const auto &candidates = endpointCandidates(ep.id);
+        const auto candidates = endpointCandidates(ep.id);
         requestGen->generate(ep.id, from, to, requestsScratch);
         stepDemandTps += requestGen->demandTokensPerS(ep.id, from);
         if (candidates.empty())
@@ -590,95 +524,39 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
 void
 ClusterSim::assignSaasLoadFlowMode(SimTime from, SimTime to)
 {
-    // tapas-hot begin(flow-assign): per-step routing/assignment
-    // sweep; allocation-free by contract (member scratch only —
-    // tapas-lint rule R3 enforces this region).
+    buildRouteCandidates();
+    // tapas-hot begin(flow-assign): per-step assignment sweep (the
+    // split policy is the router's); allocation-free by contract
+    // (member scratch only — tapas-lint rule R3 enforces this region).
     const SimTime mid = from + (to - from) / 2;
     const int gpus = gpusPerServer;
+    RequestRouter &router = tapas->router();
     const RiskAssessor *risk = tapas->riskAssessor();
+    const ClusterView v = view();
     stepDemandTps = 0.0;
 
-    // Clear stale assignments (reconfiguring VMs receive nothing).
+    // Clear stale assignments (unrouted VMs receive nothing).
     for (std::uint32_t i : activeVms) {
         if (vmTable.isSaas(i))
             vmTable.demandTps[i] = 0.0;
     }
 
-    // Row budgets for the slack weighting, hoisted out of the
-    // per-candidate loop (a handful of rows versus one provision
-    // call per routable VM).
-    const bool use_risk = risk && risk->fresh();
-    if (use_risk) {
-        rowPowerScratch.resize(layout.rowCount());
-        for (const Row &row : layout.rows()) {
-            rowPowerScratch[row.id.index] =
-                hierarchy.effectiveRowProvision(row.id).value();
-        }
-    }
-
+    shareScratch.resize(candidateScratch.size());
     for (const EndpointDemand &ep : requestGen->endpoints()) {
-        const auto &candidates = endpointCandidates(ep.id);
+        const auto candidates = endpointCandidates(ep.id);
         const double demand =
             requestGen->demandTokensPerS(ep.id, mid);
         stepDemandTps += demand;
-        if (candidates.empty())
-            continue;
-
-        // Risk filter (TAPAS) with fallback to the full set.
-        safeScratch.clear();
-        std::vector<const RouteCandidate *> &safe = safeScratch;
-        for (const RouteCandidate &cand : candidates) {
-            if (!cand.engine->accepting())
+        // Shares line up with the endpoint's candidate slice.
+        const std::span<double> shares(
+            shareScratch.data() + candidateStartScratch[ep.id.index],
+            candidates.size());
+        router.split(candidates, demand, v, risk, shares);
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            if (shares[c] == RequestRouter::kUnrouted)
                 continue;
-            if (use_risk && risk->risk(cand.server).any())
-                continue;
-            safeScratch.push_back(&cand);
-        }
-        if (safe.empty()) {
-            for (const RouteCandidate &cand : candidates) {
-                if (cand.engine->accepting())
-                    safeScratch.push_back(&cand);
-            }
-        }
-        if (safe.empty())
-            continue;
-
-        // Slack-weighted split (paper 4.2: route on the power and
-        // thermal slacks of the underlying infrastructure), with
-        // overload spill. Weight = capacity x row-power headroom.
-        double total_cap = 0.0;
-        double total_weight = 0.0;
-        weightsScratch.assign(safe.size(), 0.0);
-        std::vector<double> &weights = weightsScratch;
-        for (std::size_t i = 0; i < safe.size(); ++i) {
-            const double cap = safe[i]->engine->profile().goodputTps;
-            double slack = 1.0;
-            if (use_risk) {
-                const ServerRisk &entry =
-                    risk->risk(safe[i]->server);
-                const double budget = rowPowerScratch
-                    [layout.server(safe[i]->server).row.index];
-                slack = budget > 0.0
-                    ? std::clamp(entry.rowHeadroomW / budget, 0.05,
-                                 1.0)
-                    : 1.0;
-            }
-            weights[i] = cap * slack;
-            total_cap += cap;
-            total_weight += weights[i];
-        }
-        for (std::size_t i = 0; i < safe.size(); ++i) {
-            const std::size_t vm = safe[i]->vm.index;
-            const double cap = safe[i]->engine->profile().goodputTps;
-            double share = total_weight > 0.0
-                ? demand * weights[i] / total_weight
-                : demand / static_cast<double>(safe.size());
-            if (demand > total_cap) {
-                share = cap +
-                    (demand - total_cap) /
-                        static_cast<double>(safe.size());
-            }
-            vmTable.demandTps[vm] = std::min(share, cap * 1.2);
+            const std::size_t vm = candidates[c].vm.index;
+            vmTable.demandTps[vm] = shares[c];
             vmTable.demandEmaTps[vm] =
                 0.6 * vmTable.demandEmaTps[vm] +
                 0.4 * vmTable.demandTps[vm];
@@ -1168,7 +1046,6 @@ ClusterSim::migrationPass()
         serverVm[move.from.index] = VmId::invalidIndex;
         serverVm[move.to.index] = vm_index;
         vmTable.serverOf[vm_index] = move.to.index;
-        routeIndexUpdateServer(vm_index);
         vmTable.engine[vm_index]->beginMigration(
             cfg.policy.migrationDelayS);
         ++simMetrics.migrations;

@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,13 +131,6 @@ class ClusterSim
     /** Per-GPU temperature of the last completed step. */
     const std::vector<double> &lastGpuTempC() const
     { return gpuTempC; }
-
-    /**
-     * Consistency check of the persistent per-endpoint routing index
-     * against a fresh scan of the VM table (tests; debug builds also
-     * assert this on every candidate lookup).
-     */
-    bool verifyRoutingIndex() const;
 
     /**
      * Consistency of the SoA hot arrays against the cold side table
@@ -252,14 +246,6 @@ class ClusterSim
     /** Per-server throttle temperature, hoisted from the specs. */
     std::vector<double> throttleAtC;
 
-    /**
-     * Persistent per-endpoint routing candidates, maintained on VM
-     * placement/departure/migration instead of being rebuilt from the
-     * whole VM table on every routing pass. Entries stay sorted by VM
-     * id so lookups are identical to a fresh table scan.
-     */
-    std::vector<std::vector<RouteCandidate>> routeIndex;
-
     /** Reusable step-loop scratch (hoisted per-step temporaries). */
     std::vector<Watts> serverDrawWatts;
     std::vector<Watts> drawsScratch;
@@ -269,8 +255,12 @@ class ClusterSim
     std::vector<double> rowPowerScratch;
     std::vector<double> routedTokensScratch;
     std::vector<double> demandFloorScratch;
-    std::vector<double> weightsScratch;
-    std::vector<const RouteCandidate *> safeScratch;
+    /** This step's routing candidates (buildRouteCandidates()):
+     *  endpoint e's SaaS VMs, ascending by id, start at
+     *  candidateStartScratch[e]; shareScratch has split() shares. */
+    std::vector<RouteCandidate> candidateScratch;
+    std::vector<std::uint32_t> candidateStartScratch;
+    std::vector<double> shareScratch;
     std::vector<SaasInstanceRef> instancesScratch;
     std::vector<Request> requestsScratch;
     std::vector<std::uint32_t> waitingScratch;
@@ -350,12 +340,10 @@ class ClusterSim
     void configuratorPass();
     void migrationPass();
     double vmPredictedPeakLoad(const VmRecord &record) const;
-    const std::vector<RouteCandidate> &
-    endpointCandidates(EndpointId id);
-    bool verifyEndpointList(std::size_t endpoint_index) const;
-    void routeIndexAdd(std::size_t vm_index);
-    void routeIndexRemove(std::size_t vm_index);
-    void routeIndexUpdateServer(std::size_t vm_index);
+    void buildRouteCandidates();
+    /** Endpoint @p id's slice of this step's candidates. */
+    std::span<const RouteCandidate>
+    endpointCandidates(EndpointId id) const;
     double effectiveGoodput(std::size_t vm_index) const;
 
     // Checkpoint plumbing (sim/checkpoint.cc).

@@ -74,7 +74,6 @@ expectBitExactResume(const SimConfig &cfg, int checkpoint_step,
     EXPECT_EQ(restored.stateDigest(), mid_digest);
     // Derived structures came back consistent.
     EXPECT_TRUE(restored.verifyVmTable());
-    EXPECT_TRUE(restored.verifyRoutingIndex());
 
     restored.runSteps(total - checkpoint_step);
     ASSERT_TRUE(restored.finished());

@@ -34,7 +34,6 @@ TEST_P(VmTableSoa, HotArraysMatchColdRecordsThroughoutTheRun)
     while (!sim.finished()) {
         sim.runSteps(7);
         ASSERT_TRUE(sim.verifyVmTable());
-        ASSERT_TRUE(sim.verifyRoutingIndex());
     }
 
     // The run actually exercised a mixed population.

@@ -103,6 +103,7 @@ RULES = [
         "include": [
             "src/sim/cluster.cc",
             "src/core/risk.cc",
+            "src/core/router.cc",
             "src/core/tapas.cc",
         ],
         "exclude": [],
