@@ -4,7 +4,9 @@
  * components: placement, routing, risk refresh, configuration
  * choice, and the ground-truth model evaluations. These bound the
  * control-plane overheads the paper's Section 4.5 claims are
- * lightweight.
+ * lightweight. Two checkpoint layers have their own throughput
+ * numbers too: the CRC-32 kernel and the whole-record server ring
+ * codec.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "core/allocator.hh"
 #include "core/configurator.hh"
 #include "core/risk.hh"
@@ -21,6 +24,7 @@
 #include "dcsim/power.hh"
 #include "dcsim/thermal.hh"
 #include "llm/engine.hh"
+#include "telemetry/history.hh"
 #include "telemetry/profiles.hh"
 
 namespace {
@@ -254,6 +258,58 @@ BM_EngineStepBusy(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EngineStepBusy);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> bytes(
+        static_cast<std::size_t>(state.range(0)));
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (std::uint8_t &b : bytes) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x >> 32);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(32 << 20);
+
+/** Write (0) or read (1) one full server ring: a week of 10-minute
+ *  samples, 1008 of them, wrapped so both chunks are non-empty. */
+void
+BM_ServerRingCheckpoint(benchmark::State &state)
+{
+    constexpr std::size_t kSamples = 1008;
+    ServerSeriesRing ring(kSamples);
+    for (SimTime t = 0; t < static_cast<SimTime>(kSamples + 100); ++t) {
+        const float f = static_cast<float>(t);
+        ring.push({t * 600, 20.0f + f, 60.0f, 3000.0f + f, 0.5f, 25.0f,
+                   0.6f});
+    }
+    Archive encoded = Archive::writer();
+    ring.checkpointState(encoded);
+    const std::vector<std::uint8_t> bytes(encoded.buffer().begin(),
+                                          encoded.buffer().end());
+    const bool read = state.range(0) == 1;
+    for (auto _ : state) {
+        if (read) {
+            ServerSeriesRing back;
+            Archive ar = Archive::reader(bytes);
+            back.checkpointState(ar);
+            benchmark::DoNotOptimize(back.size());
+        } else {
+            Archive ar = Archive::writer();
+            ring.checkpointState(ar);
+            benchmark::DoNotOptimize(ar.buffer().data());
+        }
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_ServerRingCheckpoint)->ArgName("read")->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -17,6 +17,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define TAPAS_CRC32_CLMUL 1
+#endif
+
 namespace tapas {
 
 namespace {
@@ -88,14 +93,11 @@ struct FileHandle
     }
 };
 
-} // namespace
-
+/** Advance the CRC register @p c over @p size bytes, eight at a time. */
 std::uint32_t
-crc32(const void *data, std::size_t size)
+crc32Table(std::uint32_t c, const std::uint8_t *bytes, std::size_t size)
 {
     const CrcTables &t = kCrcTables;
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint32_t c = 0xFFFFFFFFu;
     for (; size >= 8; bytes += 8, size -= 8) {
         const std::uint32_t lo = loadLe32(bytes) ^ c;
         const std::uint32_t hi = loadLe32(bytes + 4);
@@ -106,7 +108,119 @@ crc32(const void *data, std::size_t size)
     }
     for (; size > 0; ++bytes, --size)
         c = t[0][(c ^ *bytes) & 0xFF] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+#ifdef TAPAS_CRC32_CLMUL
+
+#define TAPAS_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+TAPAS_CLMUL_TARGET __m128i
+loadLane(const std::uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/** a.lo * k.lo ^ a.hi * k.hi ^ next: lane @p a folded forward onto
+ *  the input block @p next. */
+TAPAS_CLMUL_TARGET __m128i
+foldLane(__m128i a, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         next);
+}
+
+/**
+ * Advance the CRC register @p c over @p size bytes (a multiple of 16,
+ * at least 64) by carry-less multiply folding: four 128-bit lanes
+ * fold 64 bytes per iteration, collapse into one lane, take single
+ * 16-byte folds, and a Barrett reduction brings the remainder back to
+ * 32 bits. The constants are x^k mod P for the reflected IEEE
+ * polynomial (Intel, "Fast CRC Computation for Generic Polynomials
+ * Using PCLMULQDQ Instruction", 2009): k1/k2 fold across 512 bits,
+ * k3/k4 across 128, k5 from 96 to 64 bits; P' and mu reduce.
+ */
+TAPAS_CLMUL_TARGET std::uint32_t
+crc32Fold(std::uint32_t c, const std::uint8_t *bytes, std::size_t size)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    __m128i x1 = _mm_xor_si128(loadLane(bytes),
+                               _mm_cvtsi32_si128(static_cast<int>(c)));
+    __m128i x2 = loadLane(bytes + 16);
+    __m128i x3 = loadLane(bytes + 32);
+    __m128i x4 = loadLane(bytes + 48);
+    bytes += 64;
+    size -= 64;
+    for (; size >= 64; bytes += 64, size -= 64) {
+        x1 = foldLane(x1, k1k2, loadLane(bytes));
+        x2 = foldLane(x2, k1k2, loadLane(bytes + 16));
+        x3 = foldLane(x3, k1k2, loadLane(bytes + 32));
+        x4 = foldLane(x4, k1k2, loadLane(bytes + 48));
+    }
+    x1 = foldLane(x1, k3k4, x2);
+    x1 = foldLane(x1, k3k4, x3);
+    x1 = foldLane(x1, k3k4, x4);
+    for (; size >= 16; bytes += 16, size -= 16)
+        x1 = foldLane(x1, k3k4, loadLane(bytes));
+
+    // 128 -> 64 bits, then 64 -> 32 via k5.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(
+        _mm_srli_si128(x1, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+
+    // Barrett reduction to the 32-bit register.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly,
+                                     0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+#endif // TAPAS_CRC32_CLMUL
+
+} // namespace
+
+Crc32Kernel
+crc32Kernel()
+{
+#ifdef TAPAS_CRC32_CLMUL
+    // Chosen at run time, once, so builds without -march flags
+    // still take the fold on hosts that have it.
+    static const Crc32Kernel selected = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+                __builtin_cpu_supports("sse4.1")
+            ? Crc32Kernel::ClmulFold
+            : Crc32Kernel::Table;
+    }();
+    return selected;
+#else
+    return Crc32Kernel::Table;
+#endif
+}
+
+std::uint32_t
+crc32(const void *data, std::size_t size)
+{
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    std::uint32_t c = 0xFFFFFFFFu;
+#ifdef TAPAS_CRC32_CLMUL
+    if (size >= 64 && crc32Kernel() == Crc32Kernel::ClmulFold) {
+        const std::size_t folded = size & ~std::size_t{15};
+        c = crc32Fold(c, bytes, folded);
+        bytes += folded;
+        size -= folded;
+    }
+#endif
+    return crc32Table(c, bytes, size) ^ 0xFFFFFFFFu;
 }
 
 std::uint64_t
@@ -133,16 +247,6 @@ Archive::grow(std::size_t n)
         std::memcpy(bigger.get(), store.get(), writePos);
     store = std::move(bigger);
     storeCap = cap;
-}
-
-std::vector<std::uint8_t>
-Archive::takeBuffer()
-{
-    std::vector<std::uint8_t> bytes(store.get(), store.get() + writePos);
-    store.reset();
-    storeCap = 0;
-    writePos = 0;
-    return bytes;
 }
 
 Error
@@ -254,20 +358,6 @@ constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 4;
 /** id + payloadLen + payloadCrc. */
 constexpr std::size_t kSectionOverhead = 4 + 8 + 4;
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 std::uint32_t
 getU32(const std::uint8_t *p)
 {
@@ -288,36 +378,50 @@ getU64(const std::uint8_t *p)
 
 } // namespace
 
-Error
-writeCheckpointFile(const std::string &path,
-                    std::uint64_t config_digest,
-                    const std::vector<CheckpointSection> &sections)
+CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
 {
-    std::size_t total = kHeaderSize;
-    for (const CheckpointSection &s : sections)
-        total += kSectionOverhead + s.payload.size();
+    ar.putBytes(kMagic, sizeof kMagic);
+    std::uint32_t version = kCheckpointFormatVersion;
+    std::uint32_t count_placeholder = 0;
+    std::uint32_t crc_placeholder = 0;
+    ar.value(version);
+    ar.value(count_placeholder);
+    ar.value(config_digest);
+    ar.value(crc_placeholder);
+}
 
-    std::vector<std::uint8_t> out;
-    out.reserve(total);
-    out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
-    putU32(out, kCheckpointFormatVersion);
-    putU32(out, static_cast<std::uint32_t>(sections.size()));
-    putU64(out, config_digest);
-    putU32(out, crc32(out.data(), out.size()));
+std::size_t
+CheckpointWriter::beginSection(std::uint32_t id)
+{
+    const std::size_t frame = ar.writePos;
+    std::uint64_t length_placeholder = 0;
+    ar.value(id);
+    ar.value(length_placeholder);
+    ++sectionCount;
+    return frame;
+}
 
-    for (const CheckpointSection &s : sections) {
-        // The section CRC seals the whole frame (id + length +
-        // payload), so a flipped id or length is as detectable as a
-        // flipped payload byte.
-        const std::size_t frame_start = out.size();
-        putU32(out, s.id);
-        putU64(out, s.payload.size());
-        out.insert(out.end(), s.payload.begin(),
-                   s.payload.end());
-        putU32(out, crc32(out.data() + frame_start,
-                          out.size() - frame_start));
-    }
-    return atomicWriteFile(path, out.data(), out.size());
+void
+CheckpointWriter::endSection(std::size_t frame)
+{
+    // The section CRC seals the whole frame (id + length + payload),
+    // so a flipped id or length is as detectable as a flipped
+    // payload byte. The archive's bytes are little-endian in memory.
+    const std::uint64_t length = ar.writePos - frame - 4 - 8;
+    std::memcpy(ar.store.get() + frame + 4, &length, sizeof length);
+    std::uint32_t crc =
+        crc32(ar.store.get() + frame, ar.writePos - frame);
+    ar.value(crc);
+}
+
+Error
+CheckpointWriter::write(const std::string &path)
+{
+    std::memcpy(ar.store.get() + 12, &sectionCount,
+                sizeof sectionCount);
+    const std::uint32_t crc = crc32(ar.store.get(), kHeaderSize - 4);
+    std::memcpy(ar.store.get() + kHeaderSize - 4, &crc, sizeof crc);
+    return atomicWriteFile(path, ar.store.get(), ar.writePos);
 }
 
 Result<CheckpointData>
@@ -326,7 +430,9 @@ readCheckpointFile(const std::string &path)
     Result<std::vector<std::uint8_t>> read = readFileBytes(path);
     if (!read.ok())
         return read.error();
-    const std::vector<std::uint8_t> &bytes = read.value();
+    CheckpointData data;
+    data.file = std::move(read.value());
+    const std::vector<std::uint8_t> &bytes = data.file;
 
     if (bytes.size() < kHeaderSize)
         return Error::corrupt("checkpoint '" + path +
@@ -341,7 +447,6 @@ readCheckpointFile(const std::string &path)
         return Error::corrupt("checkpoint '" + path +
                               "': header CRC mismatch");
 
-    CheckpointData data;
     data.version = getU32(bytes.data() + 8);
     const std::uint32_t section_count =
         getU32(bytes.data() + 12);
@@ -353,7 +458,9 @@ readCheckpointFile(const std::string &path)
             std::to_string(kCheckpointFormatVersion));
 
     std::size_t pos = kHeaderSize;
-    data.sections.reserve(section_count);
+    // The count is untrusted: reserve no more frames than fit.
+    data.sections.reserve(std::min<std::size_t>(
+        section_count, (bytes.size() - pos) / kSectionOverhead));
     for (std::uint32_t i = 0; i < section_count; ++i) {
         if (bytes.size() - pos < 4 + 8)
             return Error::corrupt(
@@ -379,12 +486,8 @@ readCheckpointFile(const std::string &path)
                                   "': section " + std::to_string(i) +
                                   " (id " + std::to_string(id) +
                                   ") CRC mismatch");
-        CheckpointSection section;
-        section.id = id;
-        section.payload.assign(payload,
-                               payload +
-                                   static_cast<std::size_t>(len));
-        data.sections.push_back(std::move(section));
+        data.sections.push_back(
+            {id, {payload, static_cast<std::size_t>(len)}});
     }
     if (pos != bytes.size())
         return Error::corrupt(

@@ -15,8 +15,10 @@
  *    canonical state digest input.
  *
  *  - Checkpoint files: magic + format version + per-section framing
- *    ([id][length][payload][crc32]). Truncation, bit flips, and
- *    version skew are *detected* (length/CRC/magic checks) and
+ *    ([id][length][payload][crc32]). CheckpointWriter frames each
+ *    section in place in one buffer; readCheckpointFile hands back
+ *    sections as views into the file bytes. Truncation, bit flips,
+ *    and version skew are *detected* (length/CRC/magic checks) and
  *    surfaced as tapas::Error — never undefined behavior, never a
  *    silent wrong resume. Bump kCheckpointFormatVersion whenever any
  *    serialized struct changes shape (docs/checkpoint-format.md).
@@ -45,7 +47,25 @@
 
 namespace tapas {
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected; slicing-by-8). */
+/** The kernels crc32() can run; each yields the same value. */
+enum class Crc32Kernel
+{
+    /** Slicing-by-8 tables: any host. */
+    Table,
+    /** PCLMULQDQ folding: x86-64 hosts with PCLMUL and SSE4.1. */
+    ClmulFold,
+};
+
+/** Kernel crc32() folds inputs of 64 bytes and more with on this
+ *  host, chosen once at run time from the CPU's feature bits. */
+Crc32Kernel crc32Kernel();
+
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected). crc32Kernel() folds the
+ * whole 16-byte blocks of inputs of 64 bytes and more; the
+ * slicing-by-8 tables take shorter inputs, the tail under 16 bytes,
+ * and hosts without the fold.
+ */
 std::uint32_t crc32(const void *data, std::size_t size);
 
 /** FNV-1a 64-bit hash; @p seed chains multi-buffer digests. */
@@ -76,6 +96,8 @@ bool fileExists(const std::string &path);
 
 /** Best-effort delete; missing files are not an error. */
 void removeFileIfExists(const std::string &path);
+
+class CheckpointWriter;
 
 /**
  * Bidirectional field codec over a byte buffer. Write mode appends
@@ -117,21 +139,16 @@ class Archive
     /** Latch the failure flag (semantic mismatch during a read). */
     void fail() { okFlag = false; }
 
-    /** Serialized bytes (write mode): exactly what was written. */
+    /**
+     * Serialized bytes (write mode): exactly what was written. Files
+     * are framed in this storage in place (CheckpointWriter); nothing
+     * copies it out.
+     */
     std::span<const std::uint8_t>
     buffer() const
     {
         return {store.get(), writePos};
     }
-
-    /**
-     * Copy of buffer() as an exact-size vector; resets the writer.
-     * The copy is deliberate: the up-to-2x write storage is freed at
-     * once, so the next save reuses warm heap blocks. Handing the
-     * oversized storage on instead let it reach the OS again, and
-     * every save page-faulted fresh buffers.
-     */
-    std::vector<std::uint8_t> takeBuffer();
 
     /** Unconsumed bytes (read mode). */
     std::size_t
@@ -142,6 +159,23 @@ class Archive
 
     /** A fully consumed, error-free read. */
     bool done() const { return okFlag && remaining() == 0; }
+
+    /**
+     * Guard container sizes read from untrusted bytes: a corrupt
+     * count of elements at least @p min_elem_bytes wide each must fail
+     * the archive (false), not drive a multi-gigabyte resize.
+     */
+    bool
+    checkCount(std::size_t n, std::size_t min_elem_bytes)
+    {
+        if (!okFlag ||
+            n > remaining() / (min_elem_bytes ? min_elem_bytes
+                                              : 1)) {
+            okFlag = false;
+            return false;
+        }
+        return true;
+    }
 
     // ------------------------------------------------ primitives --
 
@@ -214,6 +248,24 @@ class Archive
         readPos += n;
     }
 
+    /**
+     * @p n raw bytes whose memory image is their wire image: one
+     * copy each way. The caller static_asserts that layout (size,
+     * field offsets, trivially copyable, little-endian host; see
+     * ServerSample). A short read latches fail() and leaves @p p
+     * untouched.
+     */
+    void
+    bytes(void *p, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (!readMode)
+            putBytes(p, n);
+        else
+            getBytes(p, n);
+    }
+
     // ------------------------------------------------ containers --
 
     /** Vector of arithmetic/enum/Id elements. */
@@ -273,6 +325,8 @@ class Archive
     }
 
   private:
+    friend class CheckpointWriter;
+
     Archive() = default;
 
     /** Bytes one element of a podVector occupies on the wire. */
@@ -326,23 +380,6 @@ class Archive
         return true;
     }
 
-    /**
-     * Guard container sizes read from untrusted bytes: a corrupt
-     * length must fail the archive, not drive a multi-gigabyte
-     * resize.
-     */
-    bool
-    checkCount(std::size_t n, std::size_t min_elem_bytes)
-    {
-        if (!okFlag ||
-            n > remaining() / (min_elem_bytes ? min_elem_bytes
-                                              : 1)) {
-            okFlag = false;
-            return false;
-        }
-        return true;
-    }
-
     bool readMode = false;
     bool okFlag = true;
     // Write storage: [0, writePos) is written, [writePos, storeCap)
@@ -366,16 +403,61 @@ class Archive
  */
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
-/** One framed section of a checkpoint file. */
+/**
+ * Writes a checkpoint file framed in place. The header and every
+ * section are walked straight into one growing buffer: a section's id
+ * and a length placeholder go first, its walk appends the payload,
+ * then the length is patched and the frame sealed with its CRC where
+ * it lies. write() seals the header and hands that one buffer to
+ * atomicWriteFile.
+ */
+class CheckpointWriter
+{
+  public:
+    explicit CheckpointWriter(std::uint64_t config_digest);
+
+    /** Frame one section; @p walk(Archive&) appends its payload. */
+    template <typename Walk>
+    void
+    section(std::uint32_t id, Walk &&walk)
+    {
+        const std::size_t frame = beginSection(id);
+        walk(ar);
+        endSection(frame);
+    }
+
+    /** Seal the header (section count, CRC) and write the file. */
+    Error write(const std::string &path);
+
+  private:
+    std::size_t beginSection(std::uint32_t id);
+    void endSection(std::size_t frame);
+
+    Archive ar;
+    std::uint32_t sectionCount = 0;
+};
+
+/** One framed section: a view into its CheckpointData's bytes. */
 struct CheckpointSection
 {
     std::uint32_t id = 0;
-    std::vector<std::uint8_t> payload;
+    std::span<const std::uint8_t> payload;
 };
 
-/** Parsed, CRC-verified checkpoint file contents. */
-struct CheckpointData
+/**
+ * Parsed, CRC-verified checkpoint file contents. It owns the file
+ * bytes and its sections are views into them, so it is move-only: a
+ * move keeps the views valid, a copy would leave them on the source.
+ */
+class CheckpointData
 {
+  public:
+    CheckpointData() = default;
+    CheckpointData(CheckpointData &&) = default;
+    CheckpointData &operator=(CheckpointData &&) = default;
+    CheckpointData(const CheckpointData &) = delete;
+    CheckpointData &operator=(const CheckpointData &) = delete;
+
     std::uint32_t version = 0;
     /** Digest of the writing simulation's configuration. */
     std::uint64_t configDigest = 0;
@@ -390,20 +472,21 @@ struct CheckpointData
         }
         return nullptr;
     }
-};
 
-/** Serialize + atomically write a checkpoint file. */
-Error writeCheckpointFile(
-    const std::string &path, std::uint64_t config_digest,
-    const std::vector<CheckpointSection> &sections);
+  private:
+    friend Result<CheckpointData>
+    readCheckpointFile(const std::string &path);
+
+    std::vector<std::uint8_t> file;
+};
 
 /**
  * Read + fully validate a checkpoint file: magic, header CRC,
  * version, per-section length bounds and frame CRCs (each section's
  * CRC seals its id, length, and payload). Any
  * truncation or bit flip yields ErrorCode::Corrupt (wrong version:
- * ErrorCode::Version); payload bytes are returned only when every
- * check passed.
+ * ErrorCode::Version); the sections, views into the file bytes read
+ * once, are returned only when every check passed.
  */
 Result<CheckpointData> readCheckpointFile(const std::string &path);
 

@@ -283,20 +283,16 @@ ClusterSim::configDigest() const
 Error
 ClusterSim::saveCheckpoint(const std::string &path)
 {
-    std::vector<CheckpointSection> sections;
-    sections.reserve(std::size(kAllSections));
+    CheckpointWriter writer(configDigest());
     for (std::uint32_t id : kAllSections) {
-        Archive ar = Archive::writer();
-        checkpointSection(id, ar);
-        tapas_assert(ar.ok(),
-                     "checkpoint write walk cannot fail (%s)",
-                     sectionName(id));
-        CheckpointSection section;
-        section.id = id;
-        section.payload = ar.takeBuffer();
-        sections.push_back(std::move(section));
+        writer.section(id, [&](Archive &ar) {
+            checkpointSection(id, ar);
+            tapas_assert(ar.ok(),
+                         "checkpoint write walk cannot fail (%s)",
+                         sectionName(id));
+        });
     }
-    return writeCheckpointFile(path, configDigest(), sections);
+    return writer.write(path);
 }
 
 Error

@@ -279,29 +279,10 @@ TelemetryStore::trimBefore(SimTime cutoff)
 namespace {
 
 void
-serverSampleFields(Archive &ar, ServerSample &s)
-{
-    ar.value(s.time);
-    ar.value(s.inletC);
-    ar.value(s.hottestGpuC);
-    ar.value(s.serverPowerW);
-    ar.value(s.gpuLoad);
-    ar.value(s.outsideC);
-    ar.value(s.dcLoadFrac);
-}
-
-void
-keyedSampleFields(Archive &ar, KeyedSample &s)
-{
-    ar.value(s.time);
-    ar.value(s.value);
-}
-
-void
 keyedTable(Archive &ar, std::vector<KeyedSeriesRing> &table)
 {
     ar.each(table, [](Archive &a, KeyedSeriesRing &ring) {
-        ring.checkpointState(a, keyedSampleFields);
+        ring.checkpointState(a);
     });
 }
 
@@ -312,7 +293,7 @@ TelemetryStore::checkpointState(Archive &ar)
 {
     ar.count(seriesCapacity);
     ar.each(serverData, [](Archive &a, ServerSeriesRing &ring) {
-        ring.checkpointState(a, serverSampleFields);
+        ring.checkpointState(a);
     });
     keyedTable(ar, rowPower);
     keyedTable(ar, customerVmPower);

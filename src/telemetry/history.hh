@@ -15,6 +15,9 @@
 #ifndef TAPAS_TELEMETRY_HISTORY_HH
 #define TAPAS_TELEMETRY_HISTORY_HH
 
+#include <bit>
+#include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -43,18 +46,51 @@ struct KeyedSample
     float value = 0.0f;
 };
 
-/** Ring digest traits for the two sample kinds. */
+// A server sample's memory image is its wire image (an i64, then six
+// f32 in declaration order, no padding), so checkpoints copy whole
+// rings of them. These guards turn a layout change into a build
+// error instead of a silent format change.
+static_assert(std::is_trivially_copyable_v<ServerSample>);
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(SimTime) == 8);
+static_assert(sizeof(ServerSample) == 8 + 6 * 4);
+static_assert(offsetof(ServerSample, time) == 0);
+static_assert(offsetof(ServerSample, inletC) == 8);
+static_assert(offsetof(ServerSample, hottestGpuC) == 12);
+static_assert(offsetof(ServerSample, serverPowerW) == 16);
+static_assert(offsetof(ServerSample, gpuLoad) == 20);
+static_assert(offsetof(ServerSample, outsideC) == 24);
+static_assert(offsetof(ServerSample, dcLoadFrac) == 28);
+
+/**
+ * Ring traits for the two sample kinds: the digested time and value,
+ * the bytes a sample takes on the wire, and whether its memory image
+ * is that wire image (whole-record checkpoints).
+ */
 struct ServerSampleTraits
 {
     static SimTime timeOf(const ServerSample &s) { return s.time; }
     static double valueOf(const ServerSample &s)
     { return s.serverPowerW; }
+    static constexpr std::size_t kWireBytes = sizeof(ServerSample);
+    static constexpr bool kWireImage = true;
 };
 
 struct KeyedSampleTraits
 {
     static SimTime timeOf(const KeyedSample &s) { return s.time; }
     static double valueOf(const KeyedSample &s) { return s.value; }
+    /** i64 time + f32 value; 16 bytes in memory with padding. */
+    static constexpr std::size_t kWireBytes = 8 + 4;
+    static constexpr bool kWireImage = false;
+
+    template <typename Ar>
+    static void
+    fields(Ar &ar, KeyedSample &s)
+    {
+        ar.value(s.time);
+        ar.value(s.value);
+    }
 };
 
 using ServerSeriesRing = SampleRing<ServerSample, ServerSampleTraits>;

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -302,41 +303,60 @@ class SampleRing
     SimTime maxGap() const { return maxGapS; }
 
     /**
-     * Serialize/restore via a caller-supplied per-sample codec
-     * (@p fn(ar, sample) — field-wise, never memcpy: padded sample
-     * structs would leak uninitialized bytes into digests). Samples
-     * travel in logical (oldest-first) order; a restored ring is
-     * rebuilt in canonical form — head 0, physically contiguous —
-     * which push/trim handle identically to the original layout, and
-     * the peak digest is recomputed on the next query.
+     * Serialize/restore the ring. Samples travel in logical
+     * (oldest-first) order; a restored ring is rebuilt in canonical
+     * form — head 0, physically contiguous — which push/trim handle
+     * identically to the original layout, and the peak digest is
+     * recomputed on the next query. A sample count read back is
+     * checked against the capacity and against the bytes left
+     * (Traits::kWireBytes per sample) before anything is allocated;
+     * a count that fails either latches fail() and leaves the ring
+     * empty.
+     *
+     * When Traits::kWireImage says a sample's memory image is its
+     * wire image, the ring's (at most two) contiguous chunks travel
+     * as one byte copy each. That is a layout promise the sample's
+     * header guards with static_asserts on sizeof, every field's
+     * offsetof, trivial copyability and a little-endian host, so a
+     * new field (or padding, which would leak uninitialized bytes
+     * into digests) breaks the build instead of silently changing
+     * the format. Other samples go field-wise through
+     * Traits::fields(ar, sample).
      */
-    template <typename Ar, typename Fn>
+    template <typename Ar>
     void
-    checkpointState(Ar &ar, Fn fn)
+    checkpointState(Ar &ar)
     {
         std::size_t n = count;
         ar.count(cap);
         ar.count(n);
         ar.value(lastGapS);
         ar.value(maxGapS);
-        if (ar.writing()) {
+        if (!ar.writing()) {
+            if (cap == 0 || n > cap ||
+                !ar.checkCount(n, Traits::kWireBytes)) {
+                ar.fail();
+                cap = std::max<std::size_t>(1, cap);
+                n = 0;
+            }
+            data.clear();
+            data.resize(n);
+            head = 0;
+            count = n;
+            peak = 0.0;
+            peakValid = false;
+        }
+        if constexpr (Traits::kWireImage) {
+            static_assert(Traits::kWireBytes == sizeof(T) &&
+                          std::is_trivially_copyable_v<T>);
+            const std::size_t first_len =
+                std::min(count, data.size() - head);
+            ar.bytes(data.data() + head, first_len * sizeof(T));
+            ar.bytes(data.data(), (count - first_len) * sizeof(T));
+        } else {
             for (std::size_t i = 0; i < count; ++i)
-                fn(ar, const_cast<T &>(at(i)));
-            return;
+                Traits::fields(ar, const_cast<T &>(at(i)));
         }
-        if (cap == 0 || n > cap) {
-            ar.fail();
-            cap = std::max<std::size_t>(1, cap);
-            n = 0;
-        }
-        data.clear();
-        data.resize(n);
-        head = 0;
-        count = n;
-        peak = 0.0;
-        peakValid = false;
-        for (std::size_t i = 0; i < n; ++i)
-            fn(ar, data[i]);
     }
 
   private:

@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for the versioned binary serialization layer: Archive
- * round-trips and golden wire bytes, CRC32 reference vectors and a
- * bytewise CRC oracle, atomic file replacement, and the checkpoint
- * container's rejection of every corruption class (truncation, bit
- * flips, bad magic, future versions, trailing garbage) as a
- * structured tapas::Error.
+ * round-trips and golden wire bytes, CRC32 reference vectors, a
+ * bytewise CRC oracle and the run-time kernel selection, atomic file
+ * replacement, the in-place checkpoint writer's exact bytes, and the
+ * checkpoint container's rejection of every corruption class
+ * (truncation, bit flips, bad magic, future versions, trailing
+ * garbage) as a structured tapas::Error.
  */
 
 #include <gtest/gtest.h>
@@ -73,19 +74,45 @@ noiseBytes(std::size_t n, std::uint64_t seed)
 
 TEST(Serialize, Crc32MatchesBytewiseOracleAtEveryLengthAndOffset)
 {
-    // Every length through the 8-byte slices and the bytewise tail,
-    // at every alignment of the start pointer.
-    const std::vector<std::uint8_t> noise = noiseBytes(257 + 8, 11);
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-        for (std::size_t len = 0; len <= 257; ++len) {
+    // Every length through the table path under 64 bytes, the
+    // 64-byte fold loop, the single 16-byte folds and the table tail,
+    // at every alignment of the start pointer within a 16-byte lane.
+    const std::vector<std::uint8_t> noise = noiseBytes(1024 + 16, 11);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
             const std::uint8_t *p = noise.data() + offset;
             ASSERT_EQ(crc32(p, len), bytewiseCrc32(p, len))
                 << "length " << len << " offset " << offset;
         }
     }
-    const std::vector<std::uint8_t> big = noiseBytes(1 << 20, 29);
-    EXPECT_EQ(crc32(big.data(), big.size()),
-              bytewiseCrc32(big.data(), big.size()));
+    // Multi-MiB inputs, whole and with an odd start and tail.
+    for (const std::size_t n :
+         {std::size_t{1} << 20, (std::size_t{3} << 20) + 13,
+          std::size_t{4} << 20}) {
+        const std::vector<std::uint8_t> big = noiseBytes(n, 29 + n);
+        EXPECT_EQ(crc32(big.data(), big.size()),
+                  bytewiseCrc32(big.data(), big.size()))
+            << n << " bytes";
+        EXPECT_EQ(crc32(big.data() + 7, big.size() - 7),
+                  bytewiseCrc32(big.data() + 7, big.size() - 7))
+            << n << " bytes at offset 7";
+    }
+}
+
+TEST(Serialize, Crc32SelectsTheFoldKernelWhereTheHostHasIt)
+{
+    // A dispatch slip back to the table path would still pass the
+    // oracle tests; pin the selection itself. Builds without -march
+    // flags must still pick the fold at run time.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    __builtin_cpu_init();
+    const bool has_fold = __builtin_cpu_supports("pclmul") &&
+        __builtin_cpu_supports("sse4.1");
+#else
+    const bool has_fold = false;
+#endif
+    EXPECT_EQ(crc32Kernel(), has_fold ? Crc32Kernel::ClmulFold
+                                      : Crc32Kernel::Table);
 }
 
 TEST(Serialize, Fnv1a64ReferenceVectors)
@@ -226,9 +253,28 @@ TEST(Serialize, ArchiveWritesGoldenBytes)
         "05000000"          // ServerId 5
         "07";               // enum Colour::Red
     EXPECT_EQ(hexOf(w.buffer()), golden);
-    // takeBuffer hands over exactly the same bytes.
-    EXPECT_EQ(hexOf(w.takeBuffer()), golden);
-    EXPECT_TRUE(w.buffer().empty());
+}
+
+TEST(Serialize, ArchiveRawBytesAreOneCopyEachWay)
+{
+    Archive w = Archive::writer();
+    std::uint8_t out[5] = {1, 2, 3, 4, 5};
+    w.bytes(out, sizeof out);
+    w.bytes(nullptr, 0);
+    EXPECT_EQ(hexOf(w.buffer()), "0102030405");
+
+    Archive r = Archive::reader(w.buffer());
+    std::uint8_t in[5] = {};
+    r.bytes(in, sizeof in);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(hexOf(in), "0102030405");
+
+    // A short read fails the archive and leaves the target alone.
+    Archive short_read = Archive::reader(w.buffer().first(3));
+    std::uint8_t untouched[5] = {9, 9, 9, 9, 9};
+    short_read.bytes(untouched, sizeof untouched);
+    EXPECT_FALSE(short_read.ok());
+    EXPECT_EQ(hexOf(untouched), "0909090909");
 }
 
 TEST(Serialize, ArchiveWriterGrowsAcrossManyFields)
@@ -391,47 +437,83 @@ TEST(Serialize, ReadMissingFileIsIoError)
               std::string::npos);
 }
 
-std::vector<CheckpointSection>
-sampleSections()
+/** Two sections: id 1 holds 01..05, id 7 three hundred 0xab. */
+Error
+writeSampleCheckpoint(const std::string &path, std::uint64_t digest)
 {
-    std::vector<CheckpointSection> sections;
-    CheckpointSection a;
-    a.id = 1;
-    a.payload = {0x01, 0x02, 0x03, 0x04, 0x05};
-    CheckpointSection b;
-    b.id = 7;
-    b.payload.assign(300, 0xab);
-    sections.push_back(a);
-    sections.push_back(b);
-    return sections;
+    std::vector<std::uint8_t> a = {0x01, 0x02, 0x03, 0x04, 0x05};
+    std::vector<std::uint8_t> b(300, 0xab);
+    CheckpointWriter writer(digest);
+    writer.section(1, [&](Archive &ar) { ar.bytes(a.data(), a.size()); });
+    writer.section(7, [&](Archive &ar) { ar.bytes(b.data(), b.size()); });
+    return writer.write(path);
 }
 
 TEST(Serialize, CheckpointFileRoundTrip)
 {
     const std::string path = tmpPath("ckpt_roundtrip.tapasckp");
     const std::uint64_t digest = 0x1122334455667788ull;
-    ASSERT_TRUE(
-        writeCheckpointFile(path, digest, sampleSections()).ok());
+    ASSERT_TRUE(writeSampleCheckpoint(path, digest).ok());
 
     Result<CheckpointData> r = readCheckpointFile(path);
     ASSERT_TRUE(r.ok());
-    const CheckpointData &data = r.value();
+    // The sections are views into the file bytes, and stay valid
+    // when the data moves.
+    const CheckpointData data = std::move(r.value());
     EXPECT_EQ(data.version, kCheckpointFormatVersion);
     EXPECT_EQ(data.configDigest, digest);
     ASSERT_EQ(data.sections.size(), 2u);
     ASSERT_NE(data.find(1), nullptr);
     ASSERT_NE(data.find(7), nullptr);
-    EXPECT_EQ(data.find(1)->payload, sampleSections()[0].payload);
+    EXPECT_EQ(hexOf(data.find(1)->payload), "0102030405");
     EXPECT_EQ(data.find(7)->payload.size(), 300u);
+    EXPECT_EQ(data.find(7)->payload[299], 0xab);
     EXPECT_EQ(data.find(2), nullptr);
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, CheckpointWriterFramesInPlaceByteForByte)
+{
+    // The whole v1 layout, spelled out: header (magic, version,
+    // section count, config digest, header CRC), then per section
+    // id, u64 payload length, payload and a CRC over the frame.
+    const std::string path = tmpPath("ckpt_layout.tapasckp");
+    std::vector<std::uint8_t> payload = {0xde, 0xad};
+    CheckpointWriter writer(0x0102030405060708ull);
+    writer.section(3, [&](Archive &ar) {
+        ar.bytes(payload.data(), payload.size());
+    });
+    writer.section(9, [](Archive &) {});
+    ASSERT_TRUE(writer.write(path).ok());
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    const std::vector<std::uint8_t> &b = bytes.value();
+    ASSERT_EQ(b.size(), 28u + 16 + 2 + 16);
+
+    std::vector<std::uint8_t> expect = {'T', 'A', 'P', 'A', 'S', 'C',
+                                        'K', 'P', 1,   0,   0,   0,
+                                        2,   0,   0,   0,   8,   7,
+                                        6,   5,   4,   3,   2,   1};
+    const auto put_u32 = [&expect](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            expect.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put_u32(crc32(expect.data(), expect.size()));
+    std::size_t frame = expect.size();
+    expect.insert(expect.end(), {3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+                                 0xde, 0xad});
+    put_u32(crc32(expect.data() + frame, expect.size() - frame));
+    frame = expect.size();
+    expect.insert(expect.end(), {9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+    put_u32(crc32(expect.data() + frame, expect.size() - frame));
+    EXPECT_EQ(hexOf(b), hexOf(expect));
     removeFileIfExists(path);
 }
 
 std::vector<std::uint8_t>
 writtenCheckpointBytes(const std::string &path)
 {
-    EXPECT_TRUE(
-        writeCheckpointFile(path, 0x42, sampleSections()).ok());
+    EXPECT_TRUE(writeSampleCheckpoint(path, 0x42).ok());
     Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
     EXPECT_TRUE(bytes.ok());
     return bytes.value();

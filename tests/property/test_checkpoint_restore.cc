@@ -40,7 +40,7 @@ metricsBytes(const SimMetrics &metrics)
     Archive ar = Archive::writer();
     copy.checkpointState(ar);
     EXPECT_TRUE(ar.ok());
-    return ar.takeBuffer();
+    return {ar.buffer().begin(), ar.buffer().end()};
 }
 
 /** 4h small-cluster scenario with every fault class live. */

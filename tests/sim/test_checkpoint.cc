@@ -3,8 +3,9 @@
  * Checkpoint/restore integration tests: the bit-exactness contract
  * (run-to-T equals save-at-T/2 + restore + run-to-T on every metric
  * and on stateDigest, fault timelines and sensor corruption
- * included), config-mismatch rejection, and structured-error
- * rejection of corrupted snapshots at the sim level.
+ * included), config-mismatch rejection, structured-error
+ * rejection of corrupted snapshots at the sim level, and the pinned
+ * bytes of one saved file.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +35,30 @@ metricsBytes(const SimMetrics &metrics)
     Archive ar = Archive::writer();
     copy.checkpointState(ar);
     EXPECT_TRUE(ar.ok());
-    return ar.takeBuffer();
+    return {ar.buffer().begin(), ar.buffer().end()};
+}
+
+/**
+ * Rewrite @p path with @p data's sections, each payload passed
+ * through @p edit(id, payload) first (and dropped when it returns
+ * false): a CRC-valid file with doctored contents.
+ */
+template <typename Edit>
+void
+rewriteCheckpoint(const std::string &path, const CheckpointData &data,
+                  Edit edit)
+{
+    CheckpointWriter writer(data.configDigest);
+    for (const CheckpointSection &section : data.sections) {
+        std::vector<std::uint8_t> payload(section.payload.begin(),
+                                          section.payload.end());
+        if (!edit(section.id, payload))
+            continue;
+        writer.section(section.id, [&](Archive &ar) {
+            ar.bytes(payload.data(), payload.size());
+        });
+    }
+    ASSERT_TRUE(writer.write(path).ok());
 }
 
 int
@@ -269,12 +293,14 @@ TEST(Checkpoint, MissingSectionIsRejected)
 
     Result<CheckpointData> parsed = readCheckpointFile(path);
     ASSERT_TRUE(parsed.ok());
-    CheckpointData data = parsed.value();
+    const CheckpointData &data = parsed.value();
     ASSERT_GT(data.sections.size(), 1u);
-    data.sections.pop_back(); // drop the metrics section
-    ASSERT_TRUE(writeCheckpointFile(path, data.configDigest,
-                                    data.sections)
-                    .ok());
+    const std::uint32_t last_id = data.sections.back().id;
+    // Drop the metrics section.
+    rewriteCheckpoint(path, data,
+                      [&](std::uint32_t id, std::vector<std::uint8_t> &) {
+                          return id != last_id;
+                      });
 
     ClusterSim victim(cfg);
     Error err = victim.restoreCheckpoint(path);
@@ -298,14 +324,17 @@ TEST(Checkpoint, UndecodablePayloadIsRejectedAfterValidation)
 
     Result<CheckpointData> parsed = readCheckpointFile(path);
     ASSERT_TRUE(parsed.ok());
-    CheckpointData data = parsed.value();
+    const CheckpointData &data = parsed.value();
     ASSERT_FALSE(data.sections.empty());
     ASSERT_GT(data.sections[0].payload.size(), 8u);
-    data.sections[0].payload.resize(
-        data.sections[0].payload.size() - 8);
-    ASSERT_TRUE(writeCheckpointFile(path, data.configDigest,
-                                    data.sections)
-                    .ok());
+    const std::uint32_t first_id = data.sections[0].id;
+    rewriteCheckpoint(
+        path, data,
+        [&](std::uint32_t id, std::vector<std::uint8_t> &payload) {
+            if (id == first_id)
+                payload.resize(payload.size() - 8);
+            return true;
+        });
 
     ClusterSim victim(cfg);
     Error err = victim.restoreCheckpoint(path);
@@ -335,6 +364,26 @@ TEST(Checkpoint, SaveIsByteStableAcrossRewrites)
     EXPECT_EQ(ba.value(), bb.value());
     removeFileIfExists(a);
     removeFileIfExists(b);
+}
+
+TEST(Checkpoint, SavedFileBytesArePinned)
+{
+    // The whole file, not just the payloads stateDigest folds: the
+    // header, section frames and CRCs keep their exact bytes while
+    // the format version stays 1. Change the constants only together
+    // with a version bump.
+    const SimConfig cfg = faultDrillScenario(323).asTapas();
+    const std::string path = tmpPath("ckpt_pinned.tapasckp");
+    ClusterSim sim(cfg);
+    sim.runSteps(12);
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(kCheckpointFormatVersion, 1u);
+    EXPECT_EQ(bytes.value().size(), 56940u);
+    EXPECT_EQ(fnv1a64(bytes.value().data(), bytes.value().size()),
+              0x88833cd6468ae27aull);
+    removeFileIfExists(path);
 }
 
 } // namespace

@@ -3,14 +3,20 @@
  * Ring-buffer telemetry series versus a naive unbounded-vector
  * reference: append/trim/digest equality under churn, eviction
  * semantics at capacity, and the contiguous-chunk view contract.
+ * Also the rings' checkpoint codec: whole-record server rings keep
+ * the field-wise wire bytes, and crafted sample counts fail the
+ * archive instead of driving an allocation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/serialize.hh"
 #include "telemetry/history.hh"
 #include "telemetry/series.hh"
 
@@ -255,6 +261,157 @@ TEST(TelemetryStore, TrimBeforeMatchesEraseSemantics)
     EXPECT_TRUE(store.rowPowerSeries(RowId(0)).empty());
     store.recordRowPower(RowId(0), kWeek, 2.0);
     EXPECT_EQ(store.rowPowerSeries(RowId(0)).size(), 1u);
+}
+
+/** Field-wise ServerSample codec: the oracle for the wire bytes of
+ *  the whole-record ring path. */
+void
+serverSampleFields(Archive &ar, ServerSample &s)
+{
+    ar.value(s.time);
+    ar.value(s.inletC);
+    ar.value(s.hottestGpuC);
+    ar.value(s.serverPowerW);
+    ar.value(s.gpuLoad);
+    ar.value(s.outsideC);
+    ar.value(s.dcLoadFrac);
+}
+
+/** A ring's header, then each sample field by field, oldest first. */
+std::vector<std::uint8_t>
+fieldWiseRingBytes(const ServerSeriesRing &ring)
+{
+    Archive ar = Archive::writer();
+    std::size_t cap = ring.capacity();
+    std::size_t n = ring.size();
+    SimTime last_gap = ring.lastGap();
+    SimTime max_gap = ring.maxGap();
+    ar.count(cap);
+    ar.count(n);
+    ar.value(last_gap);
+    ar.value(max_gap);
+    for (ServerSample sample : ring.view())
+        serverSampleFields(ar, sample);
+    return {ar.buffer().begin(), ar.buffer().end()};
+}
+
+template <typename Ring>
+std::vector<std::uint8_t>
+ringBytes(Ring &ring)
+{
+    Archive ar = Archive::writer();
+    ring.checkpointState(ar);
+    EXPECT_TRUE(ar.ok());
+    return {ar.buffer().begin(), ar.buffer().end()};
+}
+
+/** A sample whose every field differs from its neighbours'. */
+ServerSample
+serverSampleAt(SimTime t)
+{
+    const float f = static_cast<float>(t);
+    return {t, 20.0f + f, 60.0f + f, 3000.0f + f, 0.01f * f, -5.0f + f,
+            0.5f + 0.001f * f};
+}
+
+TEST(SampleRingCheckpoint, WholeRecordBytesEqualFieldWiseEncoding)
+{
+    ServerSeriesRing empty(8);
+
+    ServerSeriesRing growing(8);
+    for (SimTime t = 0; t < 5; ++t)
+        growing.push(serverSampleAt(t * 600));
+    ASSERT_EQ(growing.view().secondChunk().size, 0u);
+
+    // Wrapped, then trimmed: head != 0 and both chunks non-empty.
+    ServerSeriesRing wrapped(8);
+    for (SimTime t = 0; t < 12; ++t)
+        wrapped.push(serverSampleAt(t * 600 + (t > 9 ? 900 : 0)));
+    wrapped.trimBefore(6 * 600);
+    ASSERT_GT(wrapped.view().firstChunk().size, 0u);
+    ASSERT_GT(wrapped.view().secondChunk().size, 0u);
+
+    for (ServerSeriesRing *ring : {&empty, &growing, &wrapped}) {
+        const std::vector<std::uint8_t> bytes = ringBytes(*ring);
+        EXPECT_EQ(bytes, fieldWiseRingBytes(*ring));
+
+        ServerSeriesRing back;
+        Archive r = Archive::reader(bytes);
+        back.checkpointState(r);
+        EXPECT_TRUE(r.done());
+        EXPECT_EQ(back.capacity(), ring->capacity());
+        EXPECT_EQ(back.lastGap(), ring->lastGap());
+        EXPECT_EQ(back.maxGap(), ring->maxGap());
+        EXPECT_DOUBLE_EQ(back.peakValue(), ring->peakValue());
+        ASSERT_EQ(back.size(), ring->size());
+        for (std::size_t i = 0; i < back.size(); ++i) {
+            EXPECT_EQ(std::memcmp(&back.at(i), &ring->at(i),
+                                  sizeof(ServerSample)),
+                      0)
+                << "sample " << i;
+        }
+        EXPECT_EQ(ringBytes(back), bytes);
+    }
+}
+
+/** A ring header claiming @p n samples, followed by @p payload bytes. */
+std::vector<std::uint8_t>
+craftedRing(std::size_t cap, std::size_t n, std::size_t payload)
+{
+    Archive ar = Archive::writer();
+    SimTime gap = 0;
+    ar.count(cap);
+    ar.count(n);
+    ar.value(gap);
+    ar.value(gap);
+    std::vector<std::uint8_t> zeros(payload);
+    ar.bytes(zeros.data(), zeros.size());
+    return {ar.buffer().begin(), ar.buffer().end()};
+}
+
+template <typename Ring, typename Sample>
+void
+expectCraftedCountsFail(const Sample &seed_sample,
+                        std::size_t wire_bytes)
+{
+    // An untrusted count bounded only by an untrusted capacity: it
+    // must latch fail() and leave the ring empty, not throw
+    // std::bad_alloc out of the walk.
+    const std::size_t huge = std::size_t{1} << 40;
+    const std::vector<std::uint8_t> crafted =
+        craftedRing(huge, huge - 1, 4 * wire_bytes);
+    Ring ring(4);
+    ring.push(seed_sample);
+    Archive r = Archive::reader(crafted);
+    EXPECT_NO_THROW(ring.checkpointState(r));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_TRUE(ring.view().empty());
+
+    // The guard is the wire width: three samples in exactly three
+    // wire widths decode, one byte short does not.
+    const std::vector<std::uint8_t> exact =
+        craftedRing(8, 3, 3 * wire_bytes);
+    Ring fits;
+    Archive ok_reader = Archive::reader(exact);
+    fits.checkpointState(ok_reader);
+    EXPECT_TRUE(ok_reader.done());
+    EXPECT_EQ(fits.size(), 3u);
+
+    const std::vector<std::uint8_t> short_by_one =
+        craftedRing(8, 3, 3 * wire_bytes - 1);
+    Ring short_ring;
+    Archive short_reader = Archive::reader(short_by_one);
+    short_ring.checkpointState(short_reader);
+    EXPECT_FALSE(short_reader.ok());
+    EXPECT_EQ(short_ring.size(), 0u);
+}
+
+TEST(SampleRingCheckpoint, CraftedSampleCountsFailWithoutAllocating)
+{
+    expectCraftedCountsFail<ServerSeriesRing>(serverSampleAt(0), 32);
+    expectCraftedCountsFail<KeyedSeriesRing>(KeyedSample{0, 1.0f},
+                                             12);
 }
 
 } // namespace
