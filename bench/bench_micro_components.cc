@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -212,6 +213,65 @@ BM_ConfiguratorChoice(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConfiguratorChoice);
+
+/**
+ * A configure pass in miniature: 185 instances at 80 distinct
+ * demands in the controller's demand-sorted order, each under its
+ * own server's limits, sharing one plan the way the controller's
+ * pass does (BM_ConfiguratorChoice above times the plan-less
+ * single call instead). Reports ns and candidates scored per
+ * instance.
+ */
+void
+BM_ConfigurePlanMix(benchmark::State &state)
+{
+    World &w = world();
+    InstanceConfigurator configurator(w.perf, TapasPolicyConfig{});
+    const ConfigProfile current =
+        w.perf.profile(referenceConfig());
+    struct Instance
+    {
+        ServerId server;
+        InstanceLimits limits;
+        double demandTps = 0.0;
+    };
+    Rng rng(11);
+    std::vector<double> demands(80);
+    for (double &d : demands)
+        d = rng.uniform(20.0, 1.1 * current.goodputTps);
+    std::vector<Instance> instances(185);
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        Instance &inst = instances[i];
+        inst.server = ServerId(
+            static_cast<std::uint32_t>((7 * i) % w.dc.serverCount()));
+        inst.limits.maxServerPowerW = rng.uniform(4200.0, 6500.0);
+        inst.limits.maxGpuTempC = 77.0;
+        inst.limits.maxAirflowCfm = rng.uniform(700.0, 1200.0);
+        inst.limits.inletC = rng.uniform(22.0, 30.0);
+        inst.demandTps = demands[i % demands.size()];
+    }
+    std::sort(instances.begin(), instances.end(),
+              [](const Instance &a, const Instance &b) {
+                  return a.demandTps < b.demandTps;
+              });
+    InstanceConfigurator::Plan plan = configurator.makePlan();
+    for (auto _ : state) {
+        for (const Instance &inst : instances) {
+            benchmark::DoNotOptimize(configurator.choose(
+                inst.server, w.bank, inst.limits, inst.demandTps,
+                0.999, current, &plan));
+        }
+    }
+    const double per_pass = static_cast<double>(instances.size());
+    state.counters["per_instance"] = benchmark::Counter(
+        per_pass,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.counters["scored_per_instance"] =
+        static_cast<double>(plan.scored) /
+        (per_pass * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ConfigurePlanMix);
 
 void
 BM_InletModelEval(benchmark::State &state)

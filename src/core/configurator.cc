@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -23,6 +24,31 @@ InstanceConfigurator::InstanceConfigurator(
                       return a.quality > b.quality;
                   return a.goodputTps > b.goodputTps;
               });
+    while (topTierLen < space.size() &&
+           space[topTierLen].quality == space.front().quality) {
+        ++topTierLen;
+    }
+}
+
+InstanceConfigurator::Plan
+InstanceConfigurator::makePlan() const
+{
+    Plan plan;
+    plan.ops.resize(topTierLen);
+    plan.heat.resize(topTierLen);
+    plan.byPower.resize(topTierLen);
+    plan.byReloadPower.resize(topTierLen);
+    return plan;
+}
+
+PerfModel::OperatingPoint
+InstanceConfigurator::solveOne(const ConfigProfile &profile,
+                               double demand_tps) const
+{
+    const ConfigProfile *lane = &profile;
+    PerfModel::OperatingPoint op;
+    perf.operatingPointBatch(&lane, &demand_tps, 1, &op);
+    return op;
 }
 
 bool
@@ -35,12 +61,9 @@ InstanceConfigurator::feasible(ServerId server,
     if (profile.goodputTps <= 0.0)
         return false;
     const PerfModel::OperatingPoint op =
-        // lint-allow(R1): cold path — single-candidate feasibility
-        // probe (fallback/hysteresis), not the block-batched walk.
-        perf.operatingPointAt(profile,
-                              std::min(demand_tps,
-                                       profile.goodputTps));
-    return feasibleAt(server, profiles, limits, profile, op);
+        solveOne(profile, std::min(demand_tps, profile.goodputTps));
+    return withinLimits(server, profiles, limits, op,
+                        heatFractionOf(profile, op));
 }
 
 double
@@ -65,12 +88,11 @@ InstanceConfigurator::heatFractionOf(
 }
 
 bool
-InstanceConfigurator::feasibleAt(ServerId server,
-                                 const ProfileBank &profiles,
-                                 const InstanceLimits &limits,
-                                 const ConfigProfile &profile,
-                                 const PerfModel::OperatingPoint &op)
-    const
+InstanceConfigurator::withinLimits(ServerId server,
+                                   const ProfileBank &profiles,
+                                   const InstanceLimits &limits,
+                                   const PerfModel::OperatingPoint &op,
+                                   double heat) const
 {
     if (op.serverPower.value() > limits.maxServerPowerW)
         return false;
@@ -82,10 +104,85 @@ InstanceConfigurator::feasibleAt(ServerId server,
     if (hottest > limits.maxGpuTempC)
         return false;
 
-    const double heat = heatFractionOf(profile, op);
     double airflow = 0.0;
     profiles.predictAirflowCandidates(server, &heat, 1, &airflow);
     return airflow <= limits.maxAirflowCfm;
+}
+
+void
+InstanceConfigurator::preparePlan(Plan &plan, double demand_tps,
+                                  double quality_floor) const
+{
+    tapas_assert(plan.ops.size() == topTierLen,
+                 "plan not sized by this configurator's makePlan()");
+    if (plan.demandTps == demand_tps &&
+        plan.qualityFloor == quality_floor) {
+        return;
+    }
+    plan.demandTps = demand_tps;
+    plan.qualityFloor = quality_floor;
+
+    const double target_tps = demand_tps * kDemandHeadroom;
+    std::size_t n = 0;
+    while (n < topTierLen && space[n].quality >= quality_floor &&
+           space[n].goodputTps > 0.0 &&
+           space[n].goodputTps >= target_tps) {
+        ++n;
+    }
+    plan.meetingLen = n;
+
+    // Inside P goodput >= 1.5 x demand, so both the feasibility
+    // demand min(demand, goodput) and the rank demand
+    // min(demand, max(1, goodput)) are the demand itself.
+    constexpr std::size_t kLanes = 32;
+    const ConfigProfile *lanes[kLanes];
+    double demands[kLanes];
+    std::fill(demands, demands + kLanes, demand_tps);
+    for (std::size_t i = 0; i < n; i += kLanes) {
+        const std::size_t m = std::min(kLanes, n - i);
+        for (std::size_t k = 0; k < m; ++k)
+            lanes[k] = &space[i + k];
+        perf.operatingPointBatch(lanes, demands, m, &plan.ops[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        plan.heat[i] = heatFractionOf(space[i], plan.ops[i]);
+
+    const double gain = cfg.reloadHysteresisGain;
+    auto power = [&](std::uint32_t i) {
+        return plan.ops[i].serverPower.value();
+    };
+    const auto by_power = plan.byPower.begin();
+    const auto by_reload = plan.byReloadPower.begin();
+    std::iota(by_power, by_power + n, 0u);
+    std::sort(by_power, by_power + n,
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return power(a) != power(b) ? power(a) < power(b)
+                                              : a < b;
+              });
+    std::copy(by_power, by_power + n, by_reload);
+    if (gain < 0.0) {
+        // A negative gain reverses the power order.
+        std::sort(by_reload, by_reload + n,
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      const double pa = power(a) * gain;
+                      const double pb = power(b) * gain;
+                      return pa != pb ? pa < pb : a < b;
+                  });
+        return;
+    }
+    // Rounding is monotone, so scaling by a non-negative gain keeps
+    // the power order except where neighbours become equal; those
+    // runs re-rank by index.
+    for (std::size_t lo = 0; lo < n;) {
+        std::size_t hi = lo + 1;
+        while (hi < n &&
+               power(by_reload[hi]) * gain ==
+                   power(by_reload[lo]) * gain) {
+            ++hi;
+        }
+        std::sort(by_reload + lo, by_reload + hi);
+        lo = hi;
+    }
 }
 
 ConfigDecision
@@ -94,94 +191,100 @@ InstanceConfigurator::choose(ServerId server,
                              const InstanceLimits &limits,
                              double demand_tps, double quality_floor,
                              const ConfigProfile &current,
-                             OpCache *cache) const
+                             Plan *plan) const
 {
+    Plan local;
+    if (!plan) {
+        local = makePlan();
+        plan = &local;
+    }
+    preparePlan(*plan, demand_tps, quality_floor);
+
     // Demand must be met with headroom so diurnal ramps do not
     // immediately outrun the chosen configuration.
     const double target_tps = demand_tps * kDemandHeadroom;
+    const double gain = cfg.reloadHysteresisGain;
 
-    if (cache && cache->demandTps != demand_tps) {
-        cache->demandTps = demand_tps;
-        cache->valid.assign(space.size(), 0);
-        cache->ops.resize(space.size());
-    }
-
-    auto power_at_demand = [&](const ConfigProfile &p) {
-        const double capped =
-            std::min(demand_tps, std::max(1.0, p.goodputTps));
-        // lint-allow(R1): cold path — tie-break power probe for the
-        // handful of finalists, not the candidate block walk.
-        return perf.operatingPointAt(p, capped)
-            .serverPower.value();
-    };
-    // Candidate ranking biases against reload-requiring switches: a
-    // TP/model/quant change must beat free alternatives by the
-    // reload margin to be worth the blackout.
-
-    // Selection: among feasible configs at/above the quality floor,
-    // prefer (1) highest quality, (2) meeting demand+headroom,
-    // (3) minimum power at the current demand (right-sizing),
-    // falling back to maximum goodput when demand cannot be met.
     const ConfigProfile *best = nullptr;
     bool best_meets = false;
     double best_power = 1e300;
     double best_raw_power_w = 1e300;
 
-    // Candidates are scored in blocks: operating points accumulate
-    // until the block fills, then one predictHottestGpuCandidates +
-    // one predictAirflowCandidates pass scores the whole block (the
-    // server's coefficient block streams once instead of per
-    // candidate) and the sequential take/prune logic replays over
-    // the precomputed values. Blocks grow 1 -> 2 -> 4 -> 8 so the
-    // prune (which only advances on flushed results) can stop the
-    // walk almost as early as the scalar version did, while the
-    // steady tail still batches eight candidates per coefficient
-    // walk.
+    // Stage 2: walk P in (penalized power, index) order, the free
+    // candidates of the first order merged with the reload
+    // candidates of the second, and take the first within limits.
+    const std::size_t n = plan->meetingLen;
+    const std::uint32_t *by_power = plan->byPower.data();
+    const std::uint32_t *by_reload = plan->byReloadPower.data();
+    auto power = [&](std::uint32_t i) {
+        return plan->ops[i].serverPower.value();
+    };
+    auto reloads = [&](std::uint32_t i) {
+        return space[i].config.requiresReload(current.config);
+    };
+    std::size_t a = 0; // next free candidate in by_power
+    std::size_t b = 0; // next reload candidate in by_reload
+    auto next_free = [&]() {
+        while (a < n && reloads(by_power[a]))
+            ++a;
+    };
+    auto next_reload = [&]() {
+        while (b < n && !reloads(by_reload[b]))
+            ++b;
+    };
+    next_free();
+    next_reload();
+    while (a < n || b < n) {
+        const double free_w = a < n ? power(by_power[a]) : 0.0;
+        const double reload_w =
+            b < n ? power(by_reload[b]) * gain : 0.0;
+        const bool take_free = b == n ||
+            (a < n && (free_w < reload_w ||
+                       (free_w == reload_w &&
+                        by_power[a] < by_reload[b])));
+        const std::uint32_t i =
+            take_free ? by_power[a++] : by_reload[b++];
+        if (take_free)
+            next_free();
+        else
+            next_reload();
+        ++plan->scored;
+        if (withinLimits(server, profiles, limits, plan->ops[i],
+                         plan->heat[i])) {
+            best = &space[i];
+            best_meets = true;
+            best_raw_power_w = power(i);
+            break;
+        }
+    }
+
+    // Continuation (no feasible candidate in P): the sequential walk
+    // from P's end. Until an incumbent exists, candidates are scored
+    // one at a time, because the first feasible one usually ends the
+    // scoring (the skip rule below); after that, in fixed blocks.
+    // A block's operating points are solved in one batched pass,
+    // then one predictHottestGpuCandidates + one
+    // predictAirflowCandidates pass scores it (the server's
+    // coefficient block streams once instead of per candidate) and
+    // the take/prune logic replays over the results in order. The
+    // prune checks run against the best as of the last flushed
+    // block, which is still exact: a best over a shorter prefix
+    // stops the walk no earlier, and candidates scored past the
+    // exact stop can never be taken.
     constexpr std::size_t kBlock = 8;
-    std::size_t flush_target = 1;
     const ConfigProfile *cands[kBlock];
     double feas_demands[kBlock];
-    std::size_t cand_idxs[kBlock];
     PerfModel::OperatingPoint ops[kBlock];
     double gpu_power[kBlock];
     double heat[kBlock];
     double hottest[kBlock];
     double airflow[kBlock];
-    // Memo-miss lanes awaiting the batched solve at flush time.
-    const ConfigProfile *miss_cands[kBlock];
-    double miss_demands[kBlock];
-    std::size_t miss_lanes[kBlock];
-    PerfModel::OperatingPoint miss_ops[kBlock];
     std::size_t pending = 0;
 
     auto flush = [&]() {
         if (pending == 0)
             return;
-        // Solve the memo-miss lanes of the block in one batched
-        // pass, then backfill the memo so same-demand siblings hit.
-        std::size_t misses = 0;
-        for (std::size_t i = 0; i < pending; ++i) {
-            if (cache && cache->valid[cand_idxs[i]]) {
-                ops[i] = cache->ops[cand_idxs[i]];
-                continue;
-            }
-            miss_cands[misses] = cands[i];
-            miss_demands[misses] = feas_demands[i];
-            miss_lanes[misses] = i;
-            ++misses;
-        }
-        if (misses > 0) {
-            perf.operatingPointBatch(miss_cands, miss_demands,
-                                     misses, miss_ops);
-            for (std::size_t k = 0; k < misses; ++k) {
-                const std::size_t i = miss_lanes[k];
-                ops[i] = miss_ops[k];
-                if (cache) {
-                    cache->ops[cand_idxs[i]] = miss_ops[k];
-                    cache->valid[cand_idxs[i]] = 1;
-                }
-            }
-        }
+        perf.operatingPointBatch(cands, feas_demands, pending, ops);
         for (std::size_t i = 0; i < pending; ++i) {
             gpu_power[i] = ops[i].gpuPower.value();
             heat[i] = heatFractionOf(*cands[i], ops[i]);
@@ -190,6 +293,7 @@ InstanceConfigurator::choose(ServerId server,
             server, limits.inletC, gpu_power, pending, hottest);
         profiles.predictAirflowCandidates(server, heat, pending,
                                           airflow);
+        plan->scored += pending;
         for (std::size_t i = 0; i < pending; ++i) {
             const ConfigProfile &cand = *cands[i];
             const PerfModel::OperatingPoint &op = ops[i];
@@ -203,16 +307,15 @@ InstanceConfigurator::choose(ServerId server,
                 std::min(demand_tps, cand.goodputTps);
             const double rank_demand =
                 std::min(demand_tps, std::max(1.0, cand.goodputTps));
+            // Only candidates whose goodput cannot serve 1 token/s
+            // re-rank at a different demand.
             const double rank_power_w = rank_demand == feas_demand
                 ? op.serverPower.value()
-                // lint-allow(R1): cold path — only candidates whose
-                // goodput cannot serve 1 token/s re-rank here.
-                : perf.operatingPointAt(cand, rank_demand)
-                      .serverPower.value();
+                : solveOne(cand, rank_demand).serverPower.value();
             const bool meets = cand.goodputTps >= target_tps;
             const double power =
                 cand.config.requiresReload(current.config)
-                ? rank_power_w * cfg.reloadHysteresisGain
+                ? rank_power_w * gain
                 : rank_power_w;
             bool take = false;
             if (!best) {
@@ -245,45 +348,34 @@ InstanceConfigurator::choose(ServerId server,
         pending = 0;
     };
 
-    for (const ConfigProfile &cand : space) {
-        // Pruning on the quality-desc, goodput-desc sort order: once
-        // the incumbent meets demand, a candidate of lower quality
-        // can never be taken (it only wins by meeting demand the
-        // higher quality could not), and within the incumbent's
-        // quality tier every remaining candidate has goodput no
-        // higher than this one, so none can start meeting demand
-        // either. The check runs against the best state as of the
-        // last flushed block; that is still safe (a best over a
-        // shorter prefix breaks no earlier than the exact walk, and
-        // extra candidates evaluated past the exact break point can
-        // never be taken by the rules above), so the selection is
-        // identical to the scalar walk at a fraction of the
-        // operating-point evaluations.
+    // A winner from P ends the search: nothing after P can be taken.
+    const std::size_t walk_from = best ? space.size() : n;
+    for (std::size_t idx = walk_from; idx < space.size(); ++idx) {
+        const ConfigProfile &cand = space[idx];
+        // Once the incumbent meets demand, a candidate of lower
+        // quality can never be taken, and within its quality tier
+        // every remaining candidate has goodput no higher than this
+        // one, so none can start meeting demand either.
         if (best_meets && (cand.quality < best->quality ||
                            cand.goodputTps < target_tps)) {
             break;
         }
+        // The space is quality-sorted descending: all that follows
+        // is below the floor too.
         if (cand.quality < quality_floor)
-            continue;
+            break;
         if (cand.goodputTps <= 0.0)
             continue;
-        // One operating-point evaluation per candidate, shared
-        // between the limit checks and the power ranking (they use
-        // the same demand whenever goodput can serve one token/s) —
-        // and shared across instances at the same demand via the
-        // caller's memo (the point is a pure function of candidate
-        // and demand). The actual solves happen batched at flush
-        // time, one branch-free pass over the block's memo misses.
+        // A candidate missing the target can never displace an
+        // incumbent: within its tier it does not out-produce it, and
+        // a lower tier wins only by meeting demand.
+        if (best && cand.goodputTps < target_tps)
+            continue;
         cands[pending] = &cand;
         feas_demands[pending] = std::min(demand_tps,
                                          cand.goodputTps);
-        cand_idxs[pending] =
-            static_cast<std::size_t>(&cand - space.data());
-        ++pending;
-        if (pending == flush_target) {
+        if (++pending == (best ? kBlock : 1))
             flush();
-            flush_target = std::min(kBlock, flush_target * 2);
-        }
     }
     flush();
 
@@ -292,23 +384,38 @@ InstanceConfigurator::choose(ServerId server,
         // Nothing satisfies the limits: fall to the lowest-power
         // config at the current demand, preferring higher goodput
         // among near-equals so service degrades as little as the
-        // power situation allows.
+        // power situation allows. Power probes are solved a block
+        // at a time and replayed in order.
         const ConfigProfile *mildest = nullptr;
         double mildest_w = 1e300;
+        auto settle = [&]() {
+            perf.operatingPointBatch(cands, feas_demands, pending,
+                                     ops);
+            for (std::size_t k = 0; k < pending; ++k) {
+                const ConfigProfile &cand = *cands[k];
+                const double w = ops[k].serverPower.value();
+                const bool better = w < mildest_w * 0.98 ||
+                    (w < mildest_w * 1.02 && mildest &&
+                     cand.goodputTps > mildest->goodputTps);
+                if (!mildest || better) {
+                    mildest_w = std::min(mildest_w, w);
+                    mildest = &cand;
+                }
+            }
+            pending = 0;
+        };
         for (const ConfigProfile &cand : space) {
             if (cand.quality < quality_floor ||
                 cand.goodputTps <= 0.0) {
                 continue;
             }
-            const double w = power_at_demand(cand);
-            const bool better = w < mildest_w * 0.98 ||
-                (w < mildest_w * 1.02 && mildest &&
-                 cand.goodputTps > mildest->goodputTps);
-            if (!mildest || better) {
-                mildest_w = std::min(mildest_w, w);
-                mildest = &cand;
-            }
+            cands[pending] = &cand;
+            feas_demands[pending] = std::min(
+                demand_tps, std::max(1.0, cand.goodputTps));
+            if (++pending == kBlock)
+                settle();
         }
+        settle();
         tapas_assert(mildest, "config space cannot be empty");
         out.profile = *mildest;
         out.infeasible = true;
@@ -320,19 +427,17 @@ InstanceConfigurator::choose(ServerId server,
     // equal quality and demand coverage, and the winner's power
     // advantage is marginal. Evaluated only when the winner actually
     // differs, with one shared operating point covering the current
-    // config's feasibility check and power ranking (the same sharing
-    // the walk uses); the winner's power at demand was already
-    // computed when it was taken.
+    // config's feasibility check and power ranking; the winner's
+    // power at demand was already computed when it was taken.
     if (!(best->config == current.config) &&
         current.quality >= quality_floor &&
         current.goodputTps > 0.0) {
         const double cur_feas_demand =
             std::min(demand_tps, current.goodputTps);
         const PerfModel::OperatingPoint cur_op =
-            // lint-allow(R1): cold path — hysteresis check of the
-            // one incumbent config after the batched walk decided.
-            perf.operatingPointAt(current, cur_feas_demand);
-        if (feasibleAt(server, profiles, limits, current, cur_op)) {
+            solveOne(current, cur_feas_demand);
+        if (withinLimits(server, profiles, limits, cur_op,
+                         heatFractionOf(current, cur_op))) {
             const bool current_meets =
                 current.goodputTps >= target_tps;
             const double cur_rank_demand = std::min(
@@ -340,9 +445,7 @@ InstanceConfigurator::choose(ServerId server,
             const double current_power =
                 cur_rank_demand == cur_feas_demand
                 ? cur_op.serverPower.value()
-                // lint-allow(R1): cold path — sub-1-token/s goodput
-                // re-rank of the incumbent only.
-                : perf.operatingPointAt(current, cur_rank_demand)
+                : solveOne(current, cur_rank_demand)
                       .serverPower.value();
             // Reload-requiring switches (TP/model/quant) carry a
             // blackout, so they must buy a much larger gain.

@@ -34,6 +34,7 @@ TapasController::TapasController(const TapasPolicyConfig &config,
                      "Config policy needs profiles and a perf model");
         configurator = std::make_unique<InstanceConfigurator>(*perf,
                                                               cfg);
+        planScratch = configurator->makePlan();
     }
 }
 
@@ -144,15 +145,15 @@ TapasController::configurePass(
             cooling.effectiveProvision(aisle.id).value();
     }
 
-    // Process instances grouped by demand: the candidate walk's
-    // operating points depend only on (candidate, demand), so
-    // equal-demand instances (VMs of one endpoint under symmetric
-    // routing) reuse the memo below instead of re-solving the perf
-    // model. Decisions are per-instance independent, so the order
-    // change is unobservable; the VM-id tie-break makes the
-    // comparator a total order, so plain sort is deterministic —
-    // stable_sort is not an option here, it allocates a merge
-    // buffer (stl_tempbuf) on every pass.
+    // Process instances grouped by demand: the configurator's plan
+    // depends only on (demand, quality floor), so equal-demand
+    // instances (VMs of one endpoint under symmetric routing) reuse
+    // it instead of re-solving the perf model. Decisions are
+    // per-instance independent, so the order change is
+    // unobservable; the VM-id tie-break makes the comparator a
+    // total order, so plain sort is deterministic — stable_sort is
+    // not an option here, it allocates a merge buffer
+    // (stl_tempbuf) on every pass.
     sortedInstancesScratch.assign(instances.begin(),
                                   instances.end());
     std::sort(sortedInstancesScratch.begin(),
@@ -204,7 +205,7 @@ TapasController::configurePass(
         const ConfigDecision decision = configurator->choose(
             inst.server, *profiles, limits, inst.demandTps,
             quality_floor, inst.engine->profile(),
-            &opCacheScratch);
+            &planScratch);
         if (!decision.changed)
             continue;
         // Dwell gate: quality-restoring reloads wait out the dwell

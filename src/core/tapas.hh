@@ -136,12 +136,14 @@ class TapasController
     std::vector<double> rowProvisionScratch;   // ckpt-skip(scratch): per-pass
     std::vector<double> aisleProvisionScratch; // ckpt-skip(scratch): per-pass
     /** Instances sorted by demand so equal-demand runs share the
-     *  configurator's operating-point memo (instance order does not
+     *  configurator's per-demand plan (instance order does not
      *  affect decisions: each is independent). */
     // ckpt-skip(scratch): rebuilt from the caller's list each pass
     std::vector<SaasInstanceRef> sortedInstancesScratch;
-    // ckpt-skip(scratch): per-pass operating-point memo
-    InstanceConfigurator::OpCache opCacheScratch;
+    /** Per-demand candidate plan, sized once at construction; a
+     *  pure function of (demand, quality floor). */
+    // ckpt-skip(scratch): rebuilt on every demand change
+    InstanceConfigurator::Plan planScratch;
 
     // ckpt-skip(constant): rebuilt from policy flags at construction
     std::unique_ptr<VmAllocator> alloc;

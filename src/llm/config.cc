@@ -18,13 +18,6 @@ InstanceConfig::label() const
     return buf;
 }
 
-bool
-InstanceConfig::requiresReload(const InstanceConfig &from) const
-{
-    return model != from.model || quant != from.quant ||
-        tensorParallel != from.tensorParallel;
-}
-
 std::size_t
 InstanceConfigHash::operator()(const InstanceConfig &c) const
 {

@@ -38,7 +38,12 @@ struct InstanceConfig
      * (model size, quantization, or parallelism changed). Frequency
      * and batch-size changes apply instantly.
      */
-    bool requiresReload(const InstanceConfig &from) const;
+    bool
+    requiresReload(const InstanceConfig &from) const
+    {
+        return model != from.model || quant != from.quant ||
+            tensorParallel != from.tensorParallel;
+    }
 };
 
 /** Hash for InstanceConfig (profile caches and lookup tables). */

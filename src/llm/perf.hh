@@ -240,14 +240,14 @@ class PerfModel
      * Evaluate the operating point at a token demand (tokens/s).
      *
      * scalar-op-solve-deprecated: the per-call solves below survive
-     * for tests, cold paths (configurator fallback/hysteresis), and
-     * debug cross-checks only. Decision hot loops (flow-mode load
-     * assignment, the configurator candidate walk) must go through
-     * the batched passes further down, which gather the profile
-     * scalars once per lane and run the solve body branch-free over
-     * packed spans. The batched passes evaluate the exact same
-     * expressions element-wise, so results are bit-identical to
-     * these scalar calls (pinned by tests/llm/test_perf_op_batch.cc).
+     * for tests only; no library code outside this file calls them.
+     * Decision code (flow-mode load assignment, the configurator,
+     * down to its one-lane probes) goes through the batched passes
+     * further down, which gather the profile scalars once per lane
+     * and run the solve body branch-free over packed spans. The
+     * batched passes evaluate the exact same expressions
+     * element-wise, so results are bit-identical to these scalar
+     * calls (pinned by tests/llm/test_perf_op_batch.cc).
      */
     OperatingPoint operatingPointAt(const ConfigProfile &profile,
                                     double demand_tps) const;
