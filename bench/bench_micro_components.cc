@@ -32,11 +32,11 @@ namespace {
 
 using namespace tapas;
 
-/** Shared medium-size fixture (480 servers). */
+/** Shared fixture: 480 servers, or 1344 at 28 racks per row. */
 struct World
 {
-    World()
-        : dc(makeLayout()), thermal(dc, ThermalConfig{}, 42),
+    explicit World(int racks_per_row = 10)
+        : dc(makeLayout(racks_per_row)), thermal(dc, ThermalConfig{}, 42),
           power(PowerConfig{}), cooling(dc, thermal),
           hierarchy(dc, power), bank(dc),
           perf(PerfModel::withReferenceSlo(
@@ -68,12 +68,12 @@ struct World
     }
 
     static LayoutConfig
-    makeLayout()
+    makeLayout(int racks_per_row)
     {
         LayoutConfig cfg;
         cfg.aisleCount = 6;
         cfg.rowsPerAisle = 2;
-        cfg.racksPerRow = 10;
+        cfg.racksPerRow = racks_per_row;
         cfg.serversPerRack = 4;
         return cfg;
     }
@@ -113,6 +113,62 @@ BM_TapasPlacement(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TapasPlacement);
+
+/** The fig21 oversubscription fleet size (960 servers + 40%). */
+World &
+fleetWorld()
+{
+    static World instance(28);
+    return instance;
+}
+
+/**
+ * One placement phase on the half-full 1344-server world: begin a
+ * round, then 8 requests, each pick committed. Arg 0 runs the same
+ * phase through one-shot place() calls. The picks are vacated after
+ * each phase, so every iteration starts from the same view.
+ */
+void
+BM_TapasPlacementRound(benchmark::State &state)
+{
+    World &w = fleetWorld();
+    const bool in_round = state.range(0) != 0;
+    TapasAllocator alloc{TapasPolicyConfig{}};
+    PlacementRequest requests[8];
+    for (int i = 0; i < 8; ++i) {
+        requests[i].kind = i % 2 == 0 ? VmKind::IaaS : VmKind::SaaS;
+        requests[i].predictedPeakLoad = 0.5 + 0.05 * i;
+    }
+    std::vector<ServerId> picked;
+    picked.reserve(8);
+    for (auto _ : state) {
+        alloc.beginRound();
+        for (const PlacementRequest &request : requests) {
+            const auto pick = in_round
+                ? alloc.placeInRound(request, w.view)
+                : alloc.place(request, w.view);
+            benchmark::DoNotOptimize(pick);
+            if (!pick.has_value())
+                continue;
+            // The fixture's VM ids equal server ids.
+            const std::uint32_t s = pick->index;
+            w.serverVm[s] = s;
+            w.vmSlot[s] = request.kind == VmKind::SaaS ? VmSlot::Saas
+                                                       : VmSlot::Iaas;
+            w.vmPeakLoad[s] = request.predictedPeakLoad;
+            alloc.commit(*pick, w.view);
+            picked.push_back(*pick);
+        }
+        alloc.endRound();
+        for (ServerId sid : picked) {
+            w.serverVm[sid.index] = VmId::invalidIndex;
+            w.vmSlot[sid.index] = VmSlot::Empty;
+        }
+        picked.clear();
+    }
+    state.SetLabel(in_round ? "round" : "one-shot");
+}
+BENCHMARK(BM_TapasPlacementRound)->ArgName("round")->Arg(0)->Arg(1);
 
 void
 BM_BaselinePlacement(benchmark::State &state)

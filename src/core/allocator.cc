@@ -6,6 +6,19 @@
 
 namespace tapas {
 
+namespace {
+
+/** A hosted VM's peak as every budget validator counts it. */
+double
+hostedPeak(const ClusterView &view, std::uint32_t vm)
+{
+    return TapasAllocator::validatorLoad(
+        view.vmSlot[vm] == VmSlot::Saas ? VmKind::SaaS : VmKind::IaaS,
+        view.vmPeakLoad[vm]);
+}
+
+} // namespace
+
 std::optional<ServerId>
 BaselineAllocator::place(const PlacementRequest &request,
                          const ClusterView &view)
@@ -15,16 +28,17 @@ BaselineAllocator::place(const PlacementRequest &request,
 
     // Protean-style packing: prefer the emptiest tail of the most
     // utilized racks so VMs concentrate, leaving whole racks free.
+    rackCountScratch.assign(layout.rackCount(), 0);
+    for (const Server &server : layout.servers()) {
+        if (view.occupied(server.id.index))
+            ++rackCountScratch[server.rack.index];
+    }
     std::optional<ServerId> best;
     int best_score = -1;
     for (const Server &server : layout.servers()) {
         if (view.occupied(server.id.index))
             continue;
-        int occupied_in_rack = 0;
-        for (ServerId sibling : layout.rack(server.rack).servers) {
-            if (view.occupied(sibling.index))
-                ++occupied_in_rack;
-        }
+        const int occupied_in_rack = rackCountScratch[server.rack.index];
         if (occupied_in_rack > best_score) {
             best_score = occupied_in_rack;
             best = server.id;
@@ -41,197 +55,215 @@ TapasAllocator::peakLoadByServer(const ClusterView &view,
     peaks.resize(servers);
     for (std::size_t s = 0; s < servers; ++s) {
         const std::uint32_t vm = view.serverVm[s];
-        peaks[s] = vm == VmId::invalidIndex
-            ? 0.0
-            : validatorLoad(view.vmSlot[vm] == VmSlot::Saas
-                                ? VmKind::SaaS
-                                : VmKind::IaaS,
-                            view.vmPeakLoad[vm]);
+        peaks[s] = vm == VmId::invalidIndex ? 0.0 : hostedPeak(view, vm);
     }
 }
 
-double
-TapasAllocator::predictedAisleAirflow(const ClusterView &view,
-                                      AisleId aisle,
-                                      ServerId extra_server,
-                                      double extra_peak_load)
-{
-    tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    std::vector<double> peaks;
-    peakLoadByServer(view, peaks);
-    const std::vector<ServerId> &servers =
-        view.layout->aisle(aisle).servers;
-    std::vector<double> loads(servers.size());
-    std::vector<double> airflow(servers.size());
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        double load = peaks[servers[i].index];
-        if (extra_server.valid() && servers[i] == extra_server)
-            load = std::max(load, extra_peak_load);
-        loads[i] = load;
-    }
-    view.profiles->predictAirflowGather(servers.data(), loads.data(),
-                                        servers.size(),
-                                        airflow.data());
-    double total = 0.0;
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        total += airflow[i];
-    return total;
-}
-
-double
-TapasAllocator::predictedRowPower(const ClusterView &view, RowId row,
-                                  ServerId extra_server,
-                                  double extra_peak_load)
-{
-    tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    std::vector<double> peaks;
-    peakLoadByServer(view, peaks);
-    const std::vector<ServerId> &servers =
-        view.layout->row(row).servers;
-    std::vector<double> loads(servers.size());
-    std::vector<double> power(servers.size());
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        const ServerId sid = servers[i];
-        double load = peaks[sid.index];
-        if (extra_server.valid() && sid == extra_server)
-            load = std::max(load, extra_peak_load);
-        loads[i] = load;
-    }
-    view.profiles->predictPowerGather(servers.data(), loads.data(),
-                                      servers.size(), power.data());
-    double total = 0.0;
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        total += power[i];
-    return total;
-}
-
-std::optional<ServerId>
-TapasAllocator::place(const PlacementRequest &request,
-                      const ClusterView &view)
+void
+TapasAllocator::Basis::build(const ClusterView &view)
 {
     tapas_assert(view.profiles, "TAPAS allocator needs profiles");
     const DatacenterLayout &layout = *view.layout;
     const ProfileBank &profiles = *view.profiles;
     const std::size_t servers = layout.serverCount();
 
-    // Pre-compute per-row VM mix for the balance rule.
-    rowIaasScratch.assign(layout.rowCount(), 0);
-    rowSaasScratch.assign(layout.rowCount(), 0);
-    std::vector<int> &row_iaas = rowIaasScratch;
-    std::vector<int> &row_saas = rowSaasScratch;
+    // Occupied-peak airflow/power per server, summed per aisle/row
+    // in ascending server order (commit() re-sums in that order).
+    peakLoadByServer(view, peaks);
+    occupiedAirflow.resize(servers);
+    occupiedPower.resize(servers);
+    profiles.predictAirflowBatch(peaks.data(), servers,
+                                 occupiedAirflow.data());
+    profiles.predictPowerBatch(peaks.data(), servers,
+                               occupiedPower.data());
+    aisleDemand.assign(layout.aisleCount(), 0.0);
+    rowDemand.assign(layout.rowCount(), 0.0);
+    rowIaas.assign(layout.rowCount(), 0);
+    rowSaas.assign(layout.rowCount(), 0);
+    classes.resize(servers);
+    freeServers.clear();
+    freeServers.reserve(servers);
     for (const Server &server : layout.servers()) {
-        const std::uint32_t vm = view.serverVm[server.id.index];
-        if (vm == VmId::invalidIndex)
-            continue;
-        if (view.vmSlot[vm] == VmSlot::Saas) {
-            ++row_saas[server.row.index];
+        const std::uint32_t s = server.id.index;
+        aisleDemand[server.aisle.index] += occupiedAirflow[s];
+        rowDemand[server.row.index] += occupiedPower[s];
+        classes[s] = profiles.thermalClass(server.id);
+        // Per-row VM mix for the balance rule.
+        const std::uint32_t vm = view.serverVm[s];
+        if (vm == VmId::invalidIndex) {
+            freeServers.push_back(server.id);
+        } else if (view.vmSlot[vm] == VmSlot::Saas) {
+            ++rowSaas[server.row.index];
         } else {
-            ++row_iaas[server.row.index];
+            ++rowIaas[server.row.index];
         }
+    }
+    aisleBudget.resize(layout.aisleCount());
+    for (const Aisle &aisle : layout.aisles()) {
+        aisleBudget[aisle.id.index] =
+            view.cooling->effectiveProvision(aisle.id).value();
+    }
+    rowBudget.resize(layout.rowCount());
+    for (const Row &row : layout.rows()) {
+        rowBudget[row.id.index] =
+            view.power->effectiveRowProvision(row.id).value();
+    }
+
+    airflowZero.resize(servers);
+    powerZero.resize(servers);
+    profiles.predictAirflowUniformBatch(0.0, servers,
+                                        airflowZero.data());
+    profiles.predictPowerUniformBatch(0.0, servers, powerZero.data());
+    // Design-day conservatism: a placement lives for weeks, so
+    // project against a hot afternoon at high datacenter load.
+    inlet.resize(servers);
+    profiles.predictInletBatch(std::max(view.outsideC, 34.0), 1.0,
+                               servers, inlet.data());
+
+    // The request stage writes at most one slot per server.
+    airflowAtLoad.resize(servers);
+    powerAtLoad.resize(servers);
+    survivors.resize(servers);
+    survivorRowDemand.resize(servers);
+    survivorInlet.resize(servers);
+    survivorGpuW.resize(servers);
+    survivorHottest.resize(servers);
+    rowBalance.resize(layout.rowCount());
+}
+
+bool
+TapasAllocator::Basis::sameTerms(const Basis &other) const
+{
+    return peaks == other.peaks &&
+        occupiedAirflow == other.occupiedAirflow &&
+        occupiedPower == other.occupiedPower &&
+        aisleDemand == other.aisleDemand &&
+        rowDemand == other.rowDemand &&
+        aisleBudget == other.aisleBudget &&
+        rowBudget == other.rowBudget &&
+        airflowZero == other.airflowZero &&
+        powerZero == other.powerZero && inlet == other.inlet &&
+        classes == other.classes && rowIaas == other.rowIaas &&
+        rowSaas == other.rowSaas && freeServers == other.freeServers;
+}
+
+// tapas-hot begin(place-round): the request stage and commit() run
+// per placement attempt; build() sized every buffer they write.
+
+void
+TapasAllocator::Basis::commit(ServerId server, const ClusterView &view)
+{
+    const DatacenterLayout &layout = *view.layout;
+    const ProfileBank &profiles = *view.profiles;
+    const Server &placed = layout.server(server);
+    const std::uint32_t s = server.index;
+    const std::uint32_t vm = view.serverVm[s];
+    tapas_assert(vm != VmId::invalidIndex,
+                 "committed server %u hosts no VM", s);
+    peaks[s] = hostedPeak(view, vm);
+    profiles.predictAirflowGather(&server, &peaks[s], 1,
+                                  &occupiedAirflow[s]);
+    profiles.predictPowerGather(&server, &peaks[s], 1,
+                                &occupiedPower[s]);
+    // Re-sum from zero rather than adding the delta: the sums stay
+    // bit-identical to a fresh build's.
+    double airflow = 0.0;
+    for (ServerId sid : layout.aisle(placed.aisle).servers)
+        airflow += occupiedAirflow[sid.index];
+    aisleDemand[placed.aisle.index] = airflow;
+    double power = 0.0;
+    for (ServerId sid : layout.row(placed.row).servers)
+        power += occupiedPower[sid.index];
+    rowDemand[placed.row.index] = power;
+    ++(view.vmSlot[vm] == VmSlot::Saas ? rowSaas
+                                       : rowIaas)[placed.row.index];
+
+    const auto it = std::lower_bound(freeServers.begin(),
+                                     freeServers.end(), server);
+    tapas_assert(it != freeServers.end() && *it == server,
+                 "committed server %u was not free", s);
+    freeServers.erase(it);
+}
+
+std::optional<ServerId>
+TapasAllocator::pick(Basis &basis, const PlacementRequest &request,
+                     const ClusterView &view) const
+{
+    const Server *servers = view.layout->servers().data();
+    const ServerSpec *specs = view.layout->specs().data();
+    const ProfileBank &profiles = *view.profiles;
+    const bool iaas_request = request.kind == VmKind::IaaS;
+
+    // --- Validator rule: Eq. 3 (airflow) and Eq. 4 (power). ---
+    // SaaS requests count at their controllable floor for the
+    // airflow/power validators; the thermal projection uses the raw
+    // predicted peak. Per free server only its own delta changes.
+    const double request_peak = admissionLoad(request);
+    const std::size_t free_count = basis.freeServers.size();
+    const ServerId *free = basis.freeServers.data();
+    profiles.predictAirflowUniformGather(request_peak, free, free_count,
+                                         basis.airflowAtLoad.data());
+    profiles.predictPowerUniformGather(request_peak, free, free_count,
+                                       basis.powerAtLoad.data());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < free_count; ++i) {
+        const std::uint32_t s = free[i].index;
+        const Server &server = servers[s];
+        const double aisle_demand = basis.aisleDemand[server.aisle.index] -
+            basis.airflowZero[s] + basis.airflowAtLoad[i];
+        if (aisle_demand > basis.aisleBudget[server.aisle.index])
+            continue;
+        const double row_demand = basis.rowDemand[server.row.index] -
+            basis.powerZero[s] + basis.powerAtLoad[i];
+        if (row_demand > basis.rowBudget[server.row.index])
+            continue;
+        const ServerSpec &spec = specs[server.specIndex];
+        basis.survivors[kept] = free[i];
+        basis.survivorRowDemand[kept] = row_demand;
+        basis.survivorInlet[kept] = basis.inlet[s];
+        basis.survivorGpuW[kept] = spec.gpuIdlePower.value() +
+            (spec.gpuMaxPower.value() - spec.gpuIdlePower.value()) *
+                request.predictedPeakLoad;
+        ++kept;
+    }
+    // Projected hottest GPU at the VM's predicted peak via the
+    // fitted Eq. 2 (design-day inlet), for the survivors only.
+    profiles.predictHottestGpuGather(
+        basis.survivors.data(), basis.survivorInlet.data(),
+        basis.survivorGpuW.data(), kept, basis.survivorHottest.data());
+
+    // --- Preference rule 2: IaaS/SaaS balance in the row, with
+    // this VM added (per row, not per candidate). ---
+    for (std::size_t r = 0; r < basis.rowBalance.size(); ++r) {
+        const int iaas = basis.rowIaas[r] + (iaas_request ? 1 : 0);
+        const int saas = basis.rowSaas[r] + (iaas_request ? 0 : 1);
+        const int total = iaas + saas;
+        basis.rowBalance[r] = total > 0
+            ? 1.0 - std::abs(iaas - saas) / static_cast<double>(total)
+            : 1.0;
     }
 
     std::optional<ServerId> best;
     double best_score = -1e18;
     // Soft fallback: the thermal margin is a preference, not a
     // physical limit; if no server clears it, place on the coolest
-    // projection rather than starving the VM. Every server that
-    // passes both validators becomes best or fallback, so only the
-    // validators (i.e. admissionLoad) can reject.
+    // projection rather than starving the VM. Every survivor becomes
+    // best or fallback, so only the validators (i.e. admissionLoad)
+    // can reject.
     std::optional<ServerId> fallback;
     double fallback_hottest = 1e18;
+    for (std::size_t i = 0; i < kept; ++i) {
+        const ServerId id = basis.survivors[i];
+        const Server &server = servers[id.index];
 
-    // SaaS requests count at their controllable floor for the
-    // airflow/power validators; the thermal projection uses the raw
-    // predicted peak.
-    const double request_peak = admissionLoad(request);
-
-    // Precompute every per-server prediction the candidate loop
-    // needs as fleet-wide batched passes: the occupied-peak demand
-    // bases, the empty/requested what-if deltas, and the design-day
-    // thermal projection. The loop below then only reads packed
-    // arrays; per candidate only its own delta changes (keeps
-    // place() linear).
-    peakLoadByServer(view, peaksScratch);
-    airflowZeroScratch.resize(servers);
-    airflowReqScratch.resize(servers);
-    powerZeroScratch.resize(servers);
-    powerReqScratch.resize(servers);
-    inletScratch.resize(servers);
-    perGpuWScratch.resize(servers);
-    hottestScratch.resize(servers);
-    // Reuse the occupied-peak airflow/power pass for the bases.
-    profiles.predictAirflowBatch(peaksScratch.data(), servers,
-                                 airflowReqScratch.data());
-    profiles.predictPowerBatch(peaksScratch.data(), servers,
-                               powerReqScratch.data());
-    aisleBaseScratch.assign(layout.aisleCount(), 0.0);
-    rowBaseScratch.assign(layout.rowCount(), 0.0);
-    std::vector<double> &aisle_base = aisleBaseScratch;
-    std::vector<double> &row_base = rowBaseScratch;
-    for (const Server &server : layout.servers()) {
-        aisle_base[server.aisle.index] +=
-            airflowReqScratch[server.id.index];
-        row_base[server.row.index] +=
-            powerReqScratch[server.id.index];
-    }
-    profiles.predictAirflowUniformBatch(0.0, servers,
-                                        airflowZeroScratch.data());
-    profiles.predictAirflowUniformBatch(request_peak, servers,
-                                        airflowReqScratch.data());
-    profiles.predictPowerUniformBatch(0.0, servers,
-                                      powerZeroScratch.data());
-    profiles.predictPowerUniformBatch(request_peak, servers,
-                                      powerReqScratch.data());
-    // Design-day conservatism: a placement lives for weeks, so
-    // project against a hot afternoon at high datacenter load.
-    profiles.predictInletBatch(std::max(view.outsideC, 34.0), 1.0,
-                               servers, inletScratch.data());
-    for (const Server &server : layout.servers()) {
-        const ServerSpec &spec = layout.specOf(server.id);
-        perGpuWScratch[server.id.index] =
-            spec.gpuIdlePower.value() +
-            (spec.gpuMaxPower.value() -
-             spec.gpuIdlePower.value()) *
-                request.predictedPeakLoad;
-    }
-    profiles.predictHottestGpuUniformBatch(inletScratch.data(),
-                                           perGpuWScratch.data(),
-                                           servers,
-                                           hottestScratch.data());
-
-    for (const Server &server : layout.servers()) {
-        if (view.occupied(server.id.index))
-            continue;
-
-        // --- Validator rule: Eq. 3 (airflow) and Eq. 4 (power). ---
-        const double aisle_demand =
-            aisle_base[server.aisle.index] -
-            airflowZeroScratch[server.id.index] +
-            airflowReqScratch[server.id.index];
-        const double aisle_budget =
-            view.cooling->effectiveProvision(server.aisle).value();
-        if (aisle_demand > aisle_budget)
-            continue;
-
-        const double row_demand =
-            row_base[server.row.index] -
-            powerZeroScratch[server.id.index] +
-            powerReqScratch[server.id.index];
-        const double row_budget =
-            view.power->effectiveRowProvision(server.row).value();
-        if (row_demand > row_budget)
-            continue;
-
-        // Projected hottest GPU at the VM's predicted peak via the
-        // fitted Eq. 2 (hot-summer inlet assumption): refuse any
-        // server that would flirt with the throttle point.
-        const ServerSpec &spec = layout.specOf(server.id);
-        const double hottest = hottestScratch[server.id.index];
-        const double throttle = spec.throttleTemp.value();
+        // Refuse any server that would flirt with the throttle point.
+        const double hottest = basis.survivorHottest[i];
+        const double throttle =
+            specs[server.specIndex].throttleTemp.value();
         if (hottest > throttle - cfg.gpuTempMarginC) {
             if (!fallback.has_value() || hottest < fallback_hottest) {
                 fallback_hottest = hottest;
-                fallback = server.id;
+                fallback = id;
             }
             continue;
         }
@@ -242,48 +274,86 @@ TapasAllocator::place(const PlacementRequest &request,
         const double headroom_frac =
             std::clamp((throttle - hottest) / 25.0, 0.0, 1.0);
         const double thermal_score =
-            request.kind == VmKind::IaaS ? 2.0 * headroom_frac
-                                         : 0.5 * headroom_frac;
+            iaas_request ? 2.0 * headroom_frac : 0.5 * headroom_frac;
 
         // --- Preference rule 1: temperature class. ---
-        const ThermalClass klass = profiles.thermalClass(server.id);
-        double class_score = 0.0;
-        if (request.kind == VmKind::IaaS) {
-            class_score = klass == ThermalClass::Cold ? 2.0
-                : klass == ThermalClass::Medium      ? 1.0
+        const ThermalClass klass = basis.classes[id.index];
+        const ThermalClass preferred =
+            iaas_request ? ThermalClass::Cold : ThermalClass::Warm;
+        const double class_score = klass == preferred ? 2.0
+            : klass == ThermalClass::Medium          ? 1.0
                                                      : 0.0;
-        } else {
-            class_score = klass == ThermalClass::Warm ? 2.0
-                : klass == ThermalClass::Medium      ? 1.0
-                                                     : 0.0;
-        }
-
-        // --- Preference rule 2: IaaS/SaaS balance in the row. ---
-        int iaas = row_iaas[server.row.index];
-        int saas = row_saas[server.row.index];
-        if (request.kind == VmKind::IaaS) {
-            ++iaas;
-        } else {
-            ++saas;
-        }
-        const int total = iaas + saas;
-        const double balance_score = total > 0
-            ? 1.0 - std::abs(iaas - saas) / static_cast<double>(total)
-            : 1.0;
 
         // --- Headroom tie-break: spread peaks across rows. ---
-        const double headroom_score =
-            row_budget > 0.0 ? 1.0 - row_demand / row_budget : 0.0;
+        const double row_budget = basis.rowBudget[server.row.index];
+        const double headroom_score = row_budget > 0.0
+            ? 1.0 - basis.survivorRowDemand[i] / row_budget
+            : 0.0;
 
         const double score = 2.0 * class_score +
-            1.0 * balance_score + 3.0 * headroom_score +
-            thermal_score;
+            1.0 * basis.rowBalance[server.row.index] +
+            3.0 * headroom_score + thermal_score;
         if (!best.has_value() || score > best_score) {
             best_score = score;
-            best = server.id;
+            best = id;
         }
     }
     return best.has_value() ? best : fallback;
+}
+
+// tapas-hot end(place-round)
+
+std::optional<ServerId>
+TapasAllocator::place(const PlacementRequest &request,
+                      const ClusterView &view)
+{
+    oneShot.build(view);
+    return pick(oneShot, request, view);
+}
+
+void
+TapasAllocator::beginRound()
+{
+    roundOpen = true;
+    roundBuilt = false;
+}
+
+std::optional<ServerId>
+TapasAllocator::placeInRound(const PlacementRequest &request,
+                             const ClusterView &view)
+{
+    tapas_assert(roundOpen, "placeInRound outside a placement round");
+    if (!roundBuilt) {
+        round.build(view);
+        roundBuilt = true;
+    }
+    return pick(round, request, view);
+}
+
+void
+TapasAllocator::commit(ServerId server, const ClusterView &view)
+{
+    tapas_assert(roundOpen, "commit outside a placement round");
+    // An unbuilt basis has nothing to update: the lazy build will
+    // read the committed view.
+    if (roundBuilt)
+        round.commit(server, view);
+}
+
+void
+TapasAllocator::endRound()
+{
+    roundOpen = false;
+    roundBuilt = false;
+}
+
+bool
+TapasAllocator::roundMatchesFreshBuild(const ClusterView &view)
+{
+    if (!roundBuilt)
+        return true;
+    oneShot.build(view);
+    return round.sameTerms(oneShot);
 }
 
 } // namespace tapas

@@ -9,6 +9,18 @@
  * provisioning (Eqs. 3-4), a temperature preference (IaaS to cool
  * servers, SaaS to warm servers), and an IaaS/SaaS balance
  * preference, with headroom-based tie-breaking.
+ *
+ * TapasAllocator places in two stages on one code path. The basis
+ * holds every request-independent term of a view (validator peaks,
+ * occupied airflow/power and their aisle/row sums, zero-load and
+ * design-day predictions, budgets, thermal classes, row VM mix, the
+ * free-server list). The request stage evaluates the validators over
+ * the free servers only, then projects the hottest GPU and scores
+ * only the servers that pass both. A simulator's placement phase
+ * opens a round (beginRound): the round's basis is built once, at
+ * its first placeInRound, and commit() folds each placement into it
+ * exactly, so every round pick equals a one-shot place() on the same
+ * view. place() builds a private basis per call.
  */
 
 #ifndef TAPAS_CORE_ALLOCATOR_HH
@@ -16,6 +28,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/context.hh"
@@ -57,6 +70,36 @@ class VmAllocator
     admissionLoad(const PlacementRequest &request) const = 0;
 
     virtual const char *name() const = 0;
+
+    /**
+     * Placement rounds: one placement phase whose view changes only
+     * through placements the caller reports with commit(). Between
+     * beginRound() and endRound(), placeInRound() returns exactly
+     * what place() would on the same view; a policy may reuse work
+     * across the round's calls. Callers pass the current view on
+     * every call (its spans may have moved). The defaults keep no
+     * round state.
+     */
+    virtual void beginRound() {}
+
+    virtual std::optional<ServerId>
+    placeInRound(const PlacementRequest &request,
+                 const ClusterView &view)
+    {
+        return place(request, view);
+    }
+
+    /** A VM now occupies `server` in `view` (after a round pick). */
+    virtual void commit(ServerId, const ClusterView &) {}
+
+    virtual void endRound() {}
+
+    /** Debug cross-check: whether the round's reusable state equals
+     *  one rebuilt from scratch on `view`. Never touches the round. */
+    virtual bool roundMatchesFreshBuild(const ClusterView &)
+    {
+        return true;
+    }
 };
 
 /** Packing-first, thermal/power-oblivious placement. */
@@ -74,6 +117,10 @@ class BaselineAllocator : public VmAllocator
     }
 
     const char *name() const override { return "baseline"; }
+
+  private:
+    /** Occupied servers per rack, counted once per call. */
+    std::vector<int> rackCountScratch; // ckpt-skip(scratch): per call
 };
 
 /** TAPAS rule-pipeline placement. */
@@ -84,8 +131,28 @@ class TapasAllocator : public VmAllocator
         : cfg(config)
     {}
 
+    /** One-shot placement: builds a private basis on `view`, never
+     *  the live round's. */
     std::optional<ServerId> place(const PlacementRequest &request,
                                   const ClusterView &view) override;
+
+    /** Open a round; its basis is built at the first placeInRound. */
+    void beginRound() override;
+    std::optional<ServerId>
+    placeInRound(const PlacementRequest &request,
+                 const ClusterView &view) override;
+    /** Fold a placement into the round's basis: re-evaluates only
+     *  `server` and re-sums its aisle and row from zero. */
+    void commit(ServerId server, const ClusterView &view) override;
+    void endRound() override;
+    bool roundMatchesFreshBuild(const ClusterView &view) override;
+
+    /** The open round's predicted occupied airflow per aisle (CFM)
+     *  and power per row (W); empty until its basis is built. */
+    std::span<const double> roundAisleDemand() const
+    { return roundBuilt ? round.aisleDemand : std::span<const double>(); }
+    std::span<const double> roundRowDemand() const
+    { return roundBuilt ? round.rowDemand : std::span<const double>(); }
 
     /**
      * The validator load (Eqs. 3-4): place() rejects only when no
@@ -123,44 +190,74 @@ class TapasAllocator : public VmAllocator
      * Per-server predicted peak loads of the hosted VMs, SaaS
      * counted at the controllable floor and free servers at 0 (the
      * accounting every budget validator shares — allocator
-     * admission, migration donor ranking, and the what-if helpers
-     * below).
+     * admission and migration donor ranking).
      */
     static void peakLoadByServer(const ClusterView &view,
                                  std::vector<double> &out);
 
-    /**
-     * Predicted peak airflow demand of an aisle (CFM), including an
-     * optional extra VM at the given server.
-     */
-    static double predictedAisleAirflow(const ClusterView &view,
-                                        AisleId aisle,
-                                        ServerId extra_server,
-                                        double extra_peak_load);
-
-    /** Predicted peak power demand of a row (W), incl. optional VM. */
-    static double predictedRowPower(const ClusterView &view,
-                                    RowId row, ServerId extra_server,
-                                    double extra_peak_load);
-
   private:
-    TapasPolicyConfig cfg;
+    /**
+     * The request-independent placement terms of one view, plus the
+     * request stage's scratch, sized by build() so that stage and
+     * commit() never allocate. Aisle/row sums always run from 0.0
+     * over servers in ascending index order, so a committed basis is
+     * bit-identical to a fresh build on the same view.
+     */
+    struct Basis
+    {
+        void build(const ClusterView &view);
+        void commit(ServerId server, const ClusterView &view);
+        /** Whether every term equals `other`'s (==, not a tolerance). */
+        bool sameTerms(const Basis &other) const;
 
-    /** Reusable placement scratch (place() runs per arriving VM and
-     *  per waiting-queue retry; batched predictor passes write into
-     *  these instead of allocating per call). */
-    std::vector<double> peaksScratch;
-    std::vector<double> aisleBaseScratch;
-    std::vector<double> rowBaseScratch;
-    std::vector<double> airflowZeroScratch;
-    std::vector<double> airflowReqScratch;
-    std::vector<double> powerZeroScratch;
-    std::vector<double> powerReqScratch;
-    std::vector<double> inletScratch;
-    std::vector<double> perGpuWScratch;
-    std::vector<double> hottestScratch;
-    std::vector<int> rowIaasScratch;
-    std::vector<int> rowSaasScratch;
+        /** Validator peak per server (peakLoadByServer). */
+        std::vector<double> peaks;
+        /** Predicted airflow/power of each server at its peak. */
+        std::vector<double> occupiedAirflow;
+        std::vector<double> occupiedPower;
+        /** Sums of the occupied terms per aisle / per row. */
+        std::vector<double> aisleDemand;
+        std::vector<double> rowDemand;
+        std::vector<double> aisleBudget;
+        std::vector<double> rowBudget;
+        /** Per-server airflow/power at zero load. */
+        std::vector<double> airflowZero;
+        std::vector<double> powerZero;
+        /** Design-day inlet per server (max(outsideC, 34), load 1). */
+        std::vector<double> inlet;
+        std::vector<ThermalClass> classes;
+        std::vector<int> rowIaas;
+        std::vector<int> rowSaas;
+        /** Free servers in ascending index order. */
+        std::vector<ServerId> freeServers;
+
+        /** Request-stage scratch: one slot per free server. */
+        std::vector<double> airflowAtLoad;
+        std::vector<double> powerAtLoad;
+        /** Validator survivors and their per-survivor terms. */
+        std::vector<ServerId> survivors;
+        std::vector<double> survivorRowDemand;
+        std::vector<double> survivorInlet;
+        std::vector<double> survivorGpuW;
+        std::vector<double> survivorHottest;
+        /** Balance score per row with the request's VM added. */
+        std::vector<double> rowBalance;
+    };
+
+    /** The request stage: validators over the basis's free servers,
+     *  then the thermal projection and scoring over the survivors. */
+    std::optional<ServerId> pick(Basis &basis,
+                                 const PlacementRequest &request,
+                                 const ClusterView &view) const;
+
+    // ckpt-skip(constant): policy flags fixed at construction
+    TapasPolicyConfig cfg;
+    /** The open round's basis; never outlives a placement phase. */
+    Basis round;            // ckpt-skip(scratch): per placement phase
+    bool roundOpen = false; // ckpt-skip(scratch): per placement phase
+    bool roundBuilt = false; // ckpt-skip(scratch): per placement phase
+    /** place()'s and roundMatchesFreshBuild()'s private basis. */
+    Basis oneShot;          // ckpt-skip(scratch): per call
 };
 
 } // namespace tapas

@@ -12,9 +12,8 @@ MigrationPlanner::rowPeakPowers(const ClusterView &view)
     const DatacenterLayout &layout = *view.layout;
     // Shared per-server peak accounting (SaaS at the controllable
     // floor, free servers at 0), one fleet-wide batched power pass,
-    // then a per-row accumulation — the same values
-    // TapasAllocator::predictedRowPower produces row by row, without
-    // the per-row fleet walks.
+    // then a per-row accumulation in ascending server order — the
+    // same row sums the allocator's placement basis holds.
     TapasAllocator::peakLoadByServer(view, peaksScratch);
     powerScratch.resize(layout.serverCount());
     view.profiles->predictPowerBatch(peaksScratch.data(),

@@ -339,7 +339,12 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
 #endif
         return false;
     }
-    const auto pick = alloc.place(request, view());
+    const auto pick = alloc.placeInRound(request, view());
+#ifndef NDEBUG
+    tapas_assert(pick == alloc.place(request, view()),
+                 "round pick for VM %u differs from a one-shot place()",
+                 request.id.index);
+#endif
     if (!pick.has_value()) {
         rejectedLoads.push_back(load);
         return false;
@@ -359,7 +364,15 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
     activeVms.insert(std::lower_bound(activeVms.begin(),
                                       activeVms.end(), vm_index),
                      vm_index);
-    rejectedLoads.clear(); // the view changed
+    // The view changed: fold the pick into the round, drop the memo.
+    alloc.commit(*pick, view());
+#ifndef NDEBUG
+    tapas_assert(alloc.roundMatchesFreshBuild(view()),
+                 "placement round drifted from a fresh build after "
+                 "placing VM %u",
+                 request.id.index);
+#endif
+    rejectedLoads.clear();
     ++simMetrics.vmsPlaced;
     return true;
 }
@@ -367,8 +380,10 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
 void
 ClusterSim::processArrivals()
 {
-    // Departures and last step's phases moved the view.
+    // Departures and last step's phases moved the view: open a new
+    // placement round (closed by tryPlaceWaiting).
     rejectedLoads.clear();
+    tapas->allocator().beginRound();
     const auto &records = vmGen.records();
     while (arrivalCursor < records.size() &&
            records[arrivalCursor].arrival <= currentTime) {
@@ -395,6 +410,7 @@ ClusterSim::tryPlaceWaiting()
             waitingScratch.push_back(vm_index);
     }
     waitingVms.swap(waitingScratch);
+    tapas->allocator().endRound();
 }
 
 void

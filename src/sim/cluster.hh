@@ -323,6 +323,9 @@ class ClusterSim
     const std::vector<double> &observedGpuPower();
     void maybeRefitProfiles();
     void processDepartures();
+    /** The placement phase: processArrivals opens the allocator's
+     *  placement round, tryPlace commits each pick to it, and
+     *  tryPlaceWaiting closes it. */
     void processArrivals();
     void tryPlaceWaiting();
     bool tryPlace(std::uint32_t vm_index);

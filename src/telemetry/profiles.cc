@@ -558,6 +558,43 @@ ProfileBank::predictAirflowGather(const ServerId *ids,
 }
 
 void
+ProfileBank::predictPowerUniformGather(double load_frac,
+                                       const ServerId *ids,
+                                       std::size_t n,
+                                       double *out) const
+{
+    const double x = std::clamp(load_frac, 0.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        tapas_assert(ids[i].index < profiledServers,
+                     "server %u not profiled", ids[i].index);
+        const double *w = &powerCoeffs[ids[i].index * kPowerWidth];
+        double acc = w[0];
+        double term = x;
+        for (std::size_t p = 1; p < kPowerWidth; ++p) {
+            acc += w[p] * term;
+            term *= x;
+        }
+        out[i] = acc;
+    }
+}
+
+void
+ProfileBank::predictAirflowUniformGather(double load_frac,
+                                         const ServerId *ids,
+                                         std::size_t n,
+                                         double *out) const
+{
+    const double x = std::clamp(load_frac, 0.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        tapas_assert(ids[i].index < profiledServers,
+                     "server %u not profiled", ids[i].index);
+        const double *w =
+            &airflowCoeffs[ids[i].index * kAirflowWidth];
+        out[i] = w[0] + w[1] * x;
+    }
+}
+
+void
 ProfileBank::predictHottestGpuBatch(const double *inlet_c,
                                     const double *gpu_power_w,
                                     std::size_t count,
@@ -582,25 +619,52 @@ ProfileBank::predictHottestGpuBatch(const double *inlet_c,
 }
 
 void
-ProfileBank::predictHottestGpuUniformBatch(
-    const double *inlet_c, const double *per_gpu_power_w,
-    std::size_t count, double *out) const
+ProfileBank::predictHottestGpuGather(const ServerId *ids,
+                                     const double *inlet_c,
+                                     const double *per_gpu_power_w,
+                                     std::size_t n, double *out) const
 {
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
     const std::size_t gpus =
         static_cast<std::size_t>(gpusPerServer);
-    const double *w = gpuTempCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s) {
-        const double inlet = inlet_c[s];
-        const double power = per_gpu_power_w[s];
+    const std::size_t block = gpus * kGpuTempWidth;
+    auto coeffs = [&](std::size_t i) {
+        tapas_assert(ids[i].index < profiledServers,
+                     "server %u not profiled", ids[i].index);
+        return &gpuTempCoeffs[ids[i].index * block];
+    };
+    // Two servers per pass: each server's max still folds its GPUs
+    // in order (bit-identical to the scalar call), but the two max
+    // chains are independent, so their latencies overlap.
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        const double *wa = coeffs(i);
+        const double *wb = coeffs(i + 1);
+        const double inlet_a = inlet_c[i];
+        const double inlet_b = inlet_c[i + 1];
+        const double power_a = per_gpu_power_w[i];
+        const double power_b = per_gpu_power_w[i + 1];
+        double hottest_a = -1e9;
+        double hottest_b = -1e9;
+        for (std::size_t g = 0; g < gpus;
+             ++g, wa += kGpuTempWidth, wb += kGpuTempWidth) {
+            hottest_a = std::max(
+                hottest_a, wa[0] + wa[1] * inlet_a + wa[2] * power_a);
+            hottest_b = std::max(
+                hottest_b, wb[0] + wb[1] * inlet_b + wb[2] * power_b);
+        }
+        out[i] = hottest_a;
+        out[i + 1] = hottest_b;
+    }
+    for (; i < n; ++i) {
+        const double *w = coeffs(i);
+        const double inlet = inlet_c[i];
+        const double power = per_gpu_power_w[i];
         double hottest = -1e9;
         for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
             hottest = std::max(
                 hottest, w[0] + w[1] * inlet + w[2] * power);
         }
-        out[s] = hottest;
+        out[i] = hottest;
     }
 }
 

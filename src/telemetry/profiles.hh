@@ -188,6 +188,17 @@ class ProfileBank
                               const double *load_frac, std::size_t n,
                               double *out) const;
 
+    /** Predicted server power for a server subset at one shared
+     *  load (placement what-ifs over the free servers). */
+    void predictPowerUniformGather(double load_frac,
+                                   const ServerId *ids, std::size_t n,
+                                   double *out) const;
+
+    /** Predicted airflow for a server subset at one shared load. */
+    void predictAirflowUniformGather(double load_frac,
+                                     const ServerId *ids,
+                                     std::size_t n, double *out) const;
+
     /**
      * Hottest predicted GPU for servers [0, count) from per-server
      * inlets and measured per-GPU powers (flattened
@@ -198,14 +209,14 @@ class ProfileBank
                                 std::size_t count, double *out) const;
 
     /**
-     * Hottest predicted GPU for servers [0, count) from per-server
-     * inlets and one per-GPU power per server (placement
-     * projections).
+     * Hottest predicted GPU for a server subset from per-element
+     * inlets and per-GPU powers (placement projections over the
+     * servers that pass the budget validators).
      */
-    void predictHottestGpuUniformBatch(const double *inlet_c,
-                                       const double *per_gpu_power_w,
-                                       std::size_t count,
-                                       double *out) const;
+    void predictHottestGpuGather(const ServerId *ids,
+                                 const double *inlet_c,
+                                 const double *per_gpu_power_w,
+                                 std::size_t n, double *out) const;
 
     /**
      * Hottest predicted GPU of one server over n candidate per-GPU

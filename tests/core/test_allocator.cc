@@ -9,7 +9,9 @@
 #include <map>
 #include <string>
 
+#include "common/random.hh"
 #include "core/allocator.hh"
+#include "placement_oracle.hh"
 
 namespace tapas {
 namespace {
@@ -46,6 +48,18 @@ TEST_F(AllocatorTest, BaselinePacksIntoPartialRacks)
     const auto pick = alloc.place(makeRequest(VmKind::IaaS), view);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(dc.server(*pick).rack, target);
+}
+
+TEST_F(AllocatorTest, BaselineBreaksRackTiesInLayoutOrder)
+{
+    BaselineAllocator alloc;
+    // Racks 2 and 5 hold one VM each; rack 2's is on its last
+    // server. The tie goes to the first free server in layout order.
+    occupy(dc.rack(RackId(5)).servers[0], VmKind::IaaS, 0.9);
+    occupy(dc.rack(RackId(2)).servers.back(), VmKind::IaaS, 0.9);
+    const auto pick = alloc.place(makeRequest(VmKind::IaaS), view);
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_EQ(*pick, dc.rack(RackId(2)).servers[0]);
 }
 
 TEST_F(AllocatorTest, BaselineReturnsNulloptWhenFull)
@@ -147,8 +161,8 @@ TEST_F(AllocatorTest, TapasBalancesIaasAndSaasWithinRows)
 TEST_F(AllocatorTest, PredictedRowPowerCountsIdleServers)
 {
     // An empty row still draws idle power for provisioned servers.
-    const double empty_row = TapasAllocator::predictedRowPower(
-        view, RowId(0), ServerId(), 0.0);
+    const double empty_row =
+        predictedRowPower(view, RowId(0), ServerId(), 0.0);
     const double idle_draw =
         bank.predictServerPowerW(ServerId(0), 0.0);
     EXPECT_GT(empty_row, 0.8 * idle_draw *
@@ -159,10 +173,9 @@ TEST_F(AllocatorTest, PredictedAirflowGrowsWithExtraVm)
 {
     const AisleId aisle(0);
     const ServerId target = dc.aisle(aisle).servers.front();
-    const double before = TapasAllocator::predictedAisleAirflow(
-        view, aisle, ServerId(), 0.0);
-    const double after = TapasAllocator::predictedAisleAirflow(
-        view, aisle, target, 1.0);
+    const double before =
+        predictedAisleAirflow(view, aisle, ServerId(), 0.0);
+    const double after = predictedAisleAirflow(view, aisle, target, 1.0);
     EXPECT_GT(after, before);
 }
 
@@ -180,13 +193,11 @@ TEST_F(AllocatorTest, TapasRejectionDependsOnlyOnAdmissionLoad)
             hierarchy.effectiveRowProvision(row.id).value();
         for (ServerId sid : row.servers) {
             lighter_frac = std::max(
-                lighter_frac, TapasAllocator::predictedRowPower(
-                                  view, row.id, sid, lighter) /
-                                  budget);
+                lighter_frac,
+                predictedRowPower(view, row.id, sid, lighter) / budget);
             rejected_frac = std::min(
-                rejected_frac, TapasAllocator::predictedRowPower(
-                                   view, row.id, sid, rejected) /
-                                   budget);
+                rejected_frac,
+                predictedRowPower(view, row.id, sid, rejected) / budget);
         }
     }
     const double derate = 0.5 * (lighter_frac + rejected_frac);
@@ -236,6 +247,80 @@ TEST_F(AllocatorTest, TapasReturnsNulloptWhenAllRowsBlocked)
     EXPECT_FALSE(
         alloc.place(makeRequest(VmKind::IaaS, 1.0), view)
             .has_value());
+}
+
+TEST_F(AllocatorTest, RoundMatchesOneShot)
+{
+    // Tight budgets: a failed AHU and a UPS derate on its rows.
+    cooling.failAhu(AisleId(1), 0.5);
+    hierarchy.failUps(UpsId(0), 0.6);
+    const TapasPolicyConfig policy{};
+    int requests = 0;
+    int rejections = 0;
+    int fallbacks = 0;
+    int ties = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::fill(serverVm.begin(), serverVm.end(), VmId::invalidIndex);
+        vmSlot.clear();
+        vmPeakLoad.clear();
+        bindView();
+        TapasAllocator alloc{policy};
+        Rng rng(seed);
+        for (int round = 0; round < 12; ++round) {
+            // Departures between rounds, then a new design day.
+            for (std::uint32_t &vm : serverVm) {
+                if (vm != VmId::invalidIndex && rng.bernoulli(0.15))
+                    vm = VmId::invalidIndex;
+            }
+            bindView();
+            view.outsideC = rng.uniform(15.0, 60.0);
+            alloc.beginRound();
+            for (int i = 0; i < 8; ++i) {
+                PlacementRequest req;
+                req.id = VmId(static_cast<std::uint32_t>(vmSlot.size()));
+                req.kind = rng.bernoulli(0.5) ? VmKind::SaaS
+                                              : VmKind::IaaS;
+                // The last request of a round has a zero peak: its
+                // what-if deltas vanish, so scores tie exactly.
+                req.predictedPeakLoad =
+                    i == 7 ? 0.0 : rng.uniform(0.2, 1.0);
+                const auto in_round = alloc.placeInRound(req, view);
+                const auto one_shot = alloc.place(req, view);
+                const ReferencePlacement ref =
+                    referencePlace(policy, req, view);
+                ASSERT_EQ(in_round, one_shot)
+                    << "round " << round << " request " << i;
+                ASSERT_EQ(in_round, ref.pick)
+                    << "round " << round << " request " << i;
+                ++requests;
+                rejections += ref.pick.has_value() ? 0 : 1;
+                fallbacks += ref.fallback ? 1 : 0;
+                ties += ref.tiedAtBest > 1 ? 1 : 0;
+                if (!in_round.has_value())
+                    continue;
+                occupy(*in_round, req.kind, req.predictedPeakLoad);
+                alloc.commit(*in_round, view);
+                ASSERT_TRUE(alloc.roundMatchesFreshBuild(view));
+                // Basis sums equal the whole-aisle/row oracle sums.
+                for (const Aisle &aisle : dc.aisles()) {
+                    ASSERT_EQ(alloc.roundAisleDemand()[aisle.id.index],
+                              predictedAisleAirflow(view, aisle.id,
+                                                    ServerId(), 0.0));
+                }
+                for (const Row &row : dc.rows()) {
+                    ASSERT_EQ(alloc.roundRowDemand()[row.id.index],
+                              predictedRowPower(view, row.id,
+                                                ServerId(), 0.0));
+                }
+            }
+            alloc.endRound();
+        }
+    }
+    EXPECT_GE(requests, 200);
+    EXPECT_GT(rejections, 0);
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_GT(ties, 0);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "common/serialize.hh"
 #include "common/threadpool.hh"
 #include "core/allocator.hh"
+#include "core/placement_oracle.hh"
 #include "core/router.hh"
 #include "dcsim/layout.hh"
 #include "dcsim/power.hh"
@@ -154,14 +155,12 @@ TEST_P(AllocatorSafety, PlacementsRespectBudgetsAndOccupancy)
 
     // Predicted peaks stay within every budget after the run.
     for (const Row &row : dc.rows()) {
-        EXPECT_LE(TapasAllocator::predictedRowPower(
-                      view, row.id, ServerId(), 0.0),
+        EXPECT_LE(predictedRowPower(view, row.id, ServerId(), 0.0),
                   hierarchy.effectiveRowProvision(row.id).value() *
                       1.0001);
     }
     for (const Aisle &aisle : dc.aisles()) {
-        EXPECT_LE(TapasAllocator::predictedAisleAirflow(
-                      view, aisle.id, ServerId(), 0.0),
+        EXPECT_LE(predictedAisleAirflow(view, aisle.id, ServerId(), 0.0),
                   cooling.effectiveProvision(aisle.id).value() *
                       1.0001);
     }

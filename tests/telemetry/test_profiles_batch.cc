@@ -135,6 +135,19 @@ TEST_F(ProfileBatchTest, GatherVariantsMatchScalar)
     for (std::size_t i = 0; i < ids.size(); ++i)
         EXPECT_EQ(out[i],
                   bank.predictServerAirflowCfm(ids[i], loads[i]));
+
+    // One shared load (placement what-ifs), clamped like the scalar.
+    for (double load : {-0.2, 0.0, 0.45, 1.0, 1.3}) {
+        bank.predictPowerUniformGather(load, ids.data(), ids.size(),
+                                       out.data());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            EXPECT_EQ(out[i], bank.predictServerPowerW(ids[i], load));
+        bank.predictAirflowUniformGather(load, ids.data(), ids.size(),
+                                         out.data());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            EXPECT_EQ(out[i],
+                      bank.predictServerAirflowCfm(ids[i], load));
+    }
 }
 
 TEST_F(ProfileBatchTest, HottestGpuBatchesMatchScalar)
@@ -162,17 +175,19 @@ TEST_F(ProfileBatchTest, HottestGpuBatchesMatchScalar)
                       inlet[s], &gpu_w[s * gpus]));
     }
 
-    // Uniform per-server power (placement-projection shape).
-    std::vector<double> per_gpu(n);
+    // One per-GPU power per server over an unordered subset of odd
+    // length (placement-projection shape: paired and tail servers).
+    const std::vector<ServerId> ids = {ServerId(7), ServerId(0),
+                                       ServerId(23), ServerId(11),
+                                       ServerId(47)};
+    std::vector<double> per_gpu(ids.size());
     for (double &v : per_gpu)
         v = rng.uniform(60.0, 420.0);
-    bank.predictHottestGpuUniformBatch(inlet.data(), per_gpu.data(),
-                                       n, out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictHottestGpuC(
-                      ServerId(static_cast<std::uint32_t>(s)),
-                      inlet[s], per_gpu[s]));
+    bank.predictHottestGpuGather(ids.data(), inlet.data(),
+                                 per_gpu.data(), ids.size(), out.data());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(out[i], bank.predictHottestGpuC(ids[i], inlet[i],
+                                                  per_gpu[i]));
     }
 }
 
