@@ -344,11 +344,18 @@ BENCHMARK(BM_InletModelEval);
 void
 BM_FittedInletPrediction(benchmark::State &state)
 {
+    // The fleet inlet pass the risk refresh and configure pass run.
     World &w = world();
+    const std::size_t servers = w.dc.serverCount();
+    std::vector<double> inlet(servers);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            w.bank.predictInletC(ServerId(5), 28.0, 0.7));
+        w.bank.predictInlet(ServerBatch::firstN(servers), w.view.outsideC,
+                            w.view.dcLoadFrac, inlet.data());
+        benchmark::DoNotOptimize(inlet.data());
+        benchmark::ClobberMemory();
     }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(servers));
 }
 BENCHMARK(BM_FittedInletPrediction);
 

@@ -72,10 +72,9 @@ TapasAllocator::Basis::build(const ClusterView &view)
     peakLoadByServer(view, peaks);
     occupiedAirflow.resize(servers);
     occupiedPower.resize(servers);
-    profiles.predictAirflowBatch(peaks.data(), servers,
-                                 occupiedAirflow.data());
-    profiles.predictPowerBatch(peaks.data(), servers,
-                               occupiedPower.data());
+    const ServerBatch fleet = ServerBatch::firstN(servers);
+    profiles.predictAirflow(fleet, peaks.data(), occupiedAirflow.data());
+    profiles.predictPower(fleet, peaks.data(), occupiedPower.data());
     aisleDemand.assign(layout.aisleCount(), 0.0);
     rowDemand.assign(layout.rowCount(), 0.0);
     rowIaas.assign(layout.rowCount(), 0);
@@ -111,14 +110,13 @@ TapasAllocator::Basis::build(const ClusterView &view)
 
     airflowZero.resize(servers);
     powerZero.resize(servers);
-    profiles.predictAirflowUniformBatch(0.0, servers,
-                                        airflowZero.data());
-    profiles.predictPowerUniformBatch(0.0, servers, powerZero.data());
+    profiles.predictAirflow(fleet, 0.0, airflowZero.data());
+    profiles.predictPower(fleet, 0.0, powerZero.data());
     // Design-day conservatism: a placement lives for weeks, so
     // project against a hot afternoon at high datacenter load.
     inlet.resize(servers);
-    profiles.predictInletBatch(std::max(view.outsideC, 34.0), 1.0,
-                               servers, inlet.data());
+    profiles.predictInlet(fleet, std::max(view.outsideC, 34.0), 1.0,
+                          inlet.data());
 
     // The request stage writes at most one slot per server.
     airflowAtLoad.resize(servers);
@@ -161,10 +159,10 @@ TapasAllocator::Basis::commit(ServerId server, const ClusterView &view)
     tapas_assert(vm != VmId::invalidIndex,
                  "committed server %u hosts no VM", s);
     peaks[s] = hostedPeak(view, vm);
-    profiles.predictAirflowGather(&server, &peaks[s], 1,
-                                  &occupiedAirflow[s]);
-    profiles.predictPowerGather(&server, &peaks[s], 1,
-                                &occupiedPower[s]);
+    const ServerBatch placed_server = ServerBatch::list(&server, 1);
+    profiles.predictAirflow(placed_server, &peaks[s],
+                            &occupiedAirflow[s]);
+    profiles.predictPower(placed_server, &peaks[s], &occupiedPower[s]);
     // Re-sum from zero rather than adding the delta: the sums stay
     // bit-identical to a fresh build's.
     double airflow = 0.0;
@@ -201,10 +199,11 @@ TapasAllocator::pick(Basis &basis, const PlacementRequest &request,
     const double request_peak = admissionLoad(request);
     const std::size_t free_count = basis.freeServers.size();
     const ServerId *free = basis.freeServers.data();
-    profiles.predictAirflowUniformGather(request_peak, free, free_count,
-                                         basis.airflowAtLoad.data());
-    profiles.predictPowerUniformGather(request_peak, free, free_count,
-                                       basis.powerAtLoad.data());
+    const ServerBatch free_servers = ServerBatch::list(free, free_count);
+    profiles.predictAirflow(free_servers, request_peak,
+                            basis.airflowAtLoad.data());
+    profiles.predictPower(free_servers, request_peak,
+                          basis.powerAtLoad.data());
     std::size_t kept = 0;
     for (std::size_t i = 0; i < free_count; ++i) {
         const std::uint32_t s = free[i].index;
@@ -228,9 +227,10 @@ TapasAllocator::pick(Basis &basis, const PlacementRequest &request,
     }
     // Projected hottest GPU at the VM's predicted peak via the
     // fitted Eq. 2 (design-day inlet), for the survivors only.
-    profiles.predictHottestGpuGather(
-        basis.survivors.data(), basis.survivorInlet.data(),
-        basis.survivorGpuW.data(), kept, basis.survivorHottest.data());
+    profiles.predictHottestGpu(
+        ServerBatch::list(basis.survivors.data(), kept),
+        basis.survivorInlet.data(), basis.survivorGpuW.data(),
+        basis.survivorHottest.data());
 
     // --- Preference rule 2: IaaS/SaaS balance in the row, with
     // this VM added (per row, not per candidate). ---

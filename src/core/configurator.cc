@@ -97,15 +97,15 @@ InstanceConfigurator::withinLimits(ServerId server,
     if (op.serverPower.value() > limits.maxServerPowerW)
         return false;
 
-    const double gpu_power = op.gpuPower.value();
+    const ServerBatch probe = ServerBatch::repeat(server, 1);
     double hottest = 0.0;
-    profiles.predictHottestGpuCandidates(server, limits.inletC,
-                                         &gpu_power, 1, &hottest);
+    profiles.predictHottestGpu(probe, limits.inletC, op.gpuPower.value(),
+                               &hottest);
     if (hottest > limits.maxGpuTempC)
         return false;
 
     double airflow = 0.0;
-    profiles.predictAirflowCandidates(server, &heat, 1, &airflow);
+    profiles.predictAirflow(probe, heat, &airflow);
     return airflow <= limits.maxAirflowCfm;
 }
 
@@ -263,14 +263,13 @@ InstanceConfigurator::choose(ServerId server,
     // one at a time, because the first feasible one usually ends the
     // scoring (the skip rule below); after that, in fixed blocks.
     // A block's operating points are solved in one batched pass,
-    // then one predictHottestGpuCandidates + one
-    // predictAirflowCandidates pass scores it (the server's
-    // coefficient block streams once instead of per candidate) and
-    // the take/prune logic replays over the results in order. The
-    // prune checks run against the best as of the last flushed
-    // block, which is still exact: a best over a shorter prefix
-    // stops the walk no earlier, and candidates scored past the
-    // exact stop can never be taken.
+    // then one predictHottestGpu + one predictAirflow pass over the
+    // repeated server scores it (the server's coefficient block
+    // streams once instead of per candidate) and the take/prune
+    // logic replays over the results in order. The prune checks run
+    // against the best as of the last flushed block, which is still
+    // exact: a best over a shorter prefix stops the walk no earlier,
+    // and candidates scored past the exact stop can never be taken.
     constexpr std::size_t kBlock = 8;
     const ConfigProfile *cands[kBlock];
     double feas_demands[kBlock];
@@ -289,10 +288,10 @@ InstanceConfigurator::choose(ServerId server,
             gpu_power[i] = ops[i].gpuPower.value();
             heat[i] = heatFractionOf(*cands[i], ops[i]);
         }
-        profiles.predictHottestGpuCandidates(
-            server, limits.inletC, gpu_power, pending, hottest);
-        profiles.predictAirflowCandidates(server, heat, pending,
-                                          airflow);
+        const ServerBatch block = ServerBatch::repeat(server, pending);
+        profiles.predictHottestGpu(block, limits.inletC, gpu_power,
+                                   hottest);
+        profiles.predictAirflow(block, heat, airflow);
         plan->scored += pending;
         for (std::size_t i = 0; i < pending; ++i) {
             const ConfigProfile &cand = *cands[i];

@@ -16,9 +16,9 @@ MigrationPlanner::rowPeakPowers(const ClusterView &view)
     // same row sums the allocator's placement basis holds.
     TapasAllocator::peakLoadByServer(view, peaksScratch);
     powerScratch.resize(layout.serverCount());
-    view.profiles->predictPowerBatch(peaksScratch.data(),
-                                     layout.serverCount(),
-                                     powerScratch.data());
+    view.profiles->predictPower(
+        ServerBatch::firstN(layout.serverCount()), peaksScratch.data(),
+        powerScratch.data());
     rowPowerScratch.assign(layout.rowCount(), 0.0);
     for (const Server &server : layout.servers()) {
         rowPowerScratch[server.row.index] +=

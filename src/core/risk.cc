@@ -43,15 +43,17 @@ RiskAssessor::refresh(const ClusterView &view,
         cfg.sensorQuarantineEnabled
         ? applySensorQuarantine(view, gpu_power_w, gpus)
         : gpu_power_w;
-    profiles.predictAirflowBatch(view.serverLoads.data(), servers,
-                                 airflowScratch.data());
-    profiles.predictPowerBatch(view.serverLoads.data(), servers,
-                               powerScratch.data());
-    profiles.predictInletBatch(view.outsideC, view.dcLoadFrac,
-                               servers, inletScratch.data());
-    profiles.predictHottestGpuBatch(inletScratch.data(),
-                                    effective_gpu_w.data(), servers,
-                                    hottestScratch.data());
+    const ServerBatch fleet = ServerBatch::firstN(servers);
+    profiles.predictAirflow(fleet, view.serverLoads.data(),
+                            airflowScratch.data());
+    profiles.predictPower(fleet, view.serverLoads.data(),
+                          powerScratch.data());
+    profiles.predictInlet(fleet, view.outsideC, view.dcLoadFrac,
+                          inletScratch.data());
+    profiles.predictHottestGpu(
+        fleet, inletScratch.data(),
+        BatchInput::perGpu(effective_gpu_w.data()),
+        hottestScratch.data());
 
     // Aisle airflow and row power headrooms from the batched
     // predictions at current loads, into small per-group arrays.

@@ -96,21 +96,20 @@ TapasController::configurePass(
             ? view.serverLoads[s]
             : 0.0;
     }
-    profiles->predictPowerBatch(fixedLoadScratch.data(), servers,
-                                fixedPowerScratch.data());
-    profiles->predictAirflowBatch(fixedLoadScratch.data(), servers,
-                                  fixedAirflowScratch.data());
-    profiles->predictInletBatch(view.outsideC, view.dcLoadFrac,
-                                servers, inletScratch.data());
+    const ServerBatch fleet = ServerBatch::firstN(servers);
+    profiles->predictPower(fleet, fixedLoadScratch.data(),
+                           fixedPowerScratch.data());
+    profiles->predictAirflow(fleet, fixedLoadScratch.data(),
+                             fixedAirflowScratch.data());
+    profiles->predictInlet(fleet, view.outsideC, view.dcLoadFrac,
+                           inletScratch.data());
     // The zero-load floors depend only on the fitted coefficients;
     // evaluate them once per fleet size instead of per pass.
     if (zeroPowerScratch.size() != servers) {
         zeroPowerScratch.resize(servers);
         zeroAirflowScratch.resize(servers);
-        profiles->predictPowerUniformBatch(0.0, servers,
-                                           zeroPowerScratch.data());
-        profiles->predictAirflowUniformBatch(
-            0.0, servers, zeroAirflowScratch.data());
+        profiles->predictPower(fleet, 0.0, zeroPowerScratch.data());
+        profiles->predictAirflow(fleet, 0.0, zeroAirflowScratch.data());
     }
 
     for (const Server &server : layout.servers()) {

@@ -406,73 +406,6 @@ PerfModel::serverPowerFromGpu(double active_gpu_w, int active_gpus,
     return Watts(total);
 }
 
-PerfModel::OperatingPoint
-PerfModel::operatingPointAt(const ConfigProfile &profile,
-                            double demand_tps) const
-{
-    OperatingPoint out = operatingGpuPointAt(profile, demand_tps);
-    out.serverPower = serverPowerFromGpu(
-        out.gpuPower.value(), profile.activeGpus, out.prefillShare);
-    return out;
-}
-
-PerfModel::OperatingPoint
-PerfModel::operatingGpuPointAt(const ConfigProfile &profile,
-                               double demand_tps) const
-{
-    OperatingPoint out;
-    const double demand = std::max(0.0, demand_tps);
-    const double fp = perfParams.mix.prefillFraction();
-    const double fd = perfParams.mix.decodeFraction();
-
-    // Prefill is bursty: busy exactly its work fraction.
-    const double u_p = std::min(
-        1.0, demand * fp / profile.prefill.throughputTps);
-
-    // Decode runs continuously whenever sequences are in flight,
-    // at whatever batch the demand sustains.
-    const double r = demand * fd; // decode tokens/s
-    const double tau1 =
-        profile.decodeWeightS + profile.decodeKvS;
-    double u_d = 0.0;
-    double batch = 0.0;
-    if (r > 0.0) {
-        const double share = std::max(0.05, 1.0 - u_p);
-        if (r * tau1 < share) {
-            // Sub-saturated even at batch 1: idles between tokens.
-            batch = 1.0;
-            u_d = r * tau1;
-        } else {
-            // Decode fills all non-prefill time; batch grows until
-            // share * B / tau(B) = r.
-            const double denom = share - profile.decodeKvS * r;
-            batch = denom > 1e-9
-                ? profile.decodeWeightS * r / denom
-                : static_cast<double>(profile.config.maxBatchSize);
-            batch = std::clamp(
-                batch, 1.0,
-                static_cast<double>(profile.config.maxBatchSize));
-            u_d = share;
-        }
-    }
-
-    out.busyFrac = std::min(1.0, u_p + u_d);
-    out.prefillShare =
-        out.busyFrac > 0.0 ? u_p / (u_p + u_d) : 0.0;
-    out.decodeBatch = batch;
-
-    const double idle = hwSpec.gpuIdlePower.value();
-    // Idle decode contributes u_d * decode_w == 0 regardless of the
-    // decode power, so skip its evaluation (and the log2 inside)
-    // when decode is not running.
-    const double decode_w =
-        u_d > 0.0 ? decodeGpuPowerAt(profile, batch).value() : 0.0;
-    const double prefill_w = profile.prefill.gpuPower.value();
-    out.gpuPower = Watts(idle * (1.0 - out.busyFrac) +
-                         u_p * prefill_w + u_d * decode_w);
-    return out;
-}
-
 void
 PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
                         const double *demand_tps, std::size_t m,
@@ -509,8 +442,9 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
     // speculative division wS*r/denom is only selected when
     // denom > 1e-9, and every lane that reaches the select keeps it
     // finite (r == 0 forces denom = share > 0), so no NaN/inf
-    // survives selection. Expression order mirrors
-    // operatingGpuPointAt term for term — the std::min/max/clamp
+    // survives selection. Expression order mirrors the scalar
+    // reference solve (tests/llm/op_oracle.hh) term for term — the
+    // std::min/max/clamp
     // calls are spelled as the ternaries they expand to, because
     // their by-reference returns block the loop vectorizer — so with
     // -ffp-contract=off every lane is bit-identical to the scalar
@@ -556,7 +490,7 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
 
     // Scalar fixup: lanes whose decode power needs the full log2
     // formula (or whose profile lacks cached endpoints) go through
-    // the very function the scalar path uses.
+    // the very function the scalar reference uses.
     for (std::size_t i = 0; i < m; ++i) {
         if (dwA[i] < 0.0)
             dwA[i] =

@@ -236,32 +236,8 @@ class PerfModel
         Watts serverPower{0.0};
     };
 
-    /**
-     * Evaluate the operating point at a token demand (tokens/s).
-     *
-     * scalar-op-solve-deprecated: the per-call solves below survive
-     * for tests only; no library code outside this file calls them.
-     * Decision code (flow-mode load assignment, the configurator,
-     * down to its one-lane probes) goes through the batched passes
-     * further down, which gather the profile scalars once per lane
-     * and run the solve body branch-free over packed spans. The
-     * batched passes evaluate the exact same expressions
-     * element-wise, so results are bit-identical to these scalar
-     * calls (pinned by tests/llm/test_perf_op_batch.cc).
-     */
-    OperatingPoint operatingPointAt(const ConfigProfile &profile,
-                                    double demand_tps) const;
-
-    /**
-     * Same solve without the whole-server power term (left at 0):
-     * for callers that only need utilization and GPU power.
-     * scalar-op-solve-deprecated — see operatingPointAt.
-     */
-    OperatingPoint operatingGpuPointAt(const ConfigProfile &profile,
-                                       double demand_tps) const;
-
     // ------------------------------------------------------------
-    // Batched operating-point solver (the hot-loop entry points).
+    // Batched operating-point solver.
     //
     // Packed spans of (profile, demand_tps) in, caller-owned
     // OperatingPoint spans out. The solve body is restructured
@@ -269,9 +245,9 @@ class PerfModel
     // select/clamp arithmetic over chunked stride-1 arrays) so the
     // autovectorizer gets through; only the rare mid-range decode
     // batch falls back to the scalar power formula per lane.
-    // Results are bit-identical to the scalar solves above in the
-    // default FP mode (-ffp-contract=off pins this even under
-    // -march=native).
+    // Results are bit-identical to the scalar reference solve in
+    // tests/llm/op_oracle.hh in the default FP mode
+    // (-ffp-contract=off pins this even under -march=native).
     // ------------------------------------------------------------
 
     /** Batched full solve over per-lane profile pointers (lanes may

@@ -702,9 +702,9 @@ ClusterSim::computeDraws()
                                 (1.0 - ps) * decode_w);
                 } else {
                     // Same value assignSaasLoadFlowMode computed
-                    // when it set this VM's load (bit-identical:
-                    // operatingPointAt is deterministic in profile
-                    // and demand, both unchanged since).
+                    // when it set this VM's load (bit-identical: the
+                    // operating-point solve is deterministic in
+                    // profile and demand, both unchanged since).
                     base = saasOpGpuPowerW[vm_index];
                 }
                 // Most servers run uncapped; skip the pow() then.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -28,6 +29,11 @@ constexpr double kRefOutsideC = 24.0;
 constexpr double kRefDcLoad = 0.7;
 /** Below this fleet size the parallel fit fan-out is overhead. */
 constexpr std::size_t kParallelFitThreshold = 64;
+/** Coefficient widths of the flat model arrays. */
+constexpr std::size_t kInletWidth = 5;
+constexpr std::size_t kGpuTempWidth = 3;
+constexpr std::size_t kPowerWidth = 4;
+constexpr std::size_t kAirflowWidth = 2;
 
 // Refit sanity gate (refitPowerFromTelemetry). The envelope is
 // anchored to the offline bench fit, so a slowly drifting sensor
@@ -74,6 +80,122 @@ solveNormal4(double a[4][4], double b[4], double *out)
         out[col] = acc / a[perm[col]][col];
     }
     return true;
+}
+
+// Each fitted model's expression, written once for the batched
+// kernels and the refit gate. Term order matches the scalar
+// reference calls exactly, so results are bit-identical to them.
+
+/** Fitted Eq. 1; same term order as PiecewiseLinearModel::predict:
+ *  intercept, linear x0, hinges, then the extra linear feature. */
+inline double
+inletSpline(const double *w, double outside_c, double dc_load_frac)
+{
+    double acc = w[0];
+    acc += w[1] * outside_c;
+    acc += w[2] * std::max(0.0, outside_c - kInletKnots[0]);
+    acc += w[3] * std::max(0.0, outside_c - kInletKnots[1]);
+    acc += w[4] * dc_load_frac;
+    return acc;
+}
+
+/** Fitted Eq. 2 for one GPU. */
+inline double
+gpuTempLine(const double *w, double inlet_c, double gpu_power_w)
+{
+    return w[0] + w[1] * inlet_c + w[2] * gpu_power_w;
+}
+
+/** Fitted Eq. 4; same power basis as PolynomialRegression::predict. */
+inline double
+powerCubic(const double *w, double x)
+{
+    double acc = w[0];
+    double term = x;
+    for (std::size_t p = 1; p < kPowerWidth; ++p) {
+        acc += w[p] * term;
+        term *= x;
+    }
+    return acc;
+}
+
+/** Fitted Eq. 3. */
+inline double
+airflowLine(const double *w, double x)
+{
+    return w[0] + w[1] * x;
+}
+
+// Shape dispatch of the batched kernels: each kernel body is
+// instantiated once per (server set, input) shape, so the shape is
+// decided once per call, never per element. The accessors map
+// evaluation i to its server index, and to its input value (for
+// GPU g).
+
+template <class Fn>
+void
+withServers(const ServerBatch &servers, std::size_t profiled, Fn &&fn)
+{
+    switch (servers.kind) {
+    case ServerBatch::Kind::FirstN:
+        tapas_assert(servers.n <= profiled,
+                     "batch of %zu exceeds %zu profiled servers",
+                     servers.n, profiled);
+        fn([](std::size_t i) { return i; });
+        return;
+    case ServerBatch::Kind::List:
+        fn([ids = servers.ids, profiled](std::size_t i) {
+            tapas_assert(ids[i].index < profiled,
+                         "server %u not profiled", ids[i].index);
+            return static_cast<std::size_t>(ids[i].index);
+        });
+        return;
+    case ServerBatch::Kind::Repeat:
+        tapas_assert(servers.one.index < profiled,
+                     "server %u not profiled", servers.one.index);
+        fn([s = static_cast<std::size_t>(servers.one.index)](
+               std::size_t) { return s; });
+        return;
+    }
+}
+
+/**
+ * @p map applies to each input value; a shared value is mapped once,
+ * before the kernel loop, so the loop sees a plain invariant.
+ */
+template <class Fn, class Map = std::identity>
+void
+withInput(const BatchInput &in, Fn &&fn, Map map = {})
+{
+    tapas_assert(!in.gpuWide, "per-GPU values need predictHottestGpu");
+    if (in.each) {
+        fn([v = in.each, map](std::size_t i, std::size_t = 0) {
+            return map(v[i]);
+        });
+    } else {
+        fn([v = map(in.shared)](std::size_t, std::size_t = 0) { return v; });
+    }
+}
+
+/**
+ * Batched kernel of a load model (power cubic or airflow line): the
+ * fitted models saturate outside load [0, 1], so inputs are clamped.
+ */
+template <double (*Model)(const double *, double), std::size_t Width>
+void
+predictAtLoad(const ServerBatch &servers, std::size_t profiled,
+              const double *coeffs, const BatchInput &load_frac,
+              double *out)
+{
+    const std::size_t n = servers.n;
+    withServers(servers, profiled, [&](auto server) {
+        auto kernel = [&](auto load) {
+            for (std::size_t i = 0; i < n; ++i)
+                out[i] = Model(coeffs + server(i) * Width, load(i));
+        };
+        withInput(load_frac, kernel,
+                  [](double x) { return std::clamp(x, 0.0, 1.0); });
+    });
 }
 
 /** Inlet spline basis rows: {x0, hinge(15), hinge(25), x1}. */
@@ -297,8 +419,8 @@ void
 ProfileBank::recomputeClasses()
 {
     inletBias.resize(profiledServers, 0.0);
-    for (std::size_t s = 0; s < profiledServers; ++s)
-        inletBias[s] = evalInlet(s, kRefOutsideC, kRefDcLoad);
+    predictInlet(ServerBatch::firstN(profiledServers), kRefOutsideC,
+                 kRefDcLoad, inletBias.data());
     std::vector<std::size_t> order(profiledServers);
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -323,19 +445,91 @@ ProfileBank::recomputeClasses()
     }
 }
 
-double
-ProfileBank::evalInlet(std::size_t server, double outside_c,
-                       double dc_load_frac) const
+void
+ProfileBank::predictInlet(const ServerBatch &servers,
+                          const BatchInput &outside_c,
+                          const BatchInput &dc_load_frac,
+                          double *out) const
 {
-    // Same term order as PiecewiseLinearModel::predict: intercept,
-    // linear x0, hinges, then the extra linear feature.
-    const double *w = &inletCoeffs[server * kInletWidth];
-    double acc = w[0];
-    acc += w[1] * outside_c;
-    acc += w[2] * std::max(0.0, outside_c - kInletKnots[0]);
-    acc += w[3] * std::max(0.0, outside_c - kInletKnots[1]);
-    acc += w[4] * dc_load_frac;
-    return acc;
+    const std::size_t n = servers.n;
+    const double *coeffs = inletCoeffs.data();
+    withServers(servers, profiledServers, [&](auto server) {
+        withInput(outside_c, [&](auto outside) {
+            withInput(dc_load_frac, [&](auto dc_load) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    out[i] = inletSpline(coeffs + server(i) * kInletWidth,
+                                         outside(i), dc_load(i));
+                }
+            });
+        });
+    });
+}
+
+void
+ProfileBank::predictPower(const ServerBatch &servers,
+                          const BatchInput &load_frac, double *out) const
+{
+    predictAtLoad<powerCubic, kPowerWidth>(
+        servers, profiledServers, powerCoeffs.data(), load_frac, out);
+}
+
+void
+ProfileBank::predictAirflow(const ServerBatch &servers,
+                            const BatchInput &load_frac,
+                            double *out) const
+{
+    predictAtLoad<airflowLine, kAirflowWidth>(
+        servers, profiledServers, airflowCoeffs.data(), load_frac, out);
+}
+
+void
+ProfileBank::predictHottestGpu(const ServerBatch &servers,
+                               const BatchInput &inlet_c,
+                               const BatchInput &gpu_power_w,
+                               double *out) const
+{
+    const std::size_t n = servers.n;
+    const std::size_t gpus = static_cast<std::size_t>(gpusPerServer);
+    const std::size_t block = gpus * kGpuTempWidth;
+    const double *coeffs = gpuTempCoeffs.data();
+    auto kernel = [&](auto server, auto inlet, auto power) {
+        // Two evaluations per pass: each max still folds its GPUs in
+        // order (bit-identical to the scalar call), but the two max
+        // chains are independent, so their latencies overlap. An odd
+        // tail pairs the last evaluation with itself.
+        for (std::size_t i = 0; i < n; i += 2) {
+            const std::size_t j = i + 1 < n ? i + 1 : i;
+            const double *wa = coeffs + server(i) * block;
+            const double *wb = coeffs + server(j) * block;
+            const double inlet_a = inlet(i);
+            const double inlet_b = inlet(j);
+            double hottest_a = -1e9;
+            double hottest_b = -1e9;
+            for (std::size_t g = 0; g < gpus; ++g) {
+                const std::size_t k = g * kGpuTempWidth;
+                hottest_a = std::max(
+                    hottest_a, gpuTempLine(wa + k, inlet_a, power(i, g)));
+                hottest_b = std::max(
+                    hottest_b, gpuTempLine(wb + k, inlet_b, power(j, g)));
+            }
+            out[j] = hottest_b;
+            out[i] = hottest_a;
+        }
+    };
+    withServers(servers, profiledServers, [&](auto server) {
+        withInput(inlet_c, [&](auto inlet) {
+            if (gpu_power_w.gpuWide) {
+                kernel(server, inlet,
+                       [v = gpu_power_w.each, gpus](std::size_t i,
+                                                    std::size_t g) {
+                           return v[i * gpus + g];
+                       });
+                return;
+            }
+            withInput(gpu_power_w,
+                      [&](auto power) { kernel(server, inlet, power); });
+        });
+    });
 }
 
 double
@@ -344,7 +538,15 @@ ProfileBank::predictInletC(ServerId id, double outside_c,
 {
     tapas_assert(id.index < profiledServers,
                  "server %u not profiled", id.index);
-    return evalInlet(id.index, outside_c, dc_load_frac);
+    // Same term order as PiecewiseLinearModel::predict: intercept,
+    // linear x0, hinges, then the extra linear feature.
+    const double *w = &inletCoeffs[id.index * kInletWidth];
+    double acc = w[0];
+    acc += w[1] * outside_c;
+    acc += w[2] * std::max(0.0, outside_c - kInletKnots[0]);
+    acc += w[3] * std::max(0.0, outside_c - kInletKnots[1]);
+    acc += w[4] * dc_load_frac;
+    return acc;
 }
 
 double
@@ -365,8 +567,6 @@ double
 ProfileBank::predictHottestGpuC(ServerId id, double inlet_c,
                                 double per_gpu_power_w) const
 {
-    // Hot path of the configurator's feasibility sweep: one walk
-    // over the server's contiguous coefficient block.
     tapas_assert(id.index < profiledServers,
                  "server %u not profiled", id.index);
     const double *w =
@@ -429,297 +629,12 @@ ProfileBank::predictServerAirflowCfm(ServerId id,
     return w[0] + w[1] * x;
 }
 
-void
-ProfileBank::predictInletBatch(double outside_c, double dc_load_frac,
-                               std::size_t count, double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    // The hinge terms depend only on the shared ambient input;
-    // hoisting them keeps the walk one contiguous coefficient read
-    // plus four fused multiply-adds per server. Term order matches
-    // evalInlet exactly, so results are bit-identical.
-    const double h0 = std::max(0.0, outside_c - kInletKnots[0]);
-    const double h1 = std::max(0.0, outside_c - kInletKnots[1]);
-    const double *w = inletCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kInletWidth) {
-        double acc = w[0];
-        acc += w[1] * outside_c;
-        acc += w[2] * h0;
-        acc += w[3] * h1;
-        acc += w[4] * dc_load_frac;
-        out[s] = acc;
-    }
-}
-
-void
-ProfileBank::predictPowerBatch(const double *load_frac,
-                               std::size_t count, double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    const double *w = powerCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth) {
-        const double x = std::clamp(load_frac[s], 0.0, 1.0);
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[s] = acc;
-    }
-}
-
-void
-ProfileBank::predictPowerUniformBatch(double load_frac,
-                                      std::size_t count,
-                                      double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    const double *w = powerCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth) {
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[s] = acc;
-    }
-}
-
-void
-ProfileBank::predictAirflowBatch(const double *load_frac,
-                                 std::size_t count, double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    const double *w = airflowCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kAirflowWidth) {
-        const double x = std::clamp(load_frac[s], 0.0, 1.0);
-        out[s] = w[0] + w[1] * x;
-    }
-}
-
-void
-ProfileBank::predictAirflowUniformBatch(double load_frac,
-                                        std::size_t count,
-                                        double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    const double *w = airflowCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kAirflowWidth)
-        out[s] = w[0] + w[1] * x;
-}
-
-void
-ProfileBank::predictPowerGather(const ServerId *ids,
-                                const double *load_frac,
-                                std::size_t n, double *out) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        const double *w = &powerCoeffs[ids[i].index * kPowerWidth];
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[i] = acc;
-    }
-}
-
-void
-ProfileBank::predictAirflowGather(const ServerId *ids,
-                                  const double *load_frac,
-                                  std::size_t n, double *out) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        const double *w =
-            &airflowCoeffs[ids[i].index * kAirflowWidth];
-        out[i] = w[0] + w[1] * x;
-    }
-}
-
-void
-ProfileBank::predictPowerUniformGather(double load_frac,
-                                       const ServerId *ids,
-                                       std::size_t n,
-                                       double *out) const
-{
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        const double *w = &powerCoeffs[ids[i].index * kPowerWidth];
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[i] = acc;
-    }
-}
-
-void
-ProfileBank::predictAirflowUniformGather(double load_frac,
-                                         const ServerId *ids,
-                                         std::size_t n,
-                                         double *out) const
-{
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        const double *w =
-            &airflowCoeffs[ids[i].index * kAirflowWidth];
-        out[i] = w[0] + w[1] * x;
-    }
-}
-
-void
-ProfileBank::predictHottestGpuBatch(const double *inlet_c,
-                                    const double *gpu_power_w,
-                                    std::size_t count,
-                                    double *out) const
-{
-    tapas_assert(count <= profiledServers,
-                 "batch of %zu exceeds %zu profiled servers", count,
-                 profiledServers);
-    const std::size_t gpus =
-        static_cast<std::size_t>(gpusPerServer);
-    const double *w = gpuTempCoeffs.data();
-    const double *p = gpu_power_w;
-    for (std::size_t s = 0; s < count; ++s, p += gpus) {
-        const double inlet = inlet_c[s];
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet + w[2] * p[g]);
-        }
-        out[s] = hottest;
-    }
-}
-
-void
-ProfileBank::predictHottestGpuGather(const ServerId *ids,
-                                     const double *inlet_c,
-                                     const double *per_gpu_power_w,
-                                     std::size_t n, double *out) const
-{
-    const std::size_t gpus =
-        static_cast<std::size_t>(gpusPerServer);
-    const std::size_t block = gpus * kGpuTempWidth;
-    auto coeffs = [&](std::size_t i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        return &gpuTempCoeffs[ids[i].index * block];
-    };
-    // Two servers per pass: each server's max still folds its GPUs
-    // in order (bit-identical to the scalar call), but the two max
-    // chains are independent, so their latencies overlap.
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const double *wa = coeffs(i);
-        const double *wb = coeffs(i + 1);
-        const double inlet_a = inlet_c[i];
-        const double inlet_b = inlet_c[i + 1];
-        const double power_a = per_gpu_power_w[i];
-        const double power_b = per_gpu_power_w[i + 1];
-        double hottest_a = -1e9;
-        double hottest_b = -1e9;
-        for (std::size_t g = 0; g < gpus;
-             ++g, wa += kGpuTempWidth, wb += kGpuTempWidth) {
-            hottest_a = std::max(
-                hottest_a, wa[0] + wa[1] * inlet_a + wa[2] * power_a);
-            hottest_b = std::max(
-                hottest_b, wb[0] + wb[1] * inlet_b + wb[2] * power_b);
-        }
-        out[i] = hottest_a;
-        out[i + 1] = hottest_b;
-    }
-    for (; i < n; ++i) {
-        const double *w = coeffs(i);
-        const double inlet = inlet_c[i];
-        const double power = per_gpu_power_w[i];
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet + w[2] * power);
-        }
-        out[i] = hottest;
-    }
-}
-
-void
-ProfileBank::predictHottestGpuCandidates(ServerId id, double inlet_c,
-                                         const double *per_gpu_power_w,
-                                         std::size_t n,
-                                         double *out) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    const std::size_t gpus =
-        static_cast<std::size_t>(gpusPerServer);
-    const double *block =
-        &gpuTempCoeffs[id.index * gpus * kGpuTempWidth];
-    for (std::size_t i = 0; i < n; ++i) {
-        const double power = per_gpu_power_w[i];
-        const double *w = block;
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet_c + w[2] * power);
-        }
-        out[i] = hottest;
-    }
-}
-
-void
-ProfileBank::predictAirflowCandidates(ServerId id,
-                                      const double *load_frac,
-                                      std::size_t n, double *out) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    const double *w = &airflowCoeffs[id.index * kAirflowWidth];
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        out[i] = w[0] + w[1] * x;
-    }
-}
-
 ThermalClass
 ProfileBank::thermalClass(ServerId id) const
 {
     tapas_assert(id.index < profiledServers,
                  "server %u not profiled", id.index);
     return classes[id.index];
-}
-
-double
-ProfileBank::inletBiasC(ServerId id) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    return inletBias[id.index];
 }
 
 void
@@ -740,16 +655,6 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
                     offlinePowerCoeffs.size()),
             powerCoeffs.end());
     }
-
-    auto eval = [](const double *w, double x) {
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        return acc;
-    };
 
     for (std::size_t s = 0; s < profiledServers; ++s) {
         const ServerId id(static_cast<std::uint32_t>(s));
@@ -792,11 +697,11 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
         const double *anchor = &offlinePowerCoeffs[s * kPowerWidth];
         bool diverging = false;
         for (const double x : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-            const double ref = eval(anchor, x);
+            const double ref = powerCubic(anchor, x);
             const double tol =
                 std::max(kRefitEnvelopeFloorW,
                          kRefitEnvelopeFrac * std::abs(ref));
-            if (std::abs(eval(w, x) - ref) > tol) {
+            if (std::abs(powerCubic(w, x) - ref) > tol) {
                 diverging = true;
                 break;
             }
@@ -809,7 +714,7 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
             for (const ServerSample &sample : samples) {
                 const double x = std::clamp(
                     static_cast<double>(sample.gpuLoad), 0.0, 1.0);
-                const double resid = eval(w, x) -
+                const double resid = powerCubic(w, x) -
                     static_cast<double>(sample.serverPowerW);
                 sq += resid * resid;
             }
@@ -853,6 +758,28 @@ ProfileBank::checkpointState(Archive &ar)
     ar.count(fitQuarantinedServers);
     ar.value(refitsAcceptedCount);
     ar.value(refitsRejectedCount);
+    if (ar.writing())
+        return;
+    // A CRC-valid file can still carry vectors that disagree with
+    // each other or with the layout; the predictions would then
+    // read past them.
+    const std::size_t n = profiledServers;
+    const std::size_t gpus = static_cast<std::size_t>(gpusPerServer);
+    const std::size_t quarantined = fitQuarantinedFlag.size() -
+        static_cast<std::size_t>(std::count(
+            fitQuarantinedFlag.begin(), fitQuarantinedFlag.end(), 0));
+    if (n > layout.serverCount() ||
+        gpusPerServer != layout.specs().front().gpusPerServer ||
+        inletCoeffs.size() != n * kInletWidth ||
+        gpuTempCoeffs.size() != n * gpus * kGpuTempWidth ||
+        powerCoeffs.size() != n * kPowerWidth ||
+        airflowCoeffs.size() != n * kAirflowWidth ||
+        inletBias.size() != n || classes.size() != n ||
+        offlinePowerCoeffs.size() > powerCoeffs.size() ||
+        (!fitQuarantinedFlag.empty() &&
+         fitQuarantinedFlag.size() != n) ||
+        fitQuarantinedServers != quarantined)
+        ar.fail();
 }
 
 } // namespace tapas

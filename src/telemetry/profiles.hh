@@ -19,6 +19,10 @@
  * regression objects): the risk and configurator sweeps evaluate
  * these models millions of times per simulated step, and contiguous
  * coefficient storage keeps those walks cache-resident.
+ * Decisions read each model through one batched function whose
+ * server set and inputs take any shape its callers need; the scalar
+ * per-server calls are the reference those functions are tested
+ * against.
  */
 
 #ifndef TAPAS_TELEMETRY_PROFILES_HH
@@ -41,6 +45,51 @@ class TelemetryStore;
 
 /** Placement temperature class of a server (Section 4.5, rule 2). */
 enum class ThermalClass { Cold, Medium, Warm };
+
+/**
+ * The servers a batched prediction evaluates, one result each: the
+ * first n servers of the fleet, an id list (any order, duplicates
+ * allowed), or one server n times.
+ */
+struct ServerBatch
+{
+    enum class Kind : std::uint8_t { FirstN, List, Repeat };
+
+    static ServerBatch firstN(std::size_t n)
+    { return {Kind::FirstN, n, nullptr, ServerId()}; }
+    static ServerBatch list(const ServerId *ids, std::size_t n)
+    { return {Kind::List, n, ids, ServerId()}; }
+    static ServerBatch repeat(ServerId id, std::size_t n)
+    { return {Kind::Repeat, n, nullptr, id}; }
+
+    Kind kind;
+    std::size_t n;
+    const ServerId *ids; // List only
+    ServerId one;        // Repeat only
+};
+
+/**
+ * One input of a batched prediction: a pointer to one value per
+ * evaluation, or one value shared by all of them. perGpu() holds
+ * gpusPerServer values per evaluation, [i * gpusPerServer + gpu]
+ * (predictHottestGpu's GPU power only).
+ */
+struct BatchInput
+{
+    BatchInput(double value) : shared(value) {}
+    BatchInput(const double *values) : each(values) {}
+
+    static BatchInput perGpu(const double *values)
+    {
+        BatchInput in(values);
+        in.gpuWide = true;
+        return in;
+    }
+
+    const double *each = nullptr;
+    double shared = 0.0;
+    bool gpuWide = false;
+};
 
 /** Fitted profile store. */
 class ProfileBank
@@ -103,16 +152,42 @@ class ProfileBank
     { return refitsRejectedCount; }
 
     // ------------------------------------------------------------
-    // Scalar predictions.
+    // Batched predictions, one function per fitted model: each
+    // takes its shape from ServerBatch and BatchInput and writes
+    // servers.n results into the caller-owned @p out. Decision code
+    // (risk refresh, placement, the configurator) calls only these.
+    // ------------------------------------------------------------
+
+    /** Predicted inlet temperature (fitted Eq. 1). */
+    void predictInlet(const ServerBatch &servers,
+                      const BatchInput &outside_c,
+                      const BatchInput &dc_load_frac, double *out) const;
+
+    /** Predicted server power at a load fraction (fitted Eq. 4). */
+    void predictPower(const ServerBatch &servers,
+                      const BatchInput &load_frac, double *out) const;
+
+    /** Predicted server airflow at a load fraction (fitted Eq. 3). */
+    void predictAirflow(const ServerBatch &servers,
+                        const BatchInput &load_frac, double *out) const;
+
+    /**
+     * Hottest predicted GPU (per-GPU max of fitted Eq. 2).
+     * @p gpu_power_w is the power of every GPU, or per GPU
+     * (BatchInput::perGpu, the risk refresh's measured powers).
+     */
+    void predictHottestGpu(const ServerBatch &servers,
+                           const BatchInput &inlet_c,
+                           const BatchInput &gpu_power_w,
+                           double *out) const;
+
+    // ------------------------------------------------------------
+    // Scalar per-server predictions.
     //
-    // scalar-predict-deprecated: the per-server predict* calls below
-    // survive for tests, offline benches, and debug cross-checks
-    // only. Decision hot loops (risk refresh, the TAPAS allocator,
-    // the configurator) must go through the batched passes further
-    // down, which stream the flat coefficient arrays once per fleet
-    // (or once per candidate block) instead of re-entering per
-    // server. The batched passes evaluate the exact same expressions
-    // element-wise, so results are bit-identical to the scalar calls.
+    // scalar-predict-deprecated: written independently of the
+    // batched kernels, these are the reference the batch tests
+    // compare against bit for bit, and the per-server API of the
+    // offline benches. Library code must not call them (lint R1).
     // ------------------------------------------------------------
 
     /** Predicted inlet temperature (fitted Eq. 1). */
@@ -129,7 +204,7 @@ class ProfileBank
 
     /**
      * Max predicted GPU temp with measured per-GPU powers
-     * (gpusPerServer-wide slice); risk-refresh hot path.
+     * (gpusPerServer-wide slice).
      */
     double predictHottestGpuC(ServerId id, double inlet_c,
                               const double *gpu_power_w) const;
@@ -141,105 +216,11 @@ class ProfileBank
     double predictServerAirflowCfm(ServerId id,
                                    double load_frac) const;
 
-    // ------------------------------------------------------------
-    // Batched prediction passes (the hot-loop entry points).
-    //
-    // Fleet-wide variants cover servers [0, count) and write one
-    // result per server into the caller-owned output span; gather
-    // variants evaluate an arbitrary server subset; the per-server
-    // "candidates" variants stream one server's coefficient block
-    // over many candidate operating points (configurator scoring).
-    // ------------------------------------------------------------
-
-    /** Predicted inlet for servers [0, count) at shared ambient
-     *  conditions (the hinge terms are hoisted out of the fleet
-     *  walk). */
-    void predictInletBatch(double outside_c, double dc_load_frac,
-                           std::size_t count, double *out) const;
-
-    /** Predicted server power for servers [0, count) at per-server
-     *  loads. */
-    void predictPowerBatch(const double *load_frac, std::size_t count,
-                           double *out) const;
-
-    /** Predicted server power for servers [0, count) at one shared
-     *  load (placement what-ifs). */
-    void predictPowerUniformBatch(double load_frac, std::size_t count,
-                                  double *out) const;
-
-    /** Predicted airflow for servers [0, count) at per-server
-     *  loads. */
-    void predictAirflowBatch(const double *load_frac,
-                             std::size_t count, double *out) const;
-
-    /** Predicted airflow for servers [0, count) at one shared
-     *  load. */
-    void predictAirflowUniformBatch(double load_frac,
-                                    std::size_t count,
-                                    double *out) const;
-
-    /** Predicted server power for an arbitrary server subset. */
-    void predictPowerGather(const ServerId *ids,
-                            const double *load_frac, std::size_t n,
-                            double *out) const;
-
-    /** Predicted airflow for an arbitrary server subset. */
-    void predictAirflowGather(const ServerId *ids,
-                              const double *load_frac, std::size_t n,
-                              double *out) const;
-
-    /** Predicted server power for a server subset at one shared
-     *  load (placement what-ifs over the free servers). */
-    void predictPowerUniformGather(double load_frac,
-                                   const ServerId *ids, std::size_t n,
-                                   double *out) const;
-
-    /** Predicted airflow for a server subset at one shared load. */
-    void predictAirflowUniformGather(double load_frac,
-                                     const ServerId *ids,
-                                     std::size_t n, double *out) const;
-
-    /**
-     * Hottest predicted GPU for servers [0, count) from per-server
-     * inlets and measured per-GPU powers (flattened
-     * [server * gpus + gpu]); risk-refresh hot path.
-     */
-    void predictHottestGpuBatch(const double *inlet_c,
-                                const double *gpu_power_w,
-                                std::size_t count, double *out) const;
-
-    /**
-     * Hottest predicted GPU for a server subset from per-element
-     * inlets and per-GPU powers (placement projections over the
-     * servers that pass the budget validators).
-     */
-    void predictHottestGpuGather(const ServerId *ids,
-                                 const double *inlet_c,
-                                 const double *per_gpu_power_w,
-                                 std::size_t n, double *out) const;
-
-    /**
-     * Hottest predicted GPU of one server over n candidate per-GPU
-     * powers at a fixed inlet (configurator candidate scoring: the
-     * server's coefficient block streams once over the block).
-     */
-    void predictHottestGpuCandidates(ServerId id, double inlet_c,
-                                     const double *per_gpu_power_w,
-                                     std::size_t n, double *out) const;
-
-    /** Airflow of one server over n candidate heat loads. */
-    void predictAirflowCandidates(ServerId id,
-                                  const double *load_frac,
-                                  std::size_t n, double *out) const;
-
     /**
      * Thermal placement class: servers are split into equal terciles
      * by fitted inlet bias (predicted inlet at reference conditions).
      */
     ThermalClass thermalClass(ServerId id) const;
-
-    /** Fitted inlet bias of a server versus the fleet median. */
-    double inletBiasC(ServerId id) const;
 
     /**
      * Serialize/restore all fitted coefficients and refit-gate state
@@ -250,12 +231,6 @@ class ProfileBank
     void checkpointState(Archive &ar);
 
   private:
-    /** Coefficient widths of the flat model arrays. */
-    static constexpr std::size_t kInletWidth = 5;
-    static constexpr std::size_t kGpuTempWidth = 3;
-    static constexpr std::size_t kPowerWidth = 4;
-    static constexpr std::size_t kAirflowWidth = 2;
-
     // ckpt-skip(constant): layout wiring bound at construction
     const DatacenterLayout &layout;
 
@@ -290,9 +265,6 @@ class ProfileBank
                       const PowerModel &power,
                       std::uint64_t noise_base);
     void recomputeClasses();
-
-    double evalInlet(std::size_t server, double outside_c,
-                     double dc_load_frac) const;
 };
 
 } // namespace tapas

@@ -41,9 +41,9 @@ predictedAisleAirflow(const ClusterView &view, AisleId aisle,
             load = std::max(load, extra_peak_load);
         loads[i] = load;
     }
-    view.profiles->predictAirflowGather(servers.data(), loads.data(),
-                                        servers.size(),
-                                        airflow.data());
+    view.profiles->predictAirflow(
+        ServerBatch::list(servers.data(), servers.size()), loads.data(),
+        airflow.data());
     double total = 0.0;
     for (double a : airflow)
         total += a;
@@ -67,8 +67,9 @@ predictedRowPower(const ClusterView &view, RowId row,
             load = std::max(load, extra_peak_load);
         loads[i] = load;
     }
-    view.profiles->predictPowerGather(servers.data(), loads.data(),
-                                      servers.size(), power.data());
+    view.profiles->predictPower(
+        ServerBatch::list(servers.data(), servers.size()), loads.data(),
+        power.data());
     double total = 0.0;
     for (double p : power)
         total += p;
@@ -115,10 +116,9 @@ referencePlace(const TapasPolicyConfig &cfg,
     TapasAllocator::peakLoadByServer(view, peaks);
     std::vector<double> occupied_airflow(servers);
     std::vector<double> occupied_power(servers);
-    profiles.predictAirflowBatch(peaks.data(), servers,
-                                 occupied_airflow.data());
-    profiles.predictPowerBatch(peaks.data(), servers,
-                               occupied_power.data());
+    const ServerBatch fleet = ServerBatch::firstN(servers);
+    profiles.predictAirflow(fleet, peaks.data(), occupied_airflow.data());
+    profiles.predictPower(fleet, peaks.data(), occupied_power.data());
     std::vector<double> aisle_base(layout.aisleCount(), 0.0);
     std::vector<double> row_base(layout.rowCount(), 0.0);
     for (const Server &server : layout.servers()) {
@@ -133,26 +133,20 @@ referencePlace(const TapasPolicyConfig &cfg,
     std::vector<double> inlet(servers);
     std::vector<double> per_gpu_w(servers);
     std::vector<double> hottest(servers);
-    std::vector<ServerId> every(servers);
-    for (const Server &server : layout.servers())
-        every[server.id.index] = server.id;
-    profiles.predictAirflowUniformBatch(0.0, servers,
-                                        airflow_zero.data());
-    profiles.predictAirflowUniformBatch(load, servers,
-                                        airflow_req.data());
-    profiles.predictPowerUniformBatch(0.0, servers, power_zero.data());
-    profiles.predictPowerUniformBatch(load, servers, power_req.data());
-    profiles.predictInletBatch(std::max(view.outsideC, 34.0), 1.0,
-                               servers, inlet.data());
+    profiles.predictAirflow(fleet, 0.0, airflow_zero.data());
+    profiles.predictAirflow(fleet, load, airflow_req.data());
+    profiles.predictPower(fleet, 0.0, power_zero.data());
+    profiles.predictPower(fleet, load, power_req.data());
+    profiles.predictInlet(fleet, std::max(view.outsideC, 34.0), 1.0,
+                          inlet.data());
     for (const Server &server : layout.servers()) {
         const ServerSpec &spec = layout.specOf(server.id);
         per_gpu_w[server.id.index] = spec.gpuIdlePower.value() +
             (spec.gpuMaxPower.value() - spec.gpuIdlePower.value()) *
                 request.predictedPeakLoad;
     }
-    profiles.predictHottestGpuGather(every.data(), inlet.data(),
-                                     per_gpu_w.data(), servers,
-                                     hottest.data());
+    profiles.predictHottestGpu(fleet, inlet.data(), per_gpu_w.data(),
+                               hottest.data());
 
     ReferencePlacement out;
     std::optional<ServerId> best;

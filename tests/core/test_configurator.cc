@@ -15,6 +15,7 @@
 
 #include "common/random.hh"
 #include "core/configurator.hh"
+#include "llm/op_oracle.hh"
 
 namespace tapas {
 namespace {
@@ -24,7 +25,8 @@ namespace {
  * as the oracle: every candidate of the quality-desc, goodput-desc
  * space is scored against the limits in growing blocks and the
  * take/prune rules replay in order; then the infeasible fallback
- * and the hysteresis check. Scalar solves throughout.
+ * and the hysteresis check. Scalar solves (llm/op_oracle.hh)
+ * throughout.
  */
 class ReferenceWalk
 {
@@ -46,7 +48,7 @@ class ReferenceWalk
         auto power_at_demand = [&](const ConfigProfile &p) {
             const double capped =
                 std::min(demand_tps, std::max(1.0, p.goodputTps));
-            return perf.operatingPointAt(p, capped)
+            return operatingPointAt(perf, p, capped)
                 .serverPower.value();
         };
         const ConfigProfile *best = nullptr;
@@ -68,16 +70,16 @@ class ReferenceWalk
             double gpu_power[kBlock];
             double heat[kBlock];
             for (std::size_t i = 0; i < pending; ++i) {
-                ops[i] = perf.operatingPointAt(
-                    *cands[i],
+                ops[i] = operatingPointAt(
+                    perf, *cands[i],
                     std::min(demand_tps, cands[i]->goodputTps));
                 gpu_power[i] = ops[i].gpuPower.value();
                 heat[i] = heatFractionOf(*cands[i], ops[i]);
             }
-            profiles.predictHottestGpuCandidates(
-                server, limits.inletC, gpu_power, pending, hottest);
-            profiles.predictAirflowCandidates(server, heat, pending,
-                                              airflow);
+            const ServerBatch block = ServerBatch::repeat(server, pending);
+            profiles.predictHottestGpu(block, limits.inletC, gpu_power,
+                                       hottest);
+            profiles.predictAirflow(block, heat, airflow);
             if (scored)
                 *scored += pending;
             for (std::size_t i = 0; i < pending; ++i) {
@@ -96,7 +98,7 @@ class ReferenceWalk
                 const double rank_power_w =
                     rank_demand == feas_demand
                     ? op.serverPower.value()
-                    : perf.operatingPointAt(cand, rank_demand)
+                    : operatingPointAt(perf, cand, rank_demand)
                           .serverPower.value();
                 const bool meets = cand.goodputTps >= target_tps;
                 const double power =
@@ -176,7 +178,7 @@ class ReferenceWalk
             const double cur_feas_demand =
                 std::min(demand_tps, current.goodputTps);
             const PerfModel::OperatingPoint cur_op =
-                perf.operatingPointAt(current, cur_feas_demand);
+                operatingPointAt(perf, current, cur_feas_demand);
             if (feasibleAt(server, profiles, limits, current,
                            cur_op)) {
                 const bool current_meets =
@@ -186,7 +188,7 @@ class ReferenceWalk
                 const double current_power =
                     cur_rank_demand == cur_feas_demand
                     ? cur_op.serverPower.value()
-                    : perf.operatingPointAt(current, cur_rank_demand)
+                    : operatingPointAt(perf, current, cur_rank_demand)
                           .serverPower.value();
                 const double gain_bar =
                     best->config.requiresReload(current.config)
@@ -241,15 +243,15 @@ class ReferenceWalk
     {
         if (op.serverPower.value() > limits.maxServerPowerW)
             return false;
-        const double gpu_power = op.gpuPower.value();
+        const ServerBatch probe = ServerBatch::repeat(server, 1);
         double hottest = 0.0;
-        profiles.predictHottestGpuCandidates(
-            server, limits.inletC, &gpu_power, 1, &hottest);
+        profiles.predictHottestGpu(probe, limits.inletC,
+                                   op.gpuPower.value(), &hottest);
         if (hottest > limits.maxGpuTempC)
             return false;
-        const double heat = heatFractionOf(profile, op);
         double airflow = 0.0;
-        profiles.predictAirflowCandidates(server, &heat, 1, &airflow);
+        profiles.predictAirflow(probe, heatFractionOf(profile, op),
+                                &airflow);
         return airflow <= limits.maxAirflowCfm;
     }
 };
@@ -641,7 +643,7 @@ TEST_F(ConfiguratorDiffTest, ReloadAndFreeTieBreakByIndex)
 
         // P, and its least-power free (x) and reload (y) candidates.
         auto power = [&](const ConfigProfile &p) {
-            return perf.operatingPointAt(p, demand)
+            return operatingPointAt(perf, p, demand)
                 .serverPower.value();
         };
         std::size_t x = space.size();

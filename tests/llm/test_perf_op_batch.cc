@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "llm/op_oracle.hh"
 #include "llm/perf.hh"
 
 namespace tapas {
@@ -76,10 +77,10 @@ TEST(PerfOpBatch, PointerLanesBitIdenticalToScalarAllProfiles)
                                      demands.size(), gpu.data());
         for (std::size_t i = 0; i < demands.size(); ++i) {
             expectPointsIdentical(
-                full[i], model.operatingPointAt(p, demands[i]), p,
+                full[i], operatingPointAt(model, p, demands[i]), p,
                 demands[i]);
             expectPointsIdentical(
-                gpu[i], model.operatingGpuPointAt(p, demands[i]), p,
+                gpu[i], operatingGpuPointAt(model, p, demands[i]), p,
                 demands[i]);
         }
     }
@@ -113,10 +114,10 @@ TEST(PerfOpBatch, MixedProfileLanesBitIdentical)
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const ConfigProfile &p = *lanes[i];
         expectPointsIdentical(
-            full[i], model.operatingPointAt(p, demands[i]), p,
+            full[i], operatingPointAt(model, p, demands[i]), p,
             demands[i]);
         expectPointsIdentical(
-            gpu[i], model.operatingGpuPointAt(p, demands[i]), p,
+            gpu[i], operatingGpuPointAt(model, p, demands[i]), p,
             demands[i]);
     }
 }
@@ -138,7 +139,7 @@ TEST(PerfOpBatch, UncachedDecodeEndpointsFallBackIdentically)
                               demands.size(), full.data());
     for (std::size_t i = 0; i < demands.size(); ++i) {
         expectPointsIdentical(
-            full[i], model.operatingPointAt(p, demands[i]), p,
+            full[i], operatingPointAt(model, p, demands[i]), p,
             demands[i]);
     }
 }
@@ -163,7 +164,7 @@ TEST(PerfOpBatch, ChunkBoundariesCoverEveryResidue)
                                   out.data());
         for (std::size_t i = 0; i < n; ++i) {
             expectPointsIdentical(
-                out[i], model.operatingPointAt(p, demands[i]), p,
+                out[i], operatingPointAt(model, p, demands[i]), p,
                 demands[i]);
         }
     }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,50 @@ TEST(Checkpoint, UndecodablePayloadIsRejectedAfterValidation)
     EXPECT_EQ(err.code(), ErrorCode::Corrupt);
     EXPECT_NE(err.message().find("does not decode"),
               std::string::npos);
+    removeFileIfExists(path);
+}
+
+TEST(Checkpoint, InconsistentProfileSectionIsRejected)
+{
+    // A CRC-valid profiles section that decodes completely but whose
+    // inlet coefficients are one server short must not restore: the
+    // next risk refresh would read past them.
+    const SimConfig cfg = smallTestScenario(322).asTapas();
+    const std::string path = tmpPath("ckpt_short_profiles.tapasckp");
+    ClusterSim writer(cfg);
+    writer.runSteps(4);
+    ASSERT_TRUE(writer.saveCheckpoint(path).ok());
+
+    Result<CheckpointData> parsed = readCheckpointFile(path);
+    ASSERT_TRUE(parsed.ok());
+    // Section 4 is "profiles" (docs/checkpoint-format.md); its
+    // payload leads with the inlet coefficient count (u64), then
+    // five doubles per server.
+    constexpr std::uint32_t kProfilesSection = 4;
+    constexpr std::uint64_t kInletWidth = 5;
+    bool edited = false;
+    rewriteCheckpoint(
+        path, parsed.value(),
+        [&](std::uint32_t id, std::vector<std::uint8_t> &payload) {
+            if (id != kProfilesSection)
+                return true;
+            std::uint64_t count = 0;
+            std::memcpy(&count, payload.data(), sizeof count);
+            EXPECT_GE(count, kInletWidth);
+            count -= kInletWidth;
+            std::memcpy(payload.data(), &count, sizeof count);
+            payload.erase(payload.begin() + sizeof count,
+                          payload.begin() + sizeof count +
+                              kInletWidth * sizeof(double));
+            edited = true;
+            return true;
+        });
+    ASSERT_TRUE(edited);
+
+    ClusterSim victim(cfg);
+    Error err = victim.restoreCheckpoint(path);
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Corrupt);
     removeFileIfExists(path);
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * Batched-vs-scalar predictor equivalence for every fitted model in
- * the ProfileBank. The batched passes are the only call path the
- * risk/allocator/configurator hot loops may use, so they must be
- * bit-identical to the scalar predict* calls they replace (the
- * batch bodies evaluate the exact same expression per element —
- * EXPECT_EQ on doubles below means bitwise equality, not a
- * tolerance).
+ * the ProfileBank. The four batched functions are the only call path
+ * the risk/allocator/configurator hot loops may use, so every shape
+ * they accept (first n servers, an id list, one server repeated;
+ * each input per evaluation or shared) must be bit-identical to the
+ * scalar predict* calls (EXPECT_EQ on doubles below means bitwise
+ * equality, not a tolerance).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -21,6 +22,55 @@
 
 namespace tapas {
 namespace {
+
+/** A server set and the server each of its evaluations reads. */
+struct Shape
+{
+    std::string name;
+    ServerBatch servers;
+    std::vector<ServerId> server;
+};
+
+/** One input: a value per evaluation, or one shared value. */
+struct Arg
+{
+    bool each = false;
+    std::vector<double> values;
+    double shared = 0.0;
+
+    BatchInput
+    input() const
+    {
+        return each ? BatchInput(values.data()) : BatchInput(shared);
+    }
+
+    double at(std::size_t i) const { return each ? values[i] : shared; }
+
+    std::string
+    name() const
+    {
+        return each ? "each" : "shared " + std::to_string(shared);
+    }
+};
+
+/** The per-evaluation input (@p pool cycled) and each shared one. */
+std::vector<Arg>
+argsFrom(const std::vector<double> &pool, std::size_t n)
+{
+    std::vector<Arg> args(1);
+    args[0].each = true;
+    for (std::size_t i = 0; i < n; ++i)
+        args[0].values.push_back(pool[(i * 5 + 1) % pool.size()]);
+    for (double v : pool) {
+        Arg shared;
+        shared.shared = v;
+        args.push_back(shared);
+    }
+    return args;
+}
+
+/** Outputs with a sentinel past the end: a kernel writes exactly n. */
+constexpr double kSentinel = -12345.0;
 
 class ProfileBatchTest : public ::testing::Test
 {
@@ -43,186 +93,164 @@ class ProfileBatchTest : public ::testing::Test
         return cfg;
     }
 
+    /** Every shape the batched functions accept, edge sizes too. */
+    std::vector<Shape>
+    shapes() const
+    {
+        std::vector<Shape> out;
+        for (std::size_t n : {dc.serverCount(), std::size_t{0},
+                              std::size_t{1}}) {
+            Shape shape{"first " + std::to_string(n),
+                        ServerBatch::firstN(n), {}};
+            for (std::size_t s = 0; s < n; ++s)
+                shape.server.emplace_back(static_cast<std::uint32_t>(s));
+            out.push_back(shape);
+        }
+        for (std::size_t n : {listIds.size(), std::size_t{1},
+                              std::size_t{0}}) {
+            out.push_back({"list " + std::to_string(n),
+                           ServerBatch::list(listIds.data(), n),
+                           {listIds.begin(), listIds.begin() + n}});
+        }
+        for (std::size_t n : {std::size_t{32}, std::size_t{1},
+                              std::size_t{0}}) {
+            out.push_back({"repeat " + std::to_string(n),
+                           ServerBatch::repeat(ServerId(13), n),
+                           std::vector<ServerId>(n, ServerId(13))});
+        }
+        return out;
+    }
+
+    /** Runs @p predict into a fresh buffer and checks the sentinel. */
+    template <class Predict>
+    std::vector<double>
+    run(const Shape &shape, Predict predict) const
+    {
+        std::vector<double> out(shape.servers.n + 1, kSentinel);
+        predict(out.data());
+        EXPECT_EQ(out.back(), kSentinel) << shape.name;
+        return out;
+    }
+
     DatacenterLayout dc;
     ThermalModel thermal;
     PowerModel powerModel;
     ProfileBank bank;
+    /** Odd length, unordered, with duplicates. */
+    const std::vector<ServerId> listIds = {
+        ServerId(7),  ServerId(0), ServerId(23), ServerId(7),
+        ServerId(11), ServerId(47), ServerId(0)};
+    /** Both hinge knots (15 C and 25 C) and beyond. */
+    const std::vector<double> outsidePool = {5.0,  15.0, 20.0,
+                                             25.0, 34.0, 40.0};
+    const std::vector<double> dcLoadPool = {0.0, 0.5, 1.0};
+    /** Outside [0, 1] too: the clamp is part of the model. */
+    const std::vector<double> loadPool = {-0.2, 0.0, 0.33,
+                                          0.61, 1.0,  1.3};
+    const std::vector<double> inletPool = {18.5, 27.5, 38.0};
+    const std::vector<double> gpuPowerPool = {60.0, 233.0, 420.0};
 };
 
-TEST_F(ProfileBatchTest, InletBatchMatchesScalar)
+TEST_F(ProfileBatchTest, InletMatchesScalarForEveryShape)
 {
-    const std::size_t n = dc.serverCount();
-    std::vector<double> out(n);
-    // Cover both hinge knots (15 C and 25 C) and beyond.
-    for (double outside : {5.0, 15.0, 20.0, 25.0, 34.0, 40.0}) {
-        for (double dc_load : {0.0, 0.5, 1.0}) {
-            bank.predictInletBatch(outside, dc_load, n, out.data());
-            for (std::size_t s = 0; s < n; ++s) {
-                EXPECT_EQ(out[s],
-                          bank.predictInletC(
-                              ServerId(static_cast<std::uint32_t>(s)),
-                              outside, dc_load));
+    for (const Shape &shape : shapes()) {
+        const std::size_t n = shape.servers.n;
+        for (const Arg &outside : argsFrom(outsidePool, n)) {
+            for (const Arg &dc_load : argsFrom(dcLoadPool, n)) {
+                const std::vector<double> out =
+                    run(shape, [&](double *o) {
+                        bank.predictInlet(shape.servers, outside.input(),
+                                          dc_load.input(), o);
+                    });
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(out[i],
+                              bank.predictInletC(shape.server[i],
+                                                 outside.at(i),
+                                                 dc_load.at(i)))
+                        << shape.name << " outside " << outside.name()
+                        << " dc load " << dc_load.name() << " i " << i;
+                }
             }
         }
     }
 }
 
-TEST_F(ProfileBatchTest, PowerBatchesMatchScalar)
+TEST_F(ProfileBatchTest, PowerAndAirflowMatchScalarForEveryShape)
 {
-    const std::size_t n = dc.serverCount();
-    Rng rng(5);
-    std::vector<double> loads(n);
-    for (double &l : loads)
-        l = rng.uniform(-0.2, 1.3); // exercises the clamp too
-    std::vector<double> out(n);
-    bank.predictPowerBatch(loads.data(), n, out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictServerPowerW(
-                      ServerId(static_cast<std::uint32_t>(s)),
-                      loads[s]));
-    }
-
-    bank.predictPowerUniformBatch(0.45, n, out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictServerPowerW(
-                      ServerId(static_cast<std::uint32_t>(s)),
-                      0.45));
+    for (const Shape &shape : shapes()) {
+        const std::size_t n = shape.servers.n;
+        for (const Arg &load : argsFrom(loadPool, n)) {
+            const std::vector<double> power = run(shape, [&](double *o) {
+                bank.predictPower(shape.servers, load.input(), o);
+            });
+            const std::vector<double> airflow =
+                run(shape, [&](double *o) {
+                    bank.predictAirflow(shape.servers, load.input(), o);
+                });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(power[i],
+                          bank.predictServerPowerW(shape.server[i],
+                                                   load.at(i)))
+                    << shape.name << " load " << load.name() << " i "
+                    << i;
+                EXPECT_EQ(airflow[i],
+                          bank.predictServerAirflowCfm(shape.server[i],
+                                                       load.at(i)))
+                    << shape.name << " load " << load.name() << " i "
+                    << i;
+            }
+        }
     }
 }
 
-TEST_F(ProfileBatchTest, AirflowBatchesMatchScalar)
+TEST_F(ProfileBatchTest, HottestGpuMatchesScalarForEveryShape)
 {
-    const std::size_t n = dc.serverCount();
-    Rng rng(6);
-    std::vector<double> loads(n);
-    for (double &l : loads)
-        l = rng.uniform(-0.2, 1.3);
-    std::vector<double> out(n);
-    bank.predictAirflowBatch(loads.data(), n, out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictServerAirflowCfm(
-                      ServerId(static_cast<std::uint32_t>(s)),
-                      loads[s]));
-    }
-
-    bank.predictAirflowUniformBatch(0.0, n, out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictServerAirflowCfm(
-                      ServerId(static_cast<std::uint32_t>(s)), 0.0));
-    }
-}
-
-TEST_F(ProfileBatchTest, GatherVariantsMatchScalar)
-{
-    // An arbitrary non-contiguous, unordered server subset.
-    const std::vector<ServerId> ids = {ServerId(7), ServerId(0),
-                                       ServerId(23), ServerId(11),
-                                       ServerId(47)};
-    const std::vector<double> loads = {0.9, 0.0, 0.33, 1.0, 0.61};
-    std::vector<double> out(ids.size());
-    bank.predictPowerGather(ids.data(), loads.data(), ids.size(),
-                            out.data());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        EXPECT_EQ(out[i],
-                  bank.predictServerPowerW(ids[i], loads[i]));
-
-    bank.predictAirflowGather(ids.data(), loads.data(), ids.size(),
-                              out.data());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        EXPECT_EQ(out[i],
-                  bank.predictServerAirflowCfm(ids[i], loads[i]));
-
-    // One shared load (placement what-ifs), clamped like the scalar.
-    for (double load : {-0.2, 0.0, 0.45, 1.0, 1.3}) {
-        bank.predictPowerUniformGather(load, ids.data(), ids.size(),
-                                       out.data());
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            EXPECT_EQ(out[i], bank.predictServerPowerW(ids[i], load));
-        bank.predictAirflowUniformGather(load, ids.data(), ids.size(),
-                                         out.data());
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            EXPECT_EQ(out[i],
-                      bank.predictServerAirflowCfm(ids[i], load));
-    }
-}
-
-TEST_F(ProfileBatchTest, HottestGpuBatchesMatchScalar)
-{
-    const std::size_t n = dc.serverCount();
     const std::size_t gpus = static_cast<std::size_t>(
         dc.specs().front().gpusPerServer);
     Rng rng(7);
+    for (const Shape &shape : shapes()) {
+        const std::size_t n = shape.servers.n;
+        for (const Arg &inlet : argsFrom(inletPool, n)) {
+            for (const Arg &power : argsFrom(gpuPowerPool, n)) {
+                const std::vector<double> out =
+                    run(shape, [&](double *o) {
+                        bank.predictHottestGpu(shape.servers,
+                                               inlet.input(),
+                                               power.input(), o);
+                    });
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(out[i], bank.predictHottestGpuC(
+                                          shape.server[i], inlet.at(i),
+                                          power.at(i)))
+                        << shape.name << " inlet " << inlet.name()
+                        << " power " << power.name() << " i " << i;
+                }
+            }
 
-    std::vector<double> inlet(n);
-    for (double &v : inlet)
-        v = rng.uniform(18.0, 38.0);
-
-    // Measured per-GPU powers (risk-refresh shape).
-    std::vector<double> gpu_w(n * gpus);
-    for (double &v : gpu_w)
-        v = rng.uniform(60.0, 420.0);
-    std::vector<double> out(n);
-    bank.predictHottestGpuBatch(inlet.data(), gpu_w.data(), n,
-                                out.data());
-    for (std::size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictHottestGpuC(
-                      ServerId(static_cast<std::uint32_t>(s)),
-                      inlet[s], &gpu_w[s * gpus]));
-    }
-
-    // One per-GPU power per server over an unordered subset of odd
-    // length (placement-projection shape: paired and tail servers).
-    const std::vector<ServerId> ids = {ServerId(7), ServerId(0),
-                                       ServerId(23), ServerId(11),
-                                       ServerId(47)};
-    std::vector<double> per_gpu(ids.size());
-    for (double &v : per_gpu)
-        v = rng.uniform(60.0, 420.0);
-    bank.predictHottestGpuGather(ids.data(), inlet.data(),
-                                 per_gpu.data(), ids.size(), out.data());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(out[i], bank.predictHottestGpuC(ids[i], inlet[i],
-                                                  per_gpu[i]));
-    }
-}
-
-TEST_F(ProfileBatchTest, CandidateBatchesMatchScalar)
-{
-    // One server's model streamed over many candidate operating
-    // points (the configurator's scoring shape).
-    const ServerId server(13);
-    Rng rng(8);
-    std::vector<double> powers(32);
-    std::vector<double> heats(32);
-    for (std::size_t i = 0; i < powers.size(); ++i) {
-        powers[i] = rng.uniform(60.0, 420.0);
-        heats[i] = rng.uniform(-0.1, 1.2);
-    }
-    std::vector<double> out(powers.size());
-    bank.predictHottestGpuCandidates(server, 27.5, powers.data(),
-                                     powers.size(), out.data());
-    for (std::size_t i = 0; i < powers.size(); ++i) {
-        EXPECT_EQ(out[i],
-                  bank.predictHottestGpuC(server, 27.5, powers[i]));
-    }
-
-    bank.predictAirflowCandidates(server, heats.data(), heats.size(),
-                                  out.data());
-    for (std::size_t i = 0; i < heats.size(); ++i) {
-        EXPECT_EQ(out[i],
-                  bank.predictServerAirflowCfm(server, heats[i]));
+            // Measured per-GPU powers (the risk refresh's input).
+            std::vector<double> per_gpu(n * gpus);
+            for (double &v : per_gpu)
+                v = rng.uniform(60.0, 420.0);
+            const std::vector<double> out = run(shape, [&](double *o) {
+                bank.predictHottestGpu(shape.servers, inlet.input(),
+                                       BatchInput::perGpu(per_gpu.data()),
+                                       o);
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(out[i], bank.predictHottestGpuC(
+                                      shape.server[i], inlet.at(i),
+                                      &per_gpu[i * gpus]))
+                    << shape.name << " inlet " << inlet.name()
+                    << " per-GPU power, i " << i;
+            }
+        }
     }
 }
 
 TEST_F(ProfileBatchTest, BatchesCoverNewlyProfiledServers)
 {
     // Servers profiled after construction (oversubscription racks)
-    // must be reachable by the batches too.
+    // must be reachable by every model's batch too.
     const std::size_t before = dc.serverCount();
     dc.addRack(RowId(0));
     thermal.extend();
@@ -230,13 +258,30 @@ TEST_F(ProfileBatchTest, BatchesCoverNewlyProfiledServers)
     const std::size_t after = dc.serverCount();
     ASSERT_GT(after, before);
 
-    std::vector<double> out(after);
-    bank.predictInletBatch(30.0, 0.8, after, out.data());
+    const ServerBatch fleet = ServerBatch::firstN(after);
+    Rng rng(9);
+    std::vector<double> load(after);
+    std::vector<double> inlet(after);
     for (std::size_t s = 0; s < after; ++s) {
-        EXPECT_EQ(out[s],
-                  bank.predictInletC(
-                      ServerId(static_cast<std::uint32_t>(s)), 30.0,
-                      0.8));
+        load[s] = rng.uniform(-0.2, 1.3);
+        inlet[s] = rng.uniform(18.0, 38.0);
+    }
+    std::vector<double> inlet_out(after);
+    std::vector<double> power(after);
+    std::vector<double> airflow(after);
+    std::vector<double> hottest(after);
+    bank.predictInlet(fleet, 30.0, 0.8, inlet_out.data());
+    bank.predictPower(fleet, load.data(), power.data());
+    bank.predictAirflow(fleet, load.data(), airflow.data());
+    bank.predictHottestGpu(fleet, inlet.data(), 250.0, hottest.data());
+    for (std::size_t s = 0; s < after; ++s) {
+        const ServerId id(static_cast<std::uint32_t>(s));
+        EXPECT_EQ(inlet_out[s], bank.predictInletC(id, 30.0, 0.8));
+        EXPECT_EQ(power[s], bank.predictServerPowerW(id, load[s]));
+        EXPECT_EQ(airflow[s],
+                  bank.predictServerAirflowCfm(id, load[s]));
+        EXPECT_EQ(hottest[s],
+                  bank.predictHottestGpuC(id, inlet[s], 250.0));
     }
 }
 

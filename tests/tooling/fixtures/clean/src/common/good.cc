@@ -1,5 +1,5 @@
 // Clean fixture .cc: mentions of banned constructs in comments must
-// not fire — e.g. std::random_device, printf(, operatingPointAt( are
+// not fire — e.g. std::random_device, printf(, predictInletC( are
 // all fine here because rules match comment-stripped text.
 #include "common/good.hh"
 

@@ -12,9 +12,9 @@ hot_loop_power(const tapas::ProfileBank &profiles, double load)
 }
 
 double
-hot_loop_solve(const tapas::PerfModel &perf, double demand)
+hot_loop_inlet(const tapas::ProfileBank &profiles, double outside)
 {
-    return perf.operatingPointAt(demand).tps; // violation: R1
+    return profiles.predictInletC(outside); // violation: R1
 }
 
 double

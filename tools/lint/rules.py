@@ -33,36 +33,31 @@ DEFAULT_EXCLUDES = (
     ]
 )
 
-# Scalar per-server/per-call model entry points that survive only for
-# tests, benches, and debug cross-checks. Decision hot loops must use
-# the batched passes (ProfileBank::predict*Batch,
-# PerfModel::operating*PointBatch); see the scalar-predict-deprecated
-# and scalar-op-solve-deprecated notes at the definitions.
+# Scalar per-server ProfileBank predictions that survive only as the
+# batch tests' reference and the offline benches' per-server API.
+# Decision code must use the batched functions (ProfileBank::
+# predictInlet/predictPower/predictAirflow/predictHottestGpu); see
+# the scalar-predict-deprecated note at the definitions.
 _SCALAR_DEPRECATED = (
     "predictInletC",
     "predictGpuTempC",
     "predictHottestGpuC",
     "predictServerPowerW",
     "predictServerAirflowCfm",
-    "operatingPointAt",
-    "operatingGpuPointAt",
 )
 
 RULES = [
     {
         "id": "R1",
         "name": "no-deprecated-scalar-calls",
-        "summary": "deprecated scalar predict*/operating*PointAt call"
-                   " in library code (use the batched passes)",
+        "summary": "deprecated scalar ProfileBank predict* call in"
+                   " library code (use the batched functions)",
         "kind": "pattern",
         "pattern": r"\b(?:%s)\s*\(" % "|".join(_SCALAR_DEPRECATED),
         "include": ["src/**"],
-        # The defining files: declarations, definitions, and the
-        # batched implementations' internal reuse (grid node fills,
-        # debug cross-checks) live here by design.
+        # The defining files: the declarations and definitions live
+        # here by design.
         "exclude": [
-            "src/llm/perf.hh",
-            "src/llm/perf.cc",
             "src/telemetry/profiles.hh",
             "src/telemetry/profiles.cc",
         ],
