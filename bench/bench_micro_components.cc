@@ -123,9 +123,10 @@ fleetWorld()
 }
 
 /**
- * One placement phase on the half-full 1344-server world: begin a
- * round, then 8 requests, each pick committed. Arg 0 runs the same
- * phase through one-shot place() calls. The picks are vacated after
+ * One placement phase on the half-full 1344-server world: 8
+ * requests, each pick committed to the view. Arg 1 opens a round
+ * around them (one basis, folded by commit()); arg 0 opens none, so
+ * every place() builds its own basis. The picks are vacated after
  * each phase, so every iteration starts from the same view.
  */
 void
@@ -142,11 +143,10 @@ BM_TapasPlacementRound(benchmark::State &state)
     std::vector<ServerId> picked;
     picked.reserve(8);
     for (auto _ : state) {
-        alloc.beginRound();
+        if (in_round)
+            alloc.beginRound();
         for (const PlacementRequest &request : requests) {
-            const auto pick = in_round
-                ? alloc.placeInRound(request, w.view)
-                : alloc.place(request, w.view);
+            const auto pick = alloc.place(request, w.view);
             benchmark::DoNotOptimize(pick);
             if (!pick.has_value())
                 continue;
@@ -156,17 +156,19 @@ BM_TapasPlacementRound(benchmark::State &state)
             w.vmSlot[s] = request.kind == VmKind::SaaS ? VmSlot::Saas
                                                        : VmSlot::Iaas;
             w.vmPeakLoad[s] = request.predictedPeakLoad;
-            alloc.commit(*pick, w.view);
+            if (in_round)
+                alloc.commit(*pick, w.view);
             picked.push_back(*pick);
         }
-        alloc.endRound();
+        if (in_round)
+            alloc.endRound();
         for (ServerId sid : picked) {
             w.serverVm[sid.index] = VmId::invalidIndex;
             w.vmSlot[sid.index] = VmSlot::Empty;
         }
         picked.clear();
     }
-    state.SetLabel(in_round ? "round" : "one-shot");
+    state.SetLabel(in_round ? "round" : "no round");
 }
 BENCHMARK(BM_TapasPlacementRound)->ArgName("round")->Arg(0)->Arg(1);
 
@@ -263,9 +265,12 @@ BM_ConfiguratorChoice(benchmark::State &state)
     limits.maxGpuTempC = 77.0;
     limits.maxAirflowCfm = 1000.0;
     limits.inletC = 26.0;
+    // Alternating demands: every call rebuilds the kept plan.
+    double demand = 2500.0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(configurator.choose(
-            ServerId(3), w.bank, limits, 2500.0, 0.999, current));
+            ServerId(3), w.bank, limits, demand, 0.999, current));
+        demand = demand == 2500.0 ? 2400.0 : 2500.0;
     }
 }
 BENCHMARK(BM_ConfiguratorChoice);
@@ -273,10 +278,10 @@ BENCHMARK(BM_ConfiguratorChoice);
 /**
  * A configure pass in miniature: 185 instances at 80 distinct
  * demands in the controller's demand-sorted order, each under its
- * own server's limits, sharing one plan the way the controller's
- * pass does (BM_ConfiguratorChoice above times the plan-less
- * single call instead). Reports ns and candidates scored per
- * instance.
+ * own server's limits, so equal-demand runs keep the configurator's
+ * plan the way the controller's pass does (BM_ConfiguratorChoice
+ * above rebuilds it on every call instead). Reports ns and
+ * candidates scored per instance.
  */
 void
 BM_ConfigurePlanMix(benchmark::State &state)
@@ -310,12 +315,11 @@ BM_ConfigurePlanMix(benchmark::State &state)
               [](const Instance &a, const Instance &b) {
                   return a.demandTps < b.demandTps;
               });
-    InstanceConfigurator::Plan plan = configurator.makePlan();
     for (auto _ : state) {
         for (const Instance &inst : instances) {
             benchmark::DoNotOptimize(configurator.choose(
                 inst.server, w.bank, inst.limits, inst.demandTps,
-                0.999, current, &plan));
+                0.999, current));
         }
     }
     const double per_pass = static_cast<double>(instances.size());
@@ -324,7 +328,7 @@ BM_ConfigurePlanMix(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
     state.counters["scored_per_instance"] =
-        static_cast<double>(plan.scored) /
+        static_cast<double>(configurator.lastPlan().scored) /
         (per_pass * static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ConfigurePlanMix);

@@ -129,22 +129,6 @@ TapasAllocator::Basis::build(const ClusterView &view)
     rowBalance.resize(layout.rowCount());
 }
 
-bool
-TapasAllocator::Basis::sameTerms(const Basis &other) const
-{
-    return peaks == other.peaks &&
-        occupiedAirflow == other.occupiedAirflow &&
-        occupiedPower == other.occupiedPower &&
-        aisleDemand == other.aisleDemand &&
-        rowDemand == other.rowDemand &&
-        aisleBudget == other.aisleBudget &&
-        rowBudget == other.rowBudget &&
-        airflowZero == other.airflowZero &&
-        powerZero == other.powerZero && inlet == other.inlet &&
-        classes == other.classes && rowIaas == other.rowIaas &&
-        rowSaas == other.rowSaas && freeServers == other.freeServers;
-}
-
 // tapas-hot begin(place-round): the request stage and commit() run
 // per placement attempt; build() sized every buffer they write.
 
@@ -184,9 +168,10 @@ TapasAllocator::Basis::commit(ServerId server, const ClusterView &view)
 }
 
 std::optional<ServerId>
-TapasAllocator::pick(Basis &basis, const PlacementRequest &request,
-                     const ClusterView &view) const
+TapasAllocator::pick(const PlacementRequest &request,
+                     const ClusterView &view)
 {
+    Basis &basis = round;
     const Server *servers = view.layout->servers().data();
     const ServerSpec *specs = view.layout->specs().data();
     const ProfileBank &profiles = *view.profiles;
@@ -307,8 +292,13 @@ std::optional<ServerId>
 TapasAllocator::place(const PlacementRequest &request,
                       const ClusterView &view)
 {
-    oneShot.build(view);
-    return pick(oneShot, request, view);
+    // Outside a round the basis serves this call alone: leave it
+    // unbuilt so the next call reads its own view.
+    if (!roundBuilt) {
+        round.build(view);
+        roundBuilt = roundOpen;
+    }
+    return pick(request, view);
 }
 
 void
@@ -316,18 +306,6 @@ TapasAllocator::beginRound()
 {
     roundOpen = true;
     roundBuilt = false;
-}
-
-std::optional<ServerId>
-TapasAllocator::placeInRound(const PlacementRequest &request,
-                             const ClusterView &view)
-{
-    tapas_assert(roundOpen, "placeInRound outside a placement round");
-    if (!roundBuilt) {
-        round.build(view);
-        roundBuilt = true;
-    }
-    return pick(round, request, view);
 }
 
 void
@@ -345,15 +323,6 @@ TapasAllocator::endRound()
 {
     roundOpen = false;
     roundBuilt = false;
-}
-
-bool
-TapasAllocator::roundMatchesFreshBuild(const ClusterView &view)
-{
-    if (!roundBuilt)
-        return true;
-    oneShot.build(view);
-    return round.sameTerms(oneShot);
 }
 
 } // namespace tapas

@@ -16,11 +16,12 @@
  * design-day predictions, budgets, thermal classes, row VM mix, the
  * free-server list). The request stage evaluates the validators over
  * the free servers only, then projects the hottest GPU and scores
- * only the servers that pass both. A simulator's placement phase
- * opens a round (beginRound): the round's basis is built once, at
- * its first placeInRound, and commit() folds each placement into it
- * exactly, so every round pick equals a one-shot place() on the same
- * view. place() builds a private basis per call.
+ * only the servers that pass both. place() is the only placement
+ * call. A simulator's placement phase opens a round (beginRound):
+ * the round's basis is built once, at its first place(), and
+ * commit() folds each placement into it exactly, so every round pick
+ * equals a pick from a fresh basis on the same view. Outside a round
+ * place() builds the basis for that one call.
  */
 
 #ifndef TAPAS_CORE_ALLOCATOR_HH
@@ -74,32 +75,18 @@ class VmAllocator
     /**
      * Placement rounds: one placement phase whose view changes only
      * through placements the caller reports with commit(). Between
-     * beginRound() and endRound(), placeInRound() returns exactly
-     * what place() would on the same view; a policy may reuse work
-     * across the round's calls. Callers pass the current view on
-     * every call (its spans may have moved). The defaults keep no
+     * beginRound() and endRound(), place() returns exactly what it
+     * would outside the round on the same view; a policy may reuse
+     * work across the round's calls. Callers pass the current view
+     * on every call (its spans may have moved). The defaults keep no
      * round state.
      */
     virtual void beginRound() {}
-
-    virtual std::optional<ServerId>
-    placeInRound(const PlacementRequest &request,
-                 const ClusterView &view)
-    {
-        return place(request, view);
-    }
 
     /** A VM now occupies `server` in `view` (after a round pick). */
     virtual void commit(ServerId, const ClusterView &) {}
 
     virtual void endRound() {}
-
-    /** Debug cross-check: whether the round's reusable state equals
-     *  one rebuilt from scratch on `view`. Never touches the round. */
-    virtual bool roundMatchesFreshBuild(const ClusterView &)
-    {
-        return true;
-    }
 };
 
 /** Packing-first, thermal/power-oblivious placement. */
@@ -131,21 +118,18 @@ class TapasAllocator : public VmAllocator
         : cfg(config)
     {}
 
-    /** One-shot placement: builds a private basis on `view`, never
-     *  the live round's. */
+    /** Picks from the open round's basis, built at the round's
+     *  first call; outside a round, from a basis built for this
+     *  call alone. */
     std::optional<ServerId> place(const PlacementRequest &request,
                                   const ClusterView &view) override;
 
-    /** Open a round; its basis is built at the first placeInRound. */
+    /** Open a round; its basis is built at its first place(). */
     void beginRound() override;
-    std::optional<ServerId>
-    placeInRound(const PlacementRequest &request,
-                 const ClusterView &view) override;
     /** Fold a placement into the round's basis: re-evaluates only
      *  `server` and re-sums its aisle and row from zero. */
     void commit(ServerId server, const ClusterView &view) override;
     void endRound() override;
-    bool roundMatchesFreshBuild(const ClusterView &view) override;
 
     /** The open round's predicted occupied airflow per aisle (CFM)
      *  and power per row (W); empty until its basis is built. */
@@ -207,8 +191,6 @@ class TapasAllocator : public VmAllocator
     {
         void build(const ClusterView &view);
         void commit(ServerId server, const ClusterView &view);
-        /** Whether every term equals `other`'s (==, not a tolerance). */
-        bool sameTerms(const Basis &other) const;
 
         /** Validator peak per server (peakLoadByServer). */
         std::vector<double> peaks;
@@ -246,18 +228,17 @@ class TapasAllocator : public VmAllocator
 
     /** The request stage: validators over the basis's free servers,
      *  then the thermal projection and scoring over the survivors. */
-    std::optional<ServerId> pick(Basis &basis,
-                                 const PlacementRequest &request,
-                                 const ClusterView &view) const;
+    std::optional<ServerId> pick(const PlacementRequest &request,
+                                 const ClusterView &view);
 
     // ckpt-skip(constant): policy flags fixed at construction
     TapasPolicyConfig cfg;
-    /** The open round's basis; never outlives a placement phase. */
+    /** place()'s basis: the open round's, or the last call's outside
+     *  a round (then marked unbuilt). Never outlives a placement
+     *  phase. */
     Basis round;            // ckpt-skip(scratch): per placement phase
     bool roundOpen = false; // ckpt-skip(scratch): per placement phase
     bool roundBuilt = false; // ckpt-skip(scratch): per placement phase
-    /** place()'s and roundMatchesFreshBuild()'s private basis. */
-    Basis oneShot;          // ckpt-skip(scratch): per call
 };
 
 } // namespace tapas

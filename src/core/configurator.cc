@@ -28,17 +28,10 @@ InstanceConfigurator::InstanceConfigurator(
            space[topTierLen].quality == space.front().quality) {
         ++topTierLen;
     }
-}
-
-InstanceConfigurator::Plan
-InstanceConfigurator::makePlan() const
-{
-    Plan plan;
     plan.ops.resize(topTierLen);
     plan.heat.resize(topTierLen);
     plan.byPower.resize(topTierLen);
     plan.byReloadPower.resize(topTierLen);
-    return plan;
 }
 
 PerfModel::OperatingPoint
@@ -110,11 +103,8 @@ InstanceConfigurator::withinLimits(ServerId server,
 }
 
 void
-InstanceConfigurator::preparePlan(Plan &plan, double demand_tps,
-                                  double quality_floor) const
+InstanceConfigurator::preparePlan(double demand_tps, double quality_floor)
 {
-    tapas_assert(plan.ops.size() == topTierLen,
-                 "plan not sized by this configurator's makePlan()");
     if (plan.demandTps == demand_tps &&
         plan.qualityFloor == quality_floor) {
         return;
@@ -190,15 +180,9 @@ InstanceConfigurator::choose(ServerId server,
                              const ProfileBank &profiles,
                              const InstanceLimits &limits,
                              double demand_tps, double quality_floor,
-                             const ConfigProfile &current,
-                             Plan *plan) const
+                             const ConfigProfile &current)
 {
-    Plan local;
-    if (!plan) {
-        local = makePlan();
-        plan = &local;
-    }
-    preparePlan(*plan, demand_tps, quality_floor);
+    preparePlan(demand_tps, quality_floor);
 
     // Demand must be met with headroom so diurnal ramps do not
     // immediately outrun the chosen configuration.
@@ -213,11 +197,11 @@ InstanceConfigurator::choose(ServerId server,
     // Stage 2: walk P in (penalized power, index) order, the free
     // candidates of the first order merged with the reload
     // candidates of the second, and take the first within limits.
-    const std::size_t n = plan->meetingLen;
-    const std::uint32_t *by_power = plan->byPower.data();
-    const std::uint32_t *by_reload = plan->byReloadPower.data();
+    const std::size_t n = plan.meetingLen;
+    const std::uint32_t *by_power = plan.byPower.data();
+    const std::uint32_t *by_reload = plan.byReloadPower.data();
     auto power = [&](std::uint32_t i) {
-        return plan->ops[i].serverPower.value();
+        return plan.ops[i].serverPower.value();
     };
     auto reloads = [&](std::uint32_t i) {
         return space[i].config.requiresReload(current.config);
@@ -248,9 +232,9 @@ InstanceConfigurator::choose(ServerId server,
             next_free();
         else
             next_reload();
-        ++plan->scored;
-        if (withinLimits(server, profiles, limits, plan->ops[i],
-                         plan->heat[i])) {
+        ++plan.scored;
+        if (withinLimits(server, profiles, limits, plan.ops[i],
+                         plan.heat[i])) {
             best = &space[i];
             best_meets = true;
             best_raw_power_w = power(i);
@@ -292,7 +276,7 @@ InstanceConfigurator::choose(ServerId server,
         profiles.predictHottestGpu(block, limits.inletC, gpu_power,
                                    hottest);
         profiles.predictAirflow(block, heat, airflow);
-        plan->scored += pending;
+        plan.scored += pending;
         for (std::size_t i = 0; i < pending; ++i) {
             const ConfigProfile &cand = *cands[i];
             const PerfModel::OperatingPoint &op = ops[i];

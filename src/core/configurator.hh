@@ -54,12 +54,12 @@ class InstanceConfigurator
                          const TapasPolicyConfig &config);
 
     /**
-     * Per-demand candidate plan (stage 1 of choose()), shared by
-     * consecutive choose() calls at the same (demand, quality floor)
-     * — the controller sorts its instances by demand for exactly
-     * this. It is a pure function of (demand, floor) and the
-     * configurator, so sharing it is unobservable: a call with a
-     * different key rebuilds it in place.
+     * Per-demand candidate plan (stage 1 of choose()), owned by the
+     * configurator and kept across consecutive choose() calls at the
+     * same (demand, quality floor) — the controller sorts its
+     * instances by demand for exactly this. It is a pure function of
+     * (demand, floor) and the configurator, so keeping it is
+     * unobservable: a call with a different key rebuilds it in place.
      *
      * P is the leading run of the sorted space whose candidates all
      * have the top quality, clear the floor, and have positive
@@ -72,9 +72,8 @@ class InstanceConfigurator
      * x < y but x*g == y*g, where only the index may break the tie,
      * so one order cannot serve both.
      *
-     * Vectors are sized to the top quality tier (P's bound) once, by
-     * makePlan(), so a caller-owned plan never allocates while
-     * choosing.
+     * Vectors are sized to the top quality tier (P's bound) once, at
+     * construction, so choosing never allocates.
      */
     struct Plan
     {
@@ -90,9 +89,6 @@ class InstanceConfigurator
         /** Candidates whose limits were tested, over all calls. */
         std::uint64_t scored = 0;
     };
-
-    /** A plan sized for this configurator's top quality tier. */
-    Plan makePlan() const;
 
     /**
      * Choose the best configuration.
@@ -136,15 +132,16 @@ class InstanceConfigurator
      * @param demand_tps current token demand on the instance
      * @param quality_floor minimum acceptable model quality
      * @param current the instance's active profile
-     * @param plan caller-owned plan from makePlan(), shared across
-     *        calls; null builds a local one
      */
     ConfigDecision choose(ServerId server,
                           const ProfileBank &profiles,
                           const InstanceLimits &limits,
                           double demand_tps, double quality_floor,
-                          const ConfigProfile &current,
-                          Plan *plan = nullptr) const;
+                          const ConfigProfile &current);
+
+    /** The plan as the last choose() left it (its candidate count
+     *  and scored total, for tests and benches). */
+    const Plan &lastPlan() const { return plan; }
 
     /** Whether a profile satisfies the limits at a given demand. */
     bool feasible(ServerId server, const ProfileBank &profiles,
@@ -161,6 +158,8 @@ class InstanceConfigurator
     std::vector<ConfigProfile> space;
     /** Candidates of the top quality tier (P's upper bound). */
     std::size_t topTierLen = 0;
+    /** The per-demand plan; rebuilt whenever the key changes. */
+    Plan plan;
 
     /** Limit checks at an evaluated operating point and its heat
      *  fraction: server power, then hottest GPU, then airflow. */
@@ -169,9 +168,8 @@ class InstanceConfigurator
                       const PerfModel::OperatingPoint &op,
                       double heat) const;
 
-    /** Rebuild @p plan for (demand, floor) unless it already is. */
-    void preparePlan(Plan &plan, double demand_tps,
-                     double quality_floor) const;
+    /** Rebuild the plan for (demand, floor) unless it already is. */
+    void preparePlan(double demand_tps, double quality_floor);
 
     /** One operating-point solve through the batched solver. */
     PerfModel::OperatingPoint solveOne(const ConfigProfile &profile,

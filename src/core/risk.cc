@@ -274,7 +274,7 @@ RiskAssessor::flaggedCount() const
 }
 
 void
-RiskAssessor::checkpointState(Archive &ar)
+RiskAssessor::checkpointState(Archive &ar, const DatacenterLayout &layout)
 {
     ar.each(risks, [](Archive &a, ServerRisk &r) {
         a.value(r.thermalRisk);
@@ -292,6 +292,24 @@ RiskAssessor::checkpointState(Archive &ar)
     ar.podVector(lastGoodGpuW);
     ar.count(quarantinedCount);
     ar.value(quarantineEventCount);
+    if (ar.writing())
+        return;
+    // The next refresh indexes every vector by server unchecked: the
+    // risk cache is empty or fleet-sized, and the sensor state is
+    // empty or fleet-sized as a whole.
+    const std::size_t servers = layout.serverCount();
+    const std::size_t n = divergeStreak.size();
+    const std::size_t gpus =
+        static_cast<std::size_t>(layout.specs().front().gpusPerServer);
+    const auto flagged = static_cast<std::size_t>(
+        std::count_if(quarantinedFlag.begin(), quarantinedFlag.end(),
+                      [](char f) { return f != 0; }));
+    if ((!risks.empty() && risks.size() != servers) ||
+        (n != 0 && n != servers) || healthyStreak.size() != n ||
+        quarantinedFlag.size() != n || lastGoodGpuW.size() != n * gpus ||
+        quarantinedCount != flagged) {
+        ar.fail();
+    }
 }
 
 } // namespace tapas

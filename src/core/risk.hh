@@ -97,9 +97,11 @@ class RiskAssessor
      * Serialize/restore the risk cache, refresh clock, and sensor
      * quarantine state (streaks, flags, last-good power snapshots).
      * Scratch buffers and the hoisted spec caches resize lazily on
-     * the next refresh and do not travel.
+     * the next refresh and do not travel. A restore fails unless
+     * every size fits @p layout's fleet and the quarantine count
+     * equals the set flags.
      */
-    void checkpointState(Archive &ar);
+    void checkpointState(Archive &ar, const DatacenterLayout &layout);
 
   private:
     // ckpt-skip(constant): policy flags fixed at construction

@@ -34,7 +34,6 @@ TapasController::TapasController(const TapasPolicyConfig &config,
                      "Config policy needs profiles and a perf model");
         configurator = std::make_unique<InstanceConfigurator>(*perf,
                                                               cfg);
-        planScratch = configurator->makePlan();
     }
 }
 
@@ -203,8 +202,7 @@ TapasController::configurePass(
 
         const ConfigDecision decision = configurator->choose(
             inst.server, *profiles, limits, inst.demandTps,
-            quality_floor, inst.engine->profile(),
-            &planScratch);
+            quality_floor, inst.engine->profile());
         if (!decision.changed)
             continue;
         // Dwell gate: quality-restoring reloads wait out the dwell
@@ -235,7 +233,7 @@ TapasController::configurePass(
 }
 
 void
-TapasController::checkpointState(Archive &ar)
+TapasController::checkpointState(Archive &ar, std::size_t vm_count)
 {
     // Serialized as index-sorted (vm, time) pairs — the same bytes
     // the former unordered_map representation produced after its
@@ -254,9 +252,17 @@ TapasController::checkpointState(Archive &ar)
     if (!ar.writing()) {
         std::fill(lastReloadAt.begin(), lastReloadAt.end(),
                   kNeverReloaded);
+        std::size_t next = 0;
         for (const auto &[vm, at] : reloads) {
-            if (vm >= lastReloadAt.size())
-                lastReloadAt.resize(vm + 1, kNeverReloaded);
+            // Entries ascend strictly by VM, as written, and index
+            // the VM table: anything else is a damaged file.
+            if (vm < next || vm >= vm_count) {
+                ar.fail();
+                return;
+            }
+            next = std::size_t{vm} + 1;
+            if (next > lastReloadAt.size())
+                lastReloadAt.resize(next, kNeverReloaded);
             lastReloadAt[vm] = at;
         }
     }
@@ -271,7 +277,7 @@ TapasController::checkpointState(Archive &ar)
         return;
     }
     if (risk)
-        risk->checkpointState(ar);
+        risk->checkpointState(ar, layout);
 }
 
 } // namespace tapas

@@ -92,8 +92,11 @@ class TapasController
      * gates, the reconfig counter, router affinity, and the risk
      * cache. The allocator and configurator are stateless between
      * passes (scratch only) and do not travel.
+     *
+     * @param vm_count size of the VM table (restored before this
+     *        section); a restored reload entry must index into it
      */
-    void checkpointState(Archive &ar);
+    void checkpointState(Archive &ar, std::size_t vm_count);
 
   private:
     // ckpt-skip(constant): policy flags fixed at construction
@@ -140,10 +143,6 @@ class TapasController
      *  affect decisions: each is independent). */
     // ckpt-skip(scratch): rebuilt from the caller's list each pass
     std::vector<SaasInstanceRef> sortedInstancesScratch;
-    /** Per-demand candidate plan, sized once at construction; a
-     *  pure function of (demand, quality floor). */
-    // ckpt-skip(scratch): rebuilt on every demand change
-    InstanceConfigurator::Plan planScratch;
 
     // ckpt-skip(constant): rebuilt from policy flags at construction
     std::unique_ptr<VmAllocator> alloc;

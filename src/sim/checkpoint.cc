@@ -189,7 +189,7 @@ ClusterSim::checkpointSection(std::uint32_t id, Archive &ar)
         bank.checkpointState(ar);
         break;
     case kSecController:
-        tapas->checkpointState(ar);
+        tapas->checkpointState(ar, vmTable.size());
         break;
     case kSecFailures:
         checkpointFailures(ar);

@@ -339,12 +339,7 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
 #endif
         return false;
     }
-    const auto pick = alloc.placeInRound(request, view());
-#ifndef NDEBUG
-    tapas_assert(pick == alloc.place(request, view()),
-                 "round pick for VM %u differs from a one-shot place()",
-                 request.id.index);
-#endif
+    const auto pick = alloc.place(request, view());
     if (!pick.has_value()) {
         rejectedLoads.push_back(load);
         return false;
@@ -366,12 +361,6 @@ ClusterSim::tryPlace(std::uint32_t vm_index)
                      vm_index);
     // The view changed: fold the pick into the round, drop the memo.
     alloc.commit(*pick, view());
-#ifndef NDEBUG
-    tapas_assert(alloc.roundMatchesFreshBuild(view()),
-                 "placement round drifted from a fresh build after "
-                 "placing VM %u",
-                 request.id.index);
-#endif
     rejectedLoads.clear();
     ++simMetrics.vmsPlaced;
     return true;

@@ -38,7 +38,6 @@
 #include "sim/metrics.hh"
 #include "sim/vmtable.hh"
 #include "telemetry/history.hh"
-#include "telemetry/templates.hh"
 #include "workload/requests.hh"
 #include "workload/vmtrace.hh"
 #include "workload/weather.hh"

@@ -546,25 +546,26 @@ class ConfiguratorDiffTest : public ConfiguratorTest
         return cases;
     }
 
-    /** Every case, with and without a shared plan, decides exactly
-     *  like the reference walk under @p config. */
+    /** Every case, with its plan rebuilt and with the plan kept
+     *  from the previous case, decides exactly like the reference
+     *  walk under @p config. */
     void
     expectSweepMatches(const TapasPolicyConfig &config)
     {
-        const InstanceConfigurator ranked(perf, config);
+        InstanceConfigurator rebuilt(perf, config);
+        InstanceConfigurator kept(perf, config);
         const ReferenceWalk reference(perf, config,
-                                      ranked.profileSpace());
+                                      kept.profileSpace());
         std::vector<SweepCase> cases = sweepCases(
             {&refProfile, &neighbourOfReference(),
              &reloadOfReference()});
-        // The shared plan sees the controller's order: sorted by
+        // The kept plan sees the controller's order: sorted by
         // demand, each demand repeated across servers, limits and
         // current configs (and both floors interleaved).
         std::stable_sort(cases.begin(), cases.end(),
                          [](const SweepCase &a, const SweepCase &b) {
                              return a.demandTps < b.demandTps;
                          });
-        InstanceConfigurator::Plan plan = ranked.makePlan();
         std::size_t infeasible = 0;
         for (const SweepCase &c : cases) {
             const ConfigDecision want = reference.choose(
@@ -578,13 +579,17 @@ class ConfiguratorDiffTest : public ConfiguratorTest
                          << c.limits.maxServerPowerW << " temp cap "
                          << c.limits.maxGpuTempC << " airflow cap "
                          << c.limits.maxAirflowCfm);
+            // A call at another demand first: the case's call must
+            // rebuild the plan.
+            rebuilt.choose(c.server, bank, c.limits, c.demandTps + 1.0,
+                           c.qualityFloor, *c.current);
             expectSameDecision(
-                ranked.choose(c.server, bank, c.limits, c.demandTps,
-                              c.qualityFloor, *c.current),
+                rebuilt.choose(c.server, bank, c.limits, c.demandTps,
+                               c.qualityFloor, *c.current),
                 want);
             expectSameDecision(
-                ranked.choose(c.server, bank, c.limits, c.demandTps,
-                              c.qualityFloor, *c.current, &plan),
+                kept.choose(c.server, bank, c.limits, c.demandTps,
+                            c.qualityFloor, *c.current),
                 want);
             infeasible += want.infeasible ? 1 : 0;
         }
@@ -679,17 +684,15 @@ TEST_F(ConfiguratorDiffTest, ReloadAndFreeTieBreakByIndex)
                      << " reload " << space[y].config.label());
         TapasPolicyConfig config;
         config.reloadHysteresisGain = gain;
-        const InstanceConfigurator ranked(perf, config);
+        InstanceConfigurator ranked(perf, config);
         const ReferenceWalk reference(perf, config,
                                       ranked.profileSpace());
         const ConfigDecision want = reference.choose(
             ServerId(0), bank, looseLimits(), demand, 0.999, *current);
-        InstanceConfigurator::Plan plan = ranked.makePlan();
         const ConfigDecision got = ranked.choose(
-            ServerId(0), bank, looseLimits(), demand, 0.999, *current,
-            &plan);
+            ServerId(0), bank, looseLimits(), demand, 0.999, *current);
         expectSameDecision(got, want);
-        EXPECT_EQ(plan.meetingLen, p_len);
+        EXPECT_EQ(ranked.lastPlan().meetingLen, p_len);
         EXPECT_EQ(got.profile.config, space[std::min(x, y)].config);
         (y < x ? reload_first : free_first) = true;
     }
@@ -708,11 +711,11 @@ TEST_F(ConfiguratorDiffTest, LooseLimitsScoreOneCandidate)
     const ConfigDecision want =
         reference.choose(ServerId(0), bank, looseLimits(), 100.0,
                          0.999, refProfile, &walk_scored);
-    InstanceConfigurator::Plan plan = configurator.makePlan();
     const ConfigDecision got =
         configurator.choose(ServerId(0), bank, looseLimits(), 100.0,
-                            0.999, refProfile, &plan);
+                            0.999, refProfile);
     expectSameDecision(got, want);
+    const InstanceConfigurator::Plan &plan = configurator.lastPlan();
     EXPECT_EQ(plan.scored, 1u);
     EXPECT_GT(plan.meetingLen, 1u);
     EXPECT_EQ(walk_scored, plan.meetingLen);

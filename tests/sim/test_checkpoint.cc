@@ -390,6 +390,101 @@ TEST(Checkpoint, InconsistentProfileSectionIsRejected)
     removeFileIfExists(path);
 }
 
+TEST(Checkpoint, OutOfRangeReloadEntryIsRejected)
+{
+    // A CRC-valid controller section with one extra reload entry for
+    // VM 0xFFFFFFFF must not restore: the entry indexes past the VM
+    // table (and vm + 1 wraps to 0 in u32 arithmetic).
+    const SimConfig cfg = smallTestScenario(324).asTapas();
+    const std::string path = tmpPath("ckpt_reload_range.tapasckp");
+    ClusterSim writer(cfg);
+    writer.runSteps(4);
+    ASSERT_TRUE(writer.saveCheckpoint(path).ok());
+
+    Result<CheckpointData> parsed = readCheckpointFile(path);
+    ASSERT_TRUE(parsed.ok());
+    // Section 5 is "controller"; its payload leads with the reload
+    // entry count (u64), then a (vm u32, time i64) pair per entry.
+    constexpr std::uint32_t kControllerSection = 5;
+    bool edited = false;
+    rewriteCheckpoint(
+        path, parsed.value(),
+        [&](std::uint32_t id, std::vector<std::uint8_t> &payload) {
+            if (id != kControllerSection)
+                return true;
+            std::uint64_t count = 0;
+            std::memcpy(&count, payload.data(), sizeof count);
+            ++count;
+            std::memcpy(payload.data(), &count, sizeof count);
+            std::uint8_t entry[12] = {};
+            const std::uint32_t vm = 0xFFFFFFFFu;
+            std::memcpy(entry, &vm, sizeof vm);
+            payload.insert(payload.begin() + sizeof count, entry,
+                           entry + sizeof entry);
+            edited = true;
+            return true;
+        });
+    ASSERT_TRUE(edited);
+
+    ClusterSim victim(cfg);
+    Error err = victim.restoreCheckpoint(path);
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Corrupt);
+    removeFileIfExists(path);
+}
+
+TEST(Checkpoint, ShortRiskStreakIsRejected)
+{
+    // A CRC-valid controller section whose risk cache holds a
+    // fleet-sized divergence streak but a healthy streak one entry
+    // short must not restore: the next refresh would index past it.
+    SimConfig cfg = smallTestScenario(325).asTapas();
+    cfg.policy.sensorQuarantineEnabled = true;
+    const std::string path = tmpPath("ckpt_short_streak.tapasckp");
+    ClusterSim writer(cfg);
+    writer.runSteps(4);
+    ASSERT_TRUE(writer.saveCheckpoint(path).ok());
+
+    Result<CheckpointData> parsed = readCheckpointFile(path);
+    ASSERT_TRUE(parsed.ok());
+    // Section 5 ("controller") ends with the risk cache's sensor
+    // state: the healthy streaks (u64 count, i32 each), quarantine
+    // flags (u64 count, u8 each), last-good GPU power (u64 count,
+    // f64 each), then the quarantine and event counts (u64 each).
+    constexpr std::uint32_t kControllerSection = 5;
+    const std::size_t servers = writer.datacenter().serverCount();
+    const std::size_t gpus = static_cast<std::size_t>(
+        writer.datacenter().specs().front().gpusPerServer);
+    const std::size_t tail = (8 + 4 * servers) + (8 + servers) +
+        (8 + 8 * servers * gpus) + 16;
+    bool edited = false;
+    rewriteCheckpoint(
+        path, parsed.value(),
+        [&](std::uint32_t id, std::vector<std::uint8_t> &payload) {
+            if (id != kControllerSection || payload.size() < tail)
+                return true;
+            const std::size_t at = payload.size() - tail;
+            std::uint64_t count = 0;
+            std::memcpy(&count, payload.data() + at, sizeof count);
+            EXPECT_EQ(count, servers);
+            if (count != servers)
+                return true;
+            --count;
+            std::memcpy(payload.data() + at, &count, sizeof count);
+            payload.erase(payload.begin() + at + sizeof count,
+                          payload.begin() + at + sizeof count + 4);
+            edited = true;
+            return true;
+        });
+    ASSERT_TRUE(edited);
+
+    ClusterSim victim(cfg);
+    Error err = victim.restoreCheckpoint(path);
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Corrupt);
+    removeFileIfExists(path);
+}
+
 TEST(Checkpoint, SaveIsByteStableAcrossRewrites)
 {
     // Saving twice without stepping produces identical files
