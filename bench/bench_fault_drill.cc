@@ -10,11 +10,10 @@
  * fault window, and time-to-recover — as a console table and
  * `BENCH_fault_drill.json`.
  *
- * `--smoke` shortens the horizon to the fault window plus recovery;
  * `--check` exits non-zero unless the drill bites (baseline has
  * inlet excursions) and TAPAS strictly dominates the baseline on
- * excursion time — the robustness gate of scripts/check.sh-style
- * pre-PR runs.
+ * excursion time — the robustness gate that scripts/check.sh and
+ * CI run.
  */
 
 #include <cstring>
@@ -22,38 +21,22 @@
 #include <string>
 
 #include "common/table.hh"
+#include "common/threadpool.hh"
 #include "common/timer.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
+#include "sim/sweep.hh"
 
 using namespace tapas;
 
 namespace {
 
-struct DrillOutcome
-{
-    SimMetrics metrics;
-    double wallS = 0.0;
-};
-
-DrillOutcome
-runDrill(const SimConfig &cfg)
-{
-    WallTimer timer;
-    ClusterSim sim(cfg);
-    sim.run();
-    DrillOutcome out;
-    out.metrics = sim.metrics();
-    out.wallS = timer.elapsedS();
-    return out;
-}
-
 BenchCase
-reportCase(const std::string &name, const DrillOutcome &outcome)
+reportCase(const SweepOutcome &outcome)
 {
     const SimMetrics &m = outcome.metrics;
     BenchCase c;
-    c.name = name;
+    c.name = outcome.name;
     c.set("wall_s", outcome.wallS);
     c.set("steps", static_cast<double>(m.totalSteps));
     c.set("inlet_excursion_steps",
@@ -82,12 +65,9 @@ reportCase(const std::string &name, const DrillOutcome &outcome)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
     bool check = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--check") == 0)
+        if (std::strcmp(argv[i], "--check") == 0)
             check = true;
     }
 
@@ -95,11 +75,7 @@ main(int argc, char **argv)
                 "Fault drill: chiller derate + heat wave + "
                 "demand peak");
 
-    SimConfig cfg = faultDrillScenario(41);
-    if (smoke) {
-        // Fault window (11h-18h) plus recovery headroom.
-        cfg.horizon = 20 * kHour;
-    }
+    const SimConfig cfg = faultDrillScenario(41);
     // The TAPAS run drills the full degradation stack: sensor
     // quarantine armed (a no-op while every sensor stays healthy)
     // and periodic gated profile refits from live telemetry.
@@ -107,8 +83,9 @@ main(int argc, char **argv)
     tapas_cfg.policy.sensorQuarantineEnabled = true;
     tapas_cfg.profileRefitPeriod = 6 * kHour;
 
-    const DrillOutcome base = runDrill(cfg.asBaseline());
-    const DrillOutcome tapas = runDrill(tapas_cfg);
+    ThreadPool pool;
+    const auto outcomes = ScenarioSweep(pool).run(
+        {{"baseline", cfg.asBaseline()}, {"tapas", tapas_cfg}});
 
     ConsoleTable table({"metric", "Baseline", "TAPAS"});
     auto row = [&](const char *name, double b, double t,
@@ -116,8 +93,8 @@ main(int argc, char **argv)
         table.addRow({name, ConsoleTable::num(b, digits),
                       ConsoleTable::num(t, digits)});
     };
-    const SimMetrics &bm = base.metrics;
-    const SimMetrics &tm = tapas.metrics;
+    const SimMetrics &bm = outcomes[0].metrics;
+    const SimMetrics &tm = outcomes[1].metrics;
     row("inlet excursion steps",
         static_cast<double>(bm.inletExcursionSteps),
         static_cast<double>(tm.inletExcursionSteps), 0);
@@ -143,10 +120,8 @@ main(int argc, char **argv)
         tm.totalTokens / 1e6, 1);
     table.print(std::cout);
 
-    writeBenchJson("BENCH_fault_drill.json", "fault_drill",
-                   smoke ? "smoke" : "full",
-                   {reportCase("baseline", base),
-                    reportCase("tapas", tapas)});
+    writeBenchJson("BENCH_fault_drill.json", "fault_drill", "full",
+                   {reportCase(outcomes[0]), reportCase(outcomes[1])});
 
     if (check) {
         // The robustness gate: the drill must actually stress the

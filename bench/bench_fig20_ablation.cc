@@ -8,55 +8,20 @@
  * better; full TAPAS does best (-17% temp, -23% power at 50/50).
  * With an all-IaaS fleet only Place helps; an all-SaaS fleet gives
  * TAPAS its biggest wins (-23% temp, -28% power).
+ *
+ * The (mix x policy) grid runs through ScenarioSweep across the
+ * thread pool.
  */
 
 #include <iostream>
 
 #include "common/table.hh"
+#include "common/threadpool.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
+#include "sim/sweep.hh"
 
 using namespace tapas;
-
-namespace {
-
-struct Variant
-{
-    const char *name;
-    bool place;
-    bool route;
-    bool config;
-};
-
-const Variant kVariants[] = {
-    {"Baseline", false, false, false},
-    {"Place", true, false, false},
-    {"Route", false, true, false},
-    {"Config", false, false, true},
-    {"Place+Route", true, true, false},
-    {"Place+Config", true, false, true},
-    {"Route+Config", false, true, true},
-    {"TAPAS", true, true, true},
-};
-
-struct Cell
-{
-    double maxTemp;
-    double peakPower;
-};
-
-Cell
-run(const SimConfig &base, const Variant &variant)
-{
-    ClusterSim sim(
-        base.withPolicies(variant.place, variant.route,
-                          variant.config));
-    sim.run();
-    return {sim.metrics().maxGpuTempC.mean(),
-            sim.metrics().peakRowPowerFrac.mean()};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -72,43 +37,51 @@ main(int argc, char **argv)
     // cover two full diurnal cycles.
     cfg.horizon = 2 * kDay;
 
-    const double mixes[] = {1.0, 0.75, 0.5, 0.25, 0.0};
+    const std::vector<std::string> mixes = {"SaaS", "75/25", "50/50",
+                                            "25/75", "IaaS"};
+    const double saas_fractions[] = {1.0, 0.75, 0.5, 0.25, 0.0};
+
+    // One base job per swept mix column, crossed with the policies;
+    // outcomes arrive in job order: columns x policies.
+    std::vector<SweepJob> columns;
+    for (std::size_t m = 0; m < mixes.size(); ++m) {
+        if (quick && m != 2)
+            continue;
+        SweepJob column{mixes[m], cfg};
+        column.config.vmTrace.saasFraction = saas_fractions[m];
+        columns.push_back(column);
+    }
+    const std::vector<PolicyVariant> policies =
+        ScenarioSweep::ablationMatrix();
+    ThreadPool pool;
+    const auto outcomes = ScenarioSweep(pool).run(
+        ScenarioSweep::crossPolicies(columns, policies));
 
     std::cout << "Mean max temperature / mean peak row power, "
                  "normalized to Baseline per column:\n\n";
-    ConsoleTable table({"policy", "SaaS", "75/25", "50/50", "25/75",
-                        "IaaS"});
+    std::vector<std::string> headers = {"policy"};
+    headers.insert(headers.end(), mixes.begin(), mixes.end());
+    ConsoleTable table(headers);
 
-    // Collect the full matrix.
-    Cell results[8][5];
-    Cell base_cells[5];
-    for (int m = 0; m < 5; ++m) {
-        if (quick && m != 2)
-            continue;
-        SimConfig mix_cfg = cfg;
-        mix_cfg.vmTrace.saasFraction = mixes[m];
-        for (int v = 0; v < 8; ++v) {
-            results[v][m] = run(mix_cfg, kVariants[v]);
-            if (v == 0)
-                base_cells[m] = results[0][m];
-        }
-    }
-
-    auto cell_text = [&](int v, int m) {
+    auto cell_text = [&](std::size_t v, std::size_t m) {
         if (quick && m != 2)
             return std::string("-");
+        const std::size_t row = (quick ? 0 : m) * policies.size();
+        const SimMetrics &cell = outcomes[row + v].metrics;
+        const SimMetrics &base = outcomes[row].metrics;
         const double temp =
-            results[v][m].maxTemp / base_cells[m].maxTemp;
-        const double power =
-            results[v][m].peakPower / base_cells[m].peakPower;
+            cell.maxGpuTempC.mean() / base.maxGpuTempC.mean();
+        const double power = cell.peakRowPowerFrac.mean() /
+            base.peakRowPowerFrac.mean();
         return ConsoleTable::num(temp, 3) + "/" +
             ConsoleTable::num(power, 3);
     };
 
-    for (int v = 0; v < 8; ++v) {
-        table.addRow({kVariants[v].name, cell_text(v, 0),
-                      cell_text(v, 1), cell_text(v, 2),
-                      cell_text(v, 3), cell_text(v, 4)});
+    for (std::size_t v = 0; v < policies.size(); ++v) {
+        std::vector<std::string> cells = {policies[v].name};
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            cells.push_back(cell_text(v, m));
+        table.addRow(cells);
     }
     table.print(std::cout);
 

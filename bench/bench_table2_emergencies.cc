@@ -15,22 +15,14 @@
 #include <iostream>
 
 #include "common/table.hh"
+#include "common/threadpool.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
+#include "sim/sweep.hh"
 
 using namespace tapas;
 
 namespace {
-
-struct EmergencyResult
-{
-    /** Mean IaaS frequency-cap deficit during the emergency. */
-    double iaasPerf;
-    /** SaaS served tokens during emergency vs the pre-window. */
-    double saasPerfDelta;
-    /** Mean SaaS quality during the emergency. */
-    double quality;
-};
 
 /** Mean of a series over [from, to). */
 double
@@ -48,45 +40,21 @@ windowMean(const TimeSeries &series, SimTime from, SimTime to)
     return n ? total / n : 0.0;
 }
 
-EmergencyResult
-run(SimConfig cfg, bool thermal)
+/** The emergency window: peak demand hours 12:00-16:00. */
+constexpr SimTime kFaultAt = 12 * kHour;
+constexpr SimTime kFaultUntil = 16 * kHour;
+
+/** UPS 0 derated to 75%, or every aisle's AHU group to 90%. */
+ScriptedFault
+emergency(bool thermal)
 {
-    // One day; the emergency covers the demand peak hours. SaaS
-    // performance is normalized against an identical run WITHOUT
-    // the failure (removing the diurnal trend from the comparison).
-    cfg.horizon = kDay;
-    // Thermal = every aisle's AHU group; power = UPS 0.
     ScriptedFault event;
-    event.at = 12 * kHour;
-    event.until = 16 * kHour;
+    event.at = kFaultAt;
+    event.until = kFaultUntil;
     event.kind = thermal ? FaultKind::Ahu : FaultKind::Ups;
     event.target = thermal ? -1 : 0;
     event.remainingFrac = thermal ? 0.90 : 0.75;
-
-    ClusterSim control(cfg);
-    control.run();
-
-    SimConfig failed_cfg = cfg;
-    failed_cfg.faults.scripted.push_back(event);
-    ClusterSim sim(failed_cfg);
-    sim.run();
-
-    const SimTime from = event.at + 30 * kMinute;
-    const SimTime to = event.until;
-    const double served =
-        windowMean(sim.metrics().saasServedTps, from, to);
-    const double served_control =
-        windowMean(control.metrics().saasServedTps, from, to);
-
-    EmergencyResult out{};
-    out.saasPerfDelta = served_control > 0.0
-        ? served / served_control - 1.0
-        : 0.0;
-    out.quality =
-        windowMean(sim.metrics().saasQuality, from, to);
-    out.iaasPerf =
-        -windowMean(sim.metrics().iaasPerfPenalty, from, to);
-    return out;
+    return event;
 }
 
 } // namespace
@@ -96,26 +64,62 @@ main()
 {
     printBanner(std::cout, "Table 2: emergency management");
 
-    const SimConfig cfg = largeScaleScenario(7);
+    // One day; the emergency covers the demand peak hours. SaaS
+    // performance is normalized against an identical run WITHOUT
+    // the failure (removing the diurnal trend from the comparison),
+    // so each policy runs one control plus a UPS and an AHU failed
+    // run, all in one sweep: jobs 3p, 3p+1, 3p+2 for policy p.
+    SimConfig cfg = largeScaleScenario(7);
+    cfg.horizon = kDay;
+    const SweepJob policies[] = {{"Baseline", cfg.asBaseline()},
+                                 {"TAPAS", cfg.asTapas()}};
+    std::vector<SweepJob> jobs;
+    for (const SweepJob &policy : policies) {
+        jobs.push_back({policy.name + "/control", policy.config});
+        for (bool thermal : {false, true}) {
+            SweepJob failed = policy;
+            failed.name += thermal ? "/ahu" : "/ups";
+            failed.config.faults.scripted.push_back(
+                emergency(thermal));
+            jobs.push_back(failed);
+        }
+    }
+    ThreadPool pool;
+    const auto outcomes = ScenarioSweep(pool).run(jobs);
 
+    // Read from half an hour into the emergency to its end.
+    const SimTime from = kFaultAt + 30 * kMinute;
+    const SimTime to = kFaultUntil;
+    // Paper figures per [thermal][policy].
+    const char *paper[2][2] = {
+        {"-35%/-28%, qual 0%", "0%/+16%, qual -12%"},
+        {"-22%/-19%, qual 0%", "0%/+10%, qual -6%"}};
     ConsoleTable table({"emergency", "policy", "IaaS perf",
                         "SaaS perf", "SaaS quality", "paper"});
-    for (bool thermal : {false, true}) {
+    for (int thermal = 0; thermal < 2; ++thermal) {
         const char *kind = thermal ? "Thermal (AHU, 90%)"
                                    : "Power (UPS, 75%)";
-        const EmergencyResult base =
-            run(cfg.asBaseline(), thermal);
-        const EmergencyResult tapas = run(cfg.asTapas(), thermal);
-        table.addRow(
-            {kind, "Baseline", ConsoleTable::pct(base.iaasPerf),
-             ConsoleTable::pct(base.saasPerfDelta),
-             ConsoleTable::num(base.quality, 3),
-             thermal ? "-22%/-19%, qual 0%" : "-35%/-28%, qual 0%"});
-        table.addRow(
-            {kind, "TAPAS", ConsoleTable::pct(tapas.iaasPerf),
-             ConsoleTable::pct(tapas.saasPerfDelta),
-             ConsoleTable::num(tapas.quality, 3),
-             thermal ? "0%/+10%, qual -6%" : "0%/+16%, qual -12%"});
+        for (std::size_t p = 0; p < 2; ++p) {
+            const SimMetrics &control = outcomes[3 * p].metrics;
+            const SimMetrics &failed =
+                outcomes[3 * p + 1 + thermal].metrics;
+            // SaaS served tokens during the emergency vs control.
+            const double served =
+                windowMean(failed.saasServedTps, from, to);
+            const double served_control =
+                windowMean(control.saasServedTps, from, to);
+            const double saas_delta = served_control > 0.0
+                ? served / served_control - 1.0
+                : 0.0;
+            table.addRow(
+                {kind, policies[p].name,
+                 ConsoleTable::pct(
+                     -windowMean(failed.iaasPerfPenalty, from, to)),
+                 ConsoleTable::pct(saas_delta),
+                 ConsoleTable::num(
+                     windowMean(failed.saasQuality, from, to), 3),
+                 paper[thermal][p]});
+        }
     }
     table.print(std::cout);
 

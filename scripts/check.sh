@@ -63,6 +63,14 @@ echo "== step-loop bench + perf gate (Release) =="
 # against the committed baseline.
 (cd build && ./bench_step_loop --check ../BENCH_step_loop.json)
 
+echo "== fault drill gate + fig20 quick grid (Release) =="
+# The drill's TAPAS arm (sensor quarantine armed, profiles refit
+# every 6 h) must spend strictly fewer steps in inlet excursion than
+# the baseline; the fig20 --quick column drives the ablation grid
+# through ScenarioSweep end to end. Together under 1 s.
+(cd build && ./bench_fault_drill --check && \
+    ./bench_fig20_ablation --quick)
+
 echo "== kill-9 crash-recovery drill (Release) =="
 # SIGKILL mid-run, resume from the surviving snapshot, byte-compare
 # the resumed report against a straight-through reference, and

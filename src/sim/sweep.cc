@@ -267,14 +267,14 @@ std::vector<PolicyVariant>
 ScenarioSweep::ablationMatrix()
 {
     return {
-        {"baseline", false, false, false},
-        {"place", true, false, false},
-        {"route", false, true, false},
-        {"config", false, false, true},
-        {"place+route", true, true, false},
-        {"place+config", true, false, true},
-        {"route+config", false, true, true},
-        {"tapas", true, true, true},
+        {"Baseline", false, false, false},
+        {"Place", true, false, false},
+        {"Route", false, true, false},
+        {"Config", false, false, true},
+        {"Place+Route", true, true, false},
+        {"Place+Config", true, false, true},
+        {"Route+Config", false, true, true},
+        {"TAPAS", true, true, true},
     };
 }
 

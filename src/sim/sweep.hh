@@ -6,9 +6,11 @@
  * Every job is a self-contained simulation — its own layout, models,
  * and RNG streams derived from the job's seed — so running jobs
  * concurrently is deterministic: results depend only on each job's
- * SimConfig, never on thread count or scheduling. This is what the
- * paper's Fig. 16 Pareto sweeps, Fig. 19 week-long runs, and the
- * ablation grids need to finish at interactive speed.
+ * SimConfig, never on thread count or scheduling. The benches that
+ * run their simulations through it: Fig. 18 (real cluster), Fig. 19
+ * (week-long replications), Fig. 20 (policy ablation x mix),
+ * Fig. 21 (oversubscription), Table 2 (emergencies) and the fault
+ * drill.
  */
 
 #ifndef TAPAS_SIM_SWEEP_HH
@@ -142,7 +144,7 @@ class ScenarioSweep
     /**
      * The paper's eight-way ablation matrix (Fig. 20): every
      * combination of the place/route/config policies from Baseline
-     * to full TAPAS.
+     * to full TAPAS, named with the paper's labels.
      */
     static std::vector<PolicyVariant> ablationMatrix();
 

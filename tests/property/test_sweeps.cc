@@ -321,9 +321,9 @@ TEST(ScenarioSweepGrids, PolicyMatrixBuildsNamedCombinations)
         {{"base", sweepScenario(1)}},
         ScenarioSweep::ablationMatrix());
     ASSERT_EQ(jobs.size(), 8u);
-    EXPECT_EQ(jobs.front().name, "base/baseline");
+    EXPECT_EQ(jobs.front().name, "base/Baseline");
     EXPECT_FALSE(jobs.front().config.policy.placeEnabled);
-    EXPECT_EQ(jobs.back().name, "base/tapas");
+    EXPECT_EQ(jobs.back().name, "base/TAPAS");
     EXPECT_TRUE(jobs.back().config.policy.placeEnabled);
     EXPECT_TRUE(jobs.back().config.policy.routeEnabled);
     EXPECT_TRUE(jobs.back().config.policy.configEnabled);
@@ -381,20 +381,40 @@ TEST(ScenarioSweepGrids, SweepBenchEmitterWritesTrajectoryJson)
 
 TEST(ScenarioSweepDeterminism, ThreadCountDoesNotChangeResults)
 {
-    std::vector<SweepJob> jobs;
-    jobs.push_back({"tapas", sweepScenario(5).asTapas()});
+    // One Fig. 20 row: all eight policy combinations of one
+    // scenario, so jobs share workers and run concurrently.
+    const auto jobs = ScenarioSweep::crossPolicies(
+        {{"row", sweepScenario(5)}}, ScenarioSweep::ablationMatrix());
+    ASSERT_EQ(jobs.size(), 8u);
 
-    ThreadPool one(1);
-    ThreadPool many(3);
-    const auto a = ScenarioSweep(one).run(jobs);
-    const auto b = ScenarioSweep(many).run(jobs);
-    ASSERT_EQ(a.size(), 1u);
-    ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(a[0].metrics.totalSteps, b[0].metrics.totalSteps);
-    EXPECT_DOUBLE_EQ(a[0].metrics.datacenterPowerW.mean(),
-                     b[0].metrics.datacenterPowerW.mean());
-    EXPECT_DOUBLE_EQ(a[0].metrics.maxGpuTempC.maxValue(),
-                     b[0].metrics.maxGpuTempC.maxValue());
+    // Each job's full state digest, captured on its worker thread
+    // into the job's own slot.
+    auto run = [&](unsigned threads,
+                   std::vector<std::uint64_t> &digests) {
+        digests.assign(jobs.size(), 0);
+        ThreadPool pool(threads);
+        return ScenarioSweep(pool).run(
+            jobs, [&](const SweepJob &job, ClusterSim &sim) {
+                digests[static_cast<std::size_t>(&job - jobs.data())] =
+                    sim.stateDigest();
+            });
+    };
+    std::vector<std::uint64_t> digests_one;
+    std::vector<std::uint64_t> digests_many;
+    const auto a = run(1, digests_one);
+    const auto b = run(3, digests_many);
+    ASSERT_EQ(a.size(), jobs.size());
+    ASSERT_EQ(b.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].name);
+        EXPECT_NE(digests_one[i], 0u);
+        EXPECT_EQ(digests_one[i], digests_many[i]);
+        EXPECT_EQ(a[i].metrics.totalSteps, b[i].metrics.totalSteps);
+        EXPECT_DOUBLE_EQ(a[i].metrics.datacenterPowerW.mean(),
+                         b[i].metrics.datacenterPowerW.mean());
+        EXPECT_DOUBLE_EQ(a[i].metrics.maxGpuTempC.maxValue(),
+                         b[i].metrics.maxGpuTempC.maxValue());
+    }
 }
 
 // --- Fault-path determinism across the thread pool ------------------
