@@ -67,8 +67,14 @@ main(int argc, char **argv)
 {
     bool check = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0)
+        if (std::strcmp(argv[i], "--check") == 0) {
             check = true;
+        } else {
+            std::cerr << "bench_fault_drill: unknown option '"
+                      << argv[i]
+                      << "'\nusage: bench_fault_drill [--check]\n";
+            return 2;
+        }
     }
 
     printBanner(std::cout,

@@ -14,6 +14,7 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "common/table.hh"
 #include "common/threadpool.hh"
@@ -26,11 +27,20 @@ using namespace tapas;
 int
 main(int argc, char **argv)
 {
+    // --quick runs the 50/50 column only.
+    bool quick = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--quick") {
+            quick = true;
+        } else {
+            std::cerr << "bench_fig20_ablation: unknown option '"
+                      << argv[i]
+                      << "'\nusage: bench_fig20_ablation [--quick]\n";
+            return 2;
+        }
+    }
     printBanner(std::cout,
                 "Fig. 20: policy ablation x SaaS/IaaS mix");
-    // --quick runs the 50/50 column only.
-    const bool quick = argc > 1 &&
-        std::string(argv[1]) == "--quick";
 
     SimConfig cfg = largeScaleScenario(7);
     // A shorter horizon keeps the 8x5 sweep tractable; two days

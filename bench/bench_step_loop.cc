@@ -164,6 +164,11 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--check") == 0 &&
                    i + 1 < argc) {
             check_path = argv[++i];
+        } else {
+            std::cerr << "bench_step_loop: bad option '" << argv[i]
+                      << "'\nusage: bench_step_loop [--smoke] "
+                         "[--check <baseline.json>]\n";
+            return 2;
         }
     }
 

@@ -2,8 +2,9 @@
  * @file
  * Checkpoint file I/O, CRC32/FNV hashing, and the atomic
  * write-rename helper. This file is the one place in the library
- * allowed to touch raw stdio (lint rule R8 exempts it); everything
- * else writes durable files through atomicWriteFile().
+ * allowed to touch raw stdio or POSIX file writes (lint rule R8
+ * exempts it); everything else writes durable files through
+ * atomicWriteFile().
  */
 
 #include "common/serialize.hh"
@@ -11,10 +12,14 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -67,7 +72,7 @@ errnoMessage(const std::string &what, const std::string &path)
     return what + " '" + path + "': " + std::strerror(errno);
 }
 
-/** RAII stdio handle so every error path closes the file. */
+/** RAII stdio read handle so every error path closes the file. */
 struct FileHandle
 {
     std::FILE *fp = nullptr;
@@ -80,17 +85,6 @@ struct FileHandle
     }
     FileHandle(const FileHandle &) = delete;
     FileHandle &operator=(const FileHandle &) = delete;
-
-    /** Close explicitly; true when the flush-to-OS succeeded. */
-    bool
-    close()
-    {
-        if (!fp)
-            return true;
-        const bool ok = std::fclose(fp) == 0;
-        fp = nullptr;
-        return ok;
-    }
 };
 
 /** Advance the CRC register @p c over @p size bytes, eight at a time. */
@@ -208,10 +202,10 @@ crc32Kernel()
 }
 
 std::uint32_t
-crc32(const void *data, std::size_t size)
+crc32(const void *data, std::size_t size, std::uint32_t prev)
 {
     const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint32_t c = 0xFFFFFFFFu;
+    std::uint32_t c = prev ^ 0xFFFFFFFFu;
 #ifdef TAPAS_CRC32_CLMUL
     if (size >= 64 && crc32Kernel() == Crc32Kernel::ClmulFold) {
         const std::size_t folded = size & ~std::size_t{15};
@@ -249,36 +243,93 @@ Archive::grow(std::size_t n)
     storeCap = cap;
 }
 
+namespace {
+
+/**
+ * Write all of @p pieces to @p fd in order, by writev in batches of
+ * at most IOV_MAX, resuming after short writes and EINTR. False (with
+ * errno set) on a write error.
+ */
+bool
+writeAllPieces(int fd, std::span<const ByteView> pieces)
+{
+    std::size_t next = 0; // first piece not yet fully written
+    std::size_t done = 0; // bytes of pieces[next] already written
+    iovec batch[IOV_MAX] = {};
+    for (;;) {
+        int n = 0;
+        std::size_t want = 0;
+        for (std::size_t i = next; i < pieces.size() && n < IOV_MAX;
+             ++i) {
+            const ByteView piece =
+                pieces[i].subspan(i == next ? done : 0);
+            // writev only reads through iov_base.
+            batch[n++] = {const_cast<std::uint8_t *>(piece.data()),
+                          piece.size()};
+            want += piece.size();
+        }
+        if (n == 0)
+            return true;
+        const ssize_t wrote = ::writev(fd, batch, n);
+        if (wrote < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (wrote == 0 && want > 0) {
+            errno = EIO;
+            return false;
+        }
+        auto left = static_cast<std::size_t>(wrote);
+        for (; next < pieces.size() &&
+             left >= pieces[next].size() - done;
+             ++next) {
+            left -= pieces[next].size() - done;
+            done = 0;
+        }
+        done += left;
+    }
+}
+
+} // namespace
+
+Error
+atomicWriteFile(const std::string &path,
+                std::span<const ByteView> pieces)
+{
+    const std::string tmp = path + ".tmp";
+    const auto fail = [&tmp](int fd, const std::string &what,
+                             const std::string &name) {
+        Error err = Error::io(errnoMessage(what, name));
+        if (fd >= 0)
+            ::close(fd);
+        std::remove(tmp.c_str());
+        return err;
+    };
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0666);
+    if (fd < 0)
+        return Error::io(errnoMessage("cannot create", tmp));
+    if (!writeAllPieces(fd, pieces))
+        return fail(fd, "short write to", tmp);
+    // Force the bytes to disk before the rename publishes the file:
+    // rename-before-fsync can expose an empty file after a power cut.
+    if (fsync(fd) != 0)
+        return fail(fd, "cannot flush", tmp);
+    if (::close(fd) != 0)
+        return fail(-1, "cannot close", tmp);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        return fail(-1, "cannot rename into", path);
+    return Error::okValue();
+}
+
 Error
 atomicWriteFile(const std::string &path, const void *data,
                 std::size_t size)
 {
-    const std::string tmp = path + ".tmp";
-    FileHandle out(std::fopen(tmp.c_str(), "wb"));
-    if (!out.fp)
-        return Error::io(errnoMessage("cannot create", tmp));
-
-    if (size > 0 &&
-        std::fwrite(data, 1, size, out.fp) != size) {
-        std::remove(tmp.c_str());
-        return Error::io(errnoMessage("short write to", tmp));
-    }
-    // Flush user-space buffers, then force the bytes to disk before
-    // the rename publishes the file: rename-before-fsync can expose
-    // an empty file after a power cut.
-    if (std::fflush(out.fp) != 0 || fsync(fileno(out.fp)) != 0) {
-        std::remove(tmp.c_str());
-        return Error::io(errnoMessage("cannot flush", tmp));
-    }
-    if (!out.close()) {
-        std::remove(tmp.c_str());
-        return Error::io(errnoMessage("cannot close", tmp));
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Error::io(errnoMessage("cannot rename into", path));
-    }
-    return Error::okValue();
+    const ByteView piece{static_cast<const std::uint8_t *>(data), size};
+    return atomicWriteFile(path, {&piece, 1});
 }
 
 Error
@@ -287,22 +338,31 @@ atomicWriteFile(const std::string &path, const std::string &text)
     return atomicWriteFile(path, text.data(), text.size());
 }
 
-Result<std::vector<std::uint8_t>>
-readFileBytes(const std::string &path)
+namespace {
+
+/**
+ * Read all of @p path into @p bytes, a byte vector of either
+ * allocator: a regular file in one call into a buffer sized up front
+ * (resize() is the vector's own: zero-filled or, under
+ * CheckpointData's allocator, left for the read to overwrite); pipes
+ * and files that grow meanwhile are read on to EOF.
+ */
+template <typename Bytes>
+Error
+readWholeFile(const std::string &path, Bytes &bytes)
 {
     FileHandle in(std::fopen(path.c_str(), "rb"));
     if (!in.fp)
         return Error::io(errnoMessage("cannot open", path));
 
-    // Size once and read a regular file in one call; st_size is 0
-    // for pipes, and a file may grow after the fstat, so read on in
-    // chunks until EOF.
+    // st_size is 0 for pipes, and a file may grow after the fstat,
+    // so read on in chunks until EOF.
     struct stat st;
     if (fstat(fileno(in.fp), &st) != 0)
         return Error::io(errnoMessage("cannot stat", path));
-    std::vector<std::uint8_t> bytes(
-        S_ISREG(st.st_mode) ? static_cast<std::size_t>(st.st_size)
-                            : 0);
+    bytes.resize(S_ISREG(st.st_mode)
+                     ? static_cast<std::size_t>(st.st_size)
+                     : 0);
     const std::size_t got =
         bytes.empty() ? 0
                       : std::fread(bytes.data(), 1, bytes.size(), in.fp);
@@ -325,6 +385,18 @@ readFileBytes(const std::string &path)
             break;
         }
     }
+    return Error::okValue();
+}
+
+} // namespace
+
+Result<std::vector<std::uint8_t>>
+readFileBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    const Error err = readWholeFile(path, bytes);
+    if (!err.ok())
+        return err;
     return bytes;
 }
 
@@ -380,6 +452,7 @@ getU64(const std::uint8_t *p)
 
 CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
 {
+    ar.stable = &pieces;
     ar.putBytes(kMagic, sizeof kMagic);
     std::uint32_t version = kCheckpointFormatVersion;
     std::uint32_t count_placeholder = 0;
@@ -390,27 +463,39 @@ CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
     ar.value(crc_placeholder);
 }
 
-std::size_t
+void
 CheckpointWriter::beginSection(std::uint32_t id)
 {
-    const std::size_t frame = ar.writePos;
+    frameAt = ar.writePos;
+    framePiece = pieces.size();
     std::uint64_t length_placeholder = 0;
     ar.value(id);
     ar.value(length_placeholder);
     ++sectionCount;
-    return frame;
 }
 
 void
-CheckpointWriter::endSection(std::size_t frame)
+CheckpointWriter::endSection()
 {
     // The section CRC seals the whole frame (id + length + payload),
     // so a flipped id or length is as detectable as a flipped
-    // payload byte. The archive's bytes are little-endian in memory.
-    const std::uint64_t length = ar.writePos - frame - 4 - 8;
-    std::memcpy(ar.store.get() + frame + 4, &length, sizeof length);
-    std::uint32_t crc =
-        crc32(ar.store.get() + frame, ar.writePos - frame);
+    // payload byte. It chains over the buffer's runs and the stable
+    // pieces between them in stream order, which is the CRC of the
+    // contiguous frame. The archive's bytes are little-endian in
+    // memory.
+    std::uint64_t length = ar.writePos - frameAt - 4 - 8;
+    for (std::size_t i = framePiece; i < pieces.size(); ++i)
+        length += pieces[i].bytes.size();
+    std::memcpy(ar.store.get() + frameAt + 4, &length, sizeof length);
+    std::uint32_t crc = 0;
+    std::size_t at = frameAt;
+    for (std::size_t i = framePiece; i < pieces.size(); ++i) {
+        const Archive::StablePiece &piece = pieces[i];
+        crc = crc32(ar.store.get() + at, piece.at - at, crc);
+        crc = crc32(piece.bytes.data(), piece.bytes.size(), crc);
+        at = piece.at;
+    }
+    crc = crc32(ar.store.get() + at, ar.writePos - at, crc);
     ar.value(crc);
 }
 
@@ -421,18 +506,29 @@ CheckpointWriter::write(const std::string &path)
                 sizeof sectionCount);
     const std::uint32_t crc = crc32(ar.store.get(), kHeaderSize - 4);
     std::memcpy(ar.store.get() + kHeaderSize - 4, &crc, sizeof crc);
-    return atomicWriteFile(path, ar.store.get(), ar.writePos);
+
+    // The buffer's runs with the stable pieces between them.
+    std::vector<ByteView> file;
+    file.reserve(2 * pieces.size() + 1);
+    std::size_t at = 0;
+    for (const Archive::StablePiece &piece : pieces) {
+        if (piece.at > at)
+            file.push_back({ar.store.get() + at, piece.at - at});
+        file.push_back(piece.bytes);
+        at = piece.at;
+    }
+    file.push_back({ar.store.get() + at, ar.writePos - at});
+    return atomicWriteFile(path, file);
 }
 
 Result<CheckpointData>
 readCheckpointFile(const std::string &path)
 {
-    Result<std::vector<std::uint8_t>> read = readFileBytes(path);
-    if (!read.ok())
-        return read.error();
     CheckpointData data;
-    data.file = std::move(read.value());
-    const std::vector<std::uint8_t> &bytes = data.file;
+    const Error read = readWholeFile(path, data.file);
+    if (!read.ok())
+        return read;
+    const auto &bytes = data.file;
 
     if (bytes.size() < kHeaderSize)
         return Error::corrupt("checkpoint '" + path +

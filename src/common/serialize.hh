@@ -15,18 +15,21 @@
  *    canonical state digest input.
  *
  *  - Checkpoint files: magic + format version + per-section framing
- *    ([id][length][payload][crc32]). CheckpointWriter frames each
- *    section in place in one buffer; readCheckpointFile hands back
+ *    ([id][length][payload][crc32]). CheckpointWriter frames the
+ *    small fields of every section in one buffer and references the
+ *    stableBytes() pieces (telemetry ring chunks) where they lie,
+ *    then gathers both into one write; readCheckpointFile hands back
  *    sections as views into the file bytes. Truncation, bit flips,
  *    and version skew are *detected* (length/CRC/magic checks) and
  *    surfaced as tapas::Error — never undefined behavior, never a
  *    silent wrong resume. Bump kCheckpointFormatVersion whenever any
  *    serialized struct changes shape (docs/checkpoint-format.md).
  *
- *  - atomicWriteFile: write-to-temp + fsync + rename. Every durable
- *    write in the repo goes through it (lint rule R8 bans raw
- *    fopen/fwrite/ofstream elsewhere), so a crash mid-write leaves
- *    the previous good file, not a torn one.
+ *  - atomicWriteFile: write-to-temp (gathered from any number of
+ *    pieces) + fsync + rename. Every durable write in the repo goes
+ *    through it (lint rule R8 bans raw fopen/fwrite/ofstream
+ *    elsewhere), so a crash mid-write leaves the previous good file,
+ *    not a torn one.
  */
 
 #ifndef TAPAS_COMMON_SERIALIZE_HH
@@ -37,6 +40,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -64,19 +68,28 @@ Crc32Kernel crc32Kernel();
  * CRC-32 (IEEE 802.3 polynomial, reflected). crc32Kernel() folds the
  * whole 16-byte blocks of inputs of 64 bytes and more; the
  * slicing-by-8 tables take shorter inputs, the tail under 16 bytes,
- * and hosts without the fold.
+ * and hosts without the fold. @p prev chains pieces:
+ * crc32(b, nb, crc32(a, na)) is the CRC of a followed by b.
  */
-std::uint32_t crc32(const void *data, std::size_t size);
+std::uint32_t crc32(const void *data, std::size_t size,
+                    std::uint32_t prev = 0);
 
 /** FNV-1a 64-bit hash; @p seed chains multi-buffer digests. */
 std::uint64_t fnv1a64(const void *data, std::size_t size,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
 
+/** A read-only run of bytes. */
+using ByteView = std::span<const std::uint8_t>;
+
 /**
  * Write-to-temp + fsync + rename. The destination either keeps its
  * previous contents or atomically becomes the new ones; a crash (or
- * SIGKILL) at any point never leaves a torn file behind.
+ * SIGKILL) at any point never leaves a torn file behind. The file is
+ * @p pieces back to back, handed to the kernel by writev in batches
+ * of at most IOV_MAX; the other overloads write one piece.
  */
+Error atomicWriteFile(const std::string &path,
+                      std::span<const ByteView> pieces);
 Error atomicWriteFile(const std::string &path, const void *data,
                       std::size_t size);
 Error atomicWriteFile(const std::string &path,
@@ -140,9 +153,9 @@ class Archive
     void fail() { okFlag = false; }
 
     /**
-     * Serialized bytes (write mode): exactly what was written. Files
-     * are framed in this storage in place (CheckpointWriter); nothing
-     * copies it out.
+     * Serialized bytes (write mode): exactly what was written. In a
+     * CheckpointWriter's archive the stableBytes() pieces are not in
+     * it; the writer gathers them in at write().
      */
     std::span<const std::uint8_t>
     buffer() const
@@ -266,6 +279,28 @@ class Archive
             getBytes(p, n);
     }
 
+    /**
+     * bytes() for memory whose owner keeps it alive and unchanged
+     * until the CheckpointWriter walking it returns from write().
+     * That writer records where the bytes go and reads them in place
+     * when it seals the frame CRC and writes the file, without
+     * copying them; any other archive treats the call as bytes().
+     * Memory that changes or dies before write() returns (a
+     * loop-local payload, a temporary) must go through bytes().
+     */
+    void
+    stableBytes(void *p, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (!readMode && stable) {
+            stable->push_back(
+                {writePos, {static_cast<const std::uint8_t *>(p), n}});
+            return;
+        }
+        bytes(p, n);
+    }
+
     // ------------------------------------------------ containers --
 
     /** Vector of arithmetic/enum/Id elements. */
@@ -327,6 +362,14 @@ class Archive
   private:
     friend class CheckpointWriter;
 
+    /** A stableBytes() run, referenced where it goes: right after
+     *  the first @c at bytes of the archive's own storage. */
+    struct StablePiece
+    {
+        std::size_t at;
+        ByteView bytes;
+    };
+
     Archive() = default;
 
     /** Bytes one element of a podVector occupies on the wire. */
@@ -382,6 +425,8 @@ class Archive
 
     bool readMode = false;
     bool okFlag = true;
+    // Set by CheckpointWriter: stableBytes() pieces, in stream order.
+    std::vector<StablePiece> *stable = nullptr;
     // Write storage: [0, writePos) is written, [writePos, storeCap)
     // is uninitialized.
     std::unique_ptr<std::uint8_t[]> store;
@@ -404,37 +449,49 @@ class Archive
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
 /**
- * Writes a checkpoint file framed in place. The header and every
- * section are walked straight into one growing buffer: a section's id
- * and a length placeholder go first, its walk appends the payload,
- * then the length is patched and the frame sealed with its CRC where
- * it lies. write() seals the header and hands that one buffer to
- * atomicWriteFile.
+ * Writes a checkpoint file by gathering, not copying, its biggest
+ * runs. The header and every section's small fields are walked
+ * straight into one growing buffer: a section's id and a length
+ * placeholder go first, its walk appends the payload, then the length
+ * is patched and the frame sealed with its CRC. Archive::stableBytes()
+ * runs stay where their owner keeps them: the writer records where
+ * each goes, chains the frame CRC over the buffer and those pieces in
+ * stream order, and write() hands the same ordered pieces to the
+ * gathered atomicWriteFile. The file is byte for byte the one a
+ * contiguous frame would give.
  */
 class CheckpointWriter
 {
   public:
     explicit CheckpointWriter(std::uint64_t config_digest);
 
+    CheckpointWriter(const CheckpointWriter &) = delete;
+    CheckpointWriter &operator=(const CheckpointWriter &) = delete;
+
     /** Frame one section; @p walk(Archive&) appends its payload. */
     template <typename Walk>
     void
     section(std::uint32_t id, Walk &&walk)
     {
-        const std::size_t frame = beginSection(id);
+        beginSection(id);
         walk(ar);
-        endSection(frame);
+        endSection();
     }
 
     /** Seal the header (section count, CRC) and write the file. */
     Error write(const std::string &path);
 
   private:
-    std::size_t beginSection(std::uint32_t id);
-    void endSection(std::size_t frame);
+    void beginSection(std::uint32_t id);
+    void endSection();
 
     Archive ar;
+    std::vector<Archive::StablePiece> pieces;
     std::uint32_t sectionCount = 0;
+    // The open section: its frame's offset in ar's storage and its
+    // first entry in pieces.
+    std::size_t frameAt = 0;
+    std::size_t framePiece = 0;
 };
 
 /** One framed section: a view into its CheckpointData's bytes. */
@@ -477,7 +534,26 @@ class CheckpointData
     friend Result<CheckpointData>
     readCheckpointFile(const std::string &path);
 
-    std::vector<std::uint8_t> file;
+    /** std::allocator whose value-less construct() leaves the byte
+     *  unset: resize() reserves room the file read overwrites,
+     *  without zero-filling it first. */
+    template <typename T>
+    struct OverwriteAllocator : std::allocator<T>
+    {
+        template <typename U>
+        struct rebind
+        {
+            using other = OverwriteAllocator<U>;
+        };
+
+        void
+        construct(T *p) noexcept
+        {
+            ::new (static_cast<void *>(p)) T;
+        }
+    };
+
+    std::vector<std::uint8_t, OverwriteAllocator<std::uint8_t>> file;
 };
 
 /**

@@ -315,13 +315,15 @@ class SampleRing
      *
      * When Traits::kWireImage says a sample's memory image is its
      * wire image, the ring's (at most two) contiguous chunks travel
-     * as one byte copy each. That is a layout promise the sample's
-     * header guards with static_asserts on sizeof, every field's
-     * offsetof, trivial copyability and a little-endian host, so a
-     * new field (or padding, which would leak uninitialized bytes
-     * into digests) breaks the build instead of silently changing
-     * the format. Other samples go field-wise through
-     * Traits::fields(ar, sample).
+     * as one Archive::stableBytes() run each: a checkpoint writer
+     * reads them in place (the ring must not change until its
+     * write() returns), any other archive copies them once. That is
+     * a layout promise the sample's header guards with static_asserts
+     * on sizeof, every field's offsetof, trivial copyability and a
+     * little-endian host, so a new field (or padding, which would
+     * leak uninitialized bytes into digests) breaks the build instead
+     * of silently changing the format. Other samples go field-wise
+     * through Traits::fields(ar, sample).
      */
     template <typename Ar>
     void
@@ -351,8 +353,8 @@ class SampleRing
                           std::is_trivially_copyable_v<T>);
             const std::size_t first_len =
                 std::min(count, data.size() - head);
-            ar.bytes(data.data() + head, first_len * sizeof(T));
-            ar.bytes(data.data(), (count - first_len) * sizeof(T));
+            ar.stableBytes(data.data() + head, first_len * sizeof(T));
+            ar.stableBytes(data.data(), (count - first_len) * sizeof(T));
         } else {
             for (std::size_t i = 0; i < count; ++i)
                 Traits::fields(ar, const_cast<T &>(at(i)));

@@ -2,15 +2,17 @@
  * @file
  * Unit tests for the versioned binary serialization layer: Archive
  * round-trips and golden wire bytes, CRC32 reference vectors, a
- * bytewise CRC oracle and the run-time kernel selection, atomic file
- * replacement, the in-place checkpoint writer's exact bytes, and the
- * checkpoint container's rejection of every corruption class
- * (truncation, bit flips, bad magic, future versions, trailing
- * garbage) as a structured tapas::Error.
+ * bytewise CRC oracle, CRC chaining and the run-time kernel
+ * selection, atomic file replacement, the checkpoint writer's exact
+ * bytes (gathered pieces included), and the checkpoint container's
+ * rejection of every corruption class (truncation, bit flips, bad
+ * magic, future versions, trailing garbage) as a structured
+ * tapas::Error.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -97,6 +99,28 @@ TEST(Serialize, Crc32MatchesBytewiseOracleAtEveryLengthAndOffset)
                   bytewiseCrc32(big.data() + 7, big.size() - 7))
             << n << " bytes at offset 7";
     }
+}
+
+TEST(Serialize, Crc32ChainsAcrossPieces)
+{
+    // crc32(b, crc32(a)) is the CRC of a then b, wherever the split
+    // falls relative to the fold's 64-byte minimum and 16-byte lanes.
+    const std::vector<std::uint8_t> noise = noiseBytes(1000, 17);
+    const std::uint32_t whole = crc32(noise.data(), noise.size());
+    for (const std::size_t split :
+         {std::size_t{0}, std::size_t{1}, std::size_t{15},
+          std::size_t{63}, std::size_t{64}, std::size_t{100},
+          std::size_t{937}, std::size_t{999}, std::size_t{1000}}) {
+        const std::uint32_t head = crc32(noise.data(), split);
+        EXPECT_EQ(crc32(noise.data() + split, noise.size() - split,
+                        head),
+                  whole)
+            << "split at " << split;
+    }
+    std::uint32_t three = crc32(noise.data(), 10);
+    three = crc32(noise.data() + 10, 0, three);
+    three = crc32(noise.data() + 10, 990, three);
+    EXPECT_EQ(three, whole);
 }
 
 TEST(Serialize, Crc32SelectsTheFoldKernelWhereTheHostHasIt)
@@ -275,6 +299,18 @@ TEST(Serialize, ArchiveRawBytesAreOneCopyEachWay)
     short_read.bytes(untouched, sizeof untouched);
     EXPECT_FALSE(short_read.ok());
     EXPECT_EQ(hexOf(untouched), "0909090909");
+
+    // Outside a CheckpointWriter, stableBytes() is bytes(): it copies
+    // on write and reads into the target.
+    Archive stable = Archive::writer();
+    stable.stableBytes(out, sizeof out);
+    stable.stableBytes(nullptr, 0);
+    EXPECT_EQ(hexOf(stable.buffer()), "0102030405");
+    Archive stable_read = Archive::reader(stable.buffer());
+    std::uint8_t back[5] = {};
+    stable_read.stableBytes(back, sizeof back);
+    EXPECT_TRUE(stable_read.done());
+    EXPECT_EQ(hexOf(back), "0102030405");
 }
 
 TEST(Serialize, ArchiveWriterGrowsAcrossManyFields)
@@ -507,6 +543,76 @@ TEST(Serialize, CheckpointWriterFramesInPlaceByteForByte)
     expect.insert(expect.end(), {9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
     put_u32(crc32(expect.data() + frame, expect.size() - frame));
     EXPECT_EQ(hexOf(b), hexOf(expect));
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, CheckpointWriterGathersMoreThanIovMaxPieces)
+{
+    // More stableBytes() pieces than one writev takes, runs of them
+    // back to back, small fields between, and an empty section: the
+    // file must be exactly the contiguous frames, CRCs included.
+    const std::size_t n = IOV_MAX + 300;
+    std::vector<std::vector<std::uint8_t>> blocks;
+    for (std::size_t i = 0; i < n; ++i)
+        blocks.push_back(noiseBytes(1 + (i * 37) % 211, 100 + i));
+    const auto walk_first = [&blocks](Archive &ar) {
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            if (i % 3 != 2) {
+                auto tag = static_cast<std::uint32_t>(i);
+                ar.value(tag);
+            }
+            ar.stableBytes(blocks[i].data(), blocks[i].size());
+        }
+    };
+    std::vector<std::uint8_t> tail = noiseBytes(500, 7);
+    const auto walk_last = [&](Archive &ar) {
+        ar.stableBytes(tail.data(), tail.size());
+        ar.stableBytes(blocks[0].data(), blocks[0].size());
+        std::uint64_t trailer = 0x0123456789abcdefull;
+        ar.value(trailer);
+    };
+
+    const std::string path = tmpPath("ckpt_gathered.tapasckp");
+    CheckpointWriter writer(0x55aa55aa55aa55aaull);
+    writer.section(4, walk_first);
+    writer.section(5, [](Archive &) {});
+    writer.section(6, walk_last);
+    ASSERT_TRUE(writer.write(path).ok());
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+
+    // The same walks through a plain archive (stableBytes copies),
+    // framed by hand with whole-frame CRCs.
+    std::vector<std::uint8_t> expect = {'T',  'A',  'P',  'A',  'S',
+                                        'C',  'K',  'P',  1,    0,
+                                        0,    0,    3,    0,    0,
+                                        0,    0xaa, 0x55, 0xaa, 0x55,
+                                        0xaa, 0x55, 0xaa, 0x55};
+    const auto put_le = [&expect](std::uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            expect.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put_le(crc32(expect.data(), expect.size()), 4);
+    const auto frame = [&](std::uint32_t id, auto walk) {
+        Archive ar = Archive::writer();
+        walk(ar);
+        const std::size_t start = expect.size();
+        put_le(id, 4);
+        put_le(ar.buffer().size(), 8);
+        expect.insert(expect.end(), ar.buffer().begin(),
+                      ar.buffer().end());
+        put_le(crc32(expect.data() + start, expect.size() - start), 4);
+    };
+    frame(4, walk_first);
+    frame(5, [](Archive &) {});
+    frame(6, walk_last);
+    ASSERT_EQ(bytes.value().size(), expect.size());
+    EXPECT_TRUE(bytes.value() == expect);
+
+    Result<CheckpointData> back = readCheckpointFile(path);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back.value().sections.size(), 3u);
+    EXPECT_TRUE(back.value().find(5)->payload.empty());
     removeFileIfExists(path);
 }
 

@@ -526,5 +526,25 @@ TEST(Checkpoint, SavedFileBytesArePinned)
     removeFileIfExists(path);
 }
 
+TEST(Checkpoint, RingHeavySavedFileBytesArePinned)
+{
+    // Six hours of retention over a simulated day: the server rings
+    // have wrapped, so each travels as two stableBytes() chunks that
+    // the writer gathers. The constants were taken from a writer
+    // that copied every chunk into one contiguous buffer.
+    SimConfig cfg = faultDrillScenario(323).asTapas();
+    cfg.telemetryRetention = 6 * kHour;
+    const std::string path = tmpPath("ckpt_pinned_rings.tapasckp");
+    ClusterSim sim(cfg);
+    sim.runSteps(static_cast<int>(kDay / cfg.stepLength));
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(bytes.value().size(), 142248u);
+    EXPECT_EQ(fnv1a64(bytes.value().data(), bytes.value().size()),
+              0x18b523d0230adf96ull);
+    removeFileIfExists(path);
+}
+
 } // namespace
 } // namespace tapas

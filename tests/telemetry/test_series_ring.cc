@@ -4,8 +4,9 @@
  * reference: append/trim/digest equality under churn, eviction
  * semantics at capacity, and the contiguous-chunk view contract.
  * Also the rings' checkpoint codec: whole-record server rings keep
- * the field-wise wire bytes, and crafted sample counts fail the
- * archive instead of driving an allocation.
+ * the field-wise wire bytes, copied or gathered into a checkpoint
+ * file, and crafted sample counts fail the archive instead of
+ * driving an allocation.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -314,24 +317,28 @@ serverSampleAt(SimTime t)
             0.5f + 0.001f * f};
 }
 
+/** An empty ring, a growing one (one chunk) and a wrapped, trimmed
+ *  one (head != 0, both chunks non-empty). */
+std::vector<ServerSeriesRing>
+checkpointRings()
+{
+    std::vector<ServerSeriesRing> rings(3, ServerSeriesRing(8));
+    for (SimTime t = 0; t < 5; ++t)
+        rings[1].push(serverSampleAt(t * 600));
+    for (SimTime t = 0; t < 12; ++t)
+        rings[2].push(serverSampleAt(t * 600 + (t > 9 ? 900 : 0)));
+    rings[2].trimBefore(6 * 600);
+    return rings;
+}
+
 TEST(SampleRingCheckpoint, WholeRecordBytesEqualFieldWiseEncoding)
 {
-    ServerSeriesRing empty(8);
+    std::vector<ServerSeriesRing> rings = checkpointRings();
+    ASSERT_EQ(rings[1].view().secondChunk().size, 0u);
+    ASSERT_GT(rings[2].view().firstChunk().size, 0u);
+    ASSERT_GT(rings[2].view().secondChunk().size, 0u);
 
-    ServerSeriesRing growing(8);
-    for (SimTime t = 0; t < 5; ++t)
-        growing.push(serverSampleAt(t * 600));
-    ASSERT_EQ(growing.view().secondChunk().size, 0u);
-
-    // Wrapped, then trimmed: head != 0 and both chunks non-empty.
-    ServerSeriesRing wrapped(8);
-    for (SimTime t = 0; t < 12; ++t)
-        wrapped.push(serverSampleAt(t * 600 + (t > 9 ? 900 : 0)));
-    wrapped.trimBefore(6 * 600);
-    ASSERT_GT(wrapped.view().firstChunk().size, 0u);
-    ASSERT_GT(wrapped.view().secondChunk().size, 0u);
-
-    for (ServerSeriesRing *ring : {&empty, &growing, &wrapped}) {
+    for (ServerSeriesRing *ring : {&rings[0], &rings[1], &rings[2]}) {
         const std::vector<std::uint8_t> bytes = ringBytes(*ring);
         EXPECT_EQ(bytes, fieldWiseRingBytes(*ring));
 
@@ -352,6 +359,37 @@ TEST(SampleRingCheckpoint, WholeRecordBytesEqualFieldWiseEncoding)
         }
         EXPECT_EQ(ringBytes(back), bytes);
     }
+}
+
+TEST(SampleRingCheckpoint, GatheredCheckpointFileHoldsFieldWiseBytes)
+{
+    // Through a CheckpointWriter the chunks are gathered in place,
+    // not copied: each section's payload read back from the file must
+    // still be the field-wise encoding.
+    std::vector<ServerSeriesRing> rings = checkpointRings();
+    ASSERT_GT(rings[2].view().secondChunk().size, 0u);
+    const std::string path =
+        std::string(::testing::TempDir()) + "ring_gathered.tapasckp";
+    CheckpointWriter writer(0x77);
+    for (std::uint32_t id = 0; id < rings.size(); ++id) {
+        writer.section(id, [&](Archive &ar) {
+            rings[id].checkpointState(ar);
+        });
+    }
+    ASSERT_TRUE(writer.write(path).ok());
+
+    Result<CheckpointData> back = readCheckpointFile(path);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back.value().sections.size(), rings.size());
+    for (std::uint32_t id = 0; id < rings.size(); ++id) {
+        const std::span<const std::uint8_t> payload =
+            back.value().find(id)->payload;
+        EXPECT_EQ(std::vector<std::uint8_t>(payload.begin(),
+                                            payload.end()),
+                  fieldWiseRingBytes(rings[id]))
+            << "ring " << id;
+    }
+    removeFileIfExists(path);
 }
 
 /** A ring header claiming @p n samples, followed by @p payload bytes. */
