@@ -14,6 +14,7 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "common/table.hh"
 #include "common/threadpool.hh"
@@ -26,10 +27,21 @@ using namespace tapas;
 int
 main(int argc, char **argv)
 {
+    // --quick runs one simulated day instead of two.
+    bool quick = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--quick") {
+            quick = true;
+        } else {
+            std::cerr << "bench_fig21_oversubscription: unknown option '"
+                      << argv[i]
+                      << "'\nusage: bench_fig21_oversubscription "
+                         "[--quick]\n";
+            return 2;
+        }
+    }
     printBanner(std::cout,
                 "Fig. 21: oversubscription vs capped time");
-    const bool quick = argc > 1 &&
-        std::string(argv[1]) == "--quick";
 
     SimConfig cfg = largeScaleScenario(7);
     cfg.horizon = quick ? kDay : 2 * kDay;

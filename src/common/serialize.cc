@@ -232,6 +232,11 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
 void
 Archive::grow(std::size_t n)
 {
+    if (sink && writePos > 0 && sink->full(buffer())) {
+        writePos = 0;
+        if (n <= storeCap)
+            return;
+    }
     const std::size_t cap =
         std::max({storeCap * 2, writePos + n, std::size_t{256}});
     // for_overwrite: the tail is not zero-filled, so its pages stay
@@ -452,7 +457,7 @@ getU64(const std::uint8_t *p)
 
 CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
 {
-    ar.stable = &pieces;
+    ar.sink = this;
     ar.putBytes(kMagic, sizeof kMagic);
     std::uint32_t version = kCheckpointFormatVersion;
     std::uint32_t count_placeholder = 0;
@@ -461,6 +466,13 @@ CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
     ar.value(count_placeholder);
     ar.value(config_digest);
     ar.value(crc_placeholder);
+}
+
+bool
+CheckpointWriter::stable(ByteView buffered, ByteView run)
+{
+    pieces.push_back({buffered.size(), run});
+    return false;
 }
 
 void
@@ -519,6 +531,28 @@ CheckpointWriter::write(const std::string &path)
     }
     file.push_back({ar.store.get() + at, ar.writePos - at});
     return atomicWriteFile(path, file);
+}
+
+DigestWriter::DigestWriter()
+{
+    ar.sink = this;
+    ar.grow(kBlockBytes);
+}
+
+bool
+DigestWriter::stable(ByteView buffered, ByteView run)
+{
+    // Stream order: the block so far, then the run.
+    full(buffered);
+    hash = fnv1a64(run.data(), run.size(), hash);
+    return true;
+}
+
+bool
+DigestWriter::full(ByteView buffered)
+{
+    hash = fnv1a64(buffered.data(), buffered.size(), hash);
+    return true;
 }
 
 Result<CheckpointData>

@@ -12,7 +12,10 @@
  *    written as fixed-width little-endian values (doubles/floats as
  *    their IEEE-754 bit patterns), so archives are bit-exact across
  *    (little-endian) hosts and the serialized stream doubles as a
- *    canonical state digest input.
+ *    canonical state digest input. DigestWriter hashes that stream
+ *    as it is walked: small fields pass through one fixed-size
+ *    block, stableBytes() runs are hashed where they lie, so a
+ *    digest needs no state-sized copy.
  *
  *  - Checkpoint files: magic + format version + per-section framing
  *    ([id][length][payload][crc32]). CheckpointWriter frames the
@@ -111,15 +114,17 @@ bool fileExists(const std::string &path);
 void removeFileIfExists(const std::string &path);
 
 class CheckpointWriter;
+class DigestWriter;
 
 /**
  * Bidirectional field codec over a byte buffer. Write mode appends
- * through a cursor into storage that grows geometrically, so each
- * field costs one capacity check plus one memcpy; read mode
- * consumes with bounds checks. A read past the end (or a semantic
- * mismatch flagged by fail()) latches ok() to false and
- * turns every later read into a zero-fill no-op — callers run the
- * full checkpointState walk and check ok() once at the end.
+ * through a cursor into storage that grows geometrically (or, under
+ * a sink that consumes it, is reused once full), so each field costs
+ * one capacity check plus one memcpy; read mode consumes with bounds
+ * checks. A read past the end (or a semantic mismatch flagged by
+ * fail()) latches ok() to false and turns every later read into a
+ * zero-fill no-op — callers run the full checkpointState walk and
+ * check ok() once at the end.
  */
 class Archive
 {
@@ -155,7 +160,8 @@ class Archive
     /**
      * Serialized bytes (write mode): exactly what was written. In a
      * CheckpointWriter's archive the stableBytes() pieces are not in
-     * it; the writer gathers them in at write().
+     * it; the writer gathers them in at write(). A DigestWriter's
+     * archive holds only what it has not hashed yet.
      */
     std::span<const std::uint8_t>
     buffer() const
@@ -283,19 +289,21 @@ class Archive
      * bytes() for memory whose owner keeps it alive and unchanged
      * until the CheckpointWriter walking it returns from write().
      * That writer records where the bytes go and reads them in place
-     * when it seals the frame CRC and writes the file, without
-     * copying them; any other archive treats the call as bytes().
-     * Memory that changes or dies before write() returns (a
-     * loop-local payload, a temporary) must go through bytes().
+     * when it seals the frame CRC and writes the file; a DigestWriter
+     * hashes them in place during the call. Neither copies them; any
+     * other archive treats the call as bytes(). Memory that changes
+     * or dies before write() returns (a loop-local payload, a
+     * temporary) must go through bytes().
      */
     void
     stableBytes(void *p, std::size_t n)
     {
         if (n == 0)
             return;
-        if (!readMode && stable) {
-            stable->push_back(
-                {writePos, {static_cast<const std::uint8_t *>(p), n}});
+        if (!readMode && sink) {
+            if (sink->stable(buffer(),
+                             {static_cast<const std::uint8_t *>(p), n}))
+                writePos = 0;
             return;
         }
         bytes(p, n);
@@ -361,6 +369,22 @@ class Archive
 
   private:
     friend class CheckpointWriter;
+    friend class DigestWriter;
+
+    /**
+     * The write stream's consumer besides the archive's own storage:
+     * CheckpointWriter references stableBytes() runs, DigestWriter
+     * hashes the stream. Each hook gets the storage's bytes so far
+     * and returns true when it has consumed them, which empties the
+     * storage for reuse.
+     */
+    struct Sink
+    {
+        /** A stableBytes() run, @p run, follows @p buffered. */
+        virtual bool stable(ByteView buffered, ByteView run) = 0;
+        /** @p buffered fills the storage; false lets it grow. */
+        virtual bool full(ByteView buffered) = 0;
+    };
 
     /** A stableBytes() run, referenced where it goes: right after
      *  the first @c at bytes of the archive's own storage. */
@@ -408,7 +432,11 @@ class Archive
         writePos += n;
     }
 
-    /** Reallocate so @p n more bytes fit (capacity at least doubles). */
+    /**
+     * Make room for @p n more bytes: hand the full storage to the
+     * sink, if it consumes it, and reuse it; otherwise reallocate
+     * (capacity at least doubles).
+     */
     void grow(std::size_t n);
 
     bool
@@ -425,8 +453,8 @@ class Archive
 
     bool readMode = false;
     bool okFlag = true;
-    // Set by CheckpointWriter: stableBytes() pieces, in stream order.
-    std::vector<StablePiece> *stable = nullptr;
+    // Set by CheckpointWriter and DigestWriter.
+    Sink *sink = nullptr;
     // Write storage: [0, writePos) is written, [writePos, storeCap)
     // is uninitialized.
     std::unique_ptr<std::uint8_t[]> store;
@@ -460,7 +488,7 @@ constexpr std::uint32_t kCheckpointFormatVersion = 1;
  * gathered atomicWriteFile. The file is byte for byte the one a
  * contiguous frame would give.
  */
-class CheckpointWriter
+class CheckpointWriter final : private Archive::Sink
 {
   public:
     explicit CheckpointWriter(std::uint64_t config_digest);
@@ -485,6 +513,11 @@ class CheckpointWriter
     void beginSection(std::uint32_t id);
     void endSection();
 
+    /** Record where @p run goes; the buffer stays. */
+    bool stable(ByteView buffered, ByteView run) override;
+    /** The frame buffer keeps growing. */
+    bool full(ByteView) override { return false; }
+
     Archive ar;
     std::vector<Archive::StablePiece> pieces;
     std::uint32_t sectionCount = 0;
@@ -492,6 +525,44 @@ class CheckpointWriter
     // first entry in pieces.
     std::size_t frameAt = 0;
     std::size_t framePiece = 0;
+};
+
+/**
+ * FNV-1a-64 of a write walk's byte stream, without a copy of it: the
+ * value equals fnv1a64 over the buffer Archive::writer() holds after
+ * the same walk. Small fields go into one kBlockBytes block, folded
+ * into the running hash each time it fills and then reused;
+ * a stableBytes() run folds the block so far, then is hashed where
+ * it lies. FNV-1a is byte-serial, so splitting the stream this way
+ * yields the one-buffer value, and memory stays O(block) (a single
+ * bytes() call longer than the block still grows it).
+ */
+class DigestWriter final : private Archive::Sink
+{
+  public:
+    static constexpr std::size_t kBlockBytes = 4096;
+
+    DigestWriter();
+
+    DigestWriter(const DigestWriter &) = delete;
+    DigestWriter &operator=(const DigestWriter &) = delete;
+
+    /** The archive to walk; it writes. */
+    Archive &archive() { return ar; }
+
+    /** Digest of every byte walked so far. */
+    std::uint64_t
+    value() const
+    {
+        return fnv1a64(ar.buffer().data(), ar.buffer().size(), hash);
+    }
+
+  private:
+    bool stable(ByteView buffered, ByteView run) override;
+    bool full(ByteView buffered) override;
+
+    Archive ar;
+    std::uint64_t hash = fnv1a64(nullptr, 0);
 };
 
 /** One framed section: a view into its CheckpointData's bytes. */

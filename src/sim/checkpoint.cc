@@ -231,7 +231,8 @@ ClusterSim::configDigest() const
     // shape, seeds, horizon/step, policies, and the fault plan. Two
     // configs with equal digests produce interchangeable
     // checkpoints.
-    Archive ar = Archive::writer();
+    DigestWriter digest;
+    Archive &ar = digest.archive();
     auto u64 = [&ar](std::uint64_t v) { ar.value(v); };
     auto i64 = [&ar](std::int64_t v) { ar.value(v); };
     auto f64 = [&ar](double v) { ar.value(v); };
@@ -277,7 +278,7 @@ ClusterSim::configDigest() const
         f64(fault.remainingFrac);
         u64(static_cast<std::uint64_t>(fault.sensor));
     }
-    return fnv1a64(ar.buffer().data(), ar.buffer().size());
+    return digest.value();
 }
 
 Error
@@ -336,18 +337,15 @@ ClusterSim::restoreCheckpoint(const std::string &path)
 std::uint64_t
 ClusterSim::stateDigest()
 {
-    // Digest of the same canonical byte streams a checkpoint would
-    // contain, chained across sections. Two sims with equal digests
-    // step identically (everything stepping reads is either in the
-    // stream or deterministically derived from it).
-    std::uint64_t digest = fnv1a64(nullptr, 0);
-    for (std::uint32_t id : kAllSections) {
-        Archive ar = Archive::writer();
-        checkpointSection(id, ar);
-        digest = fnv1a64(ar.buffer().data(), ar.buffer().size(),
-                         digest);
-    }
-    return digest;
+    // FNV-1a over the section payloads a checkpoint would contain,
+    // in section order, hashed as one walk produces them (the rings
+    // in place). Two sims with equal digests step identically
+    // (everything stepping reads is either in the stream or
+    // deterministically derived from it).
+    DigestWriter digest;
+    for (std::uint32_t id : kAllSections)
+        checkpointSection(id, digest.archive());
+    return digest.value();
 }
 
 } // namespace tapas

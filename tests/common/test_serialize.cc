@@ -3,8 +3,10 @@
  * Unit tests for the versioned binary serialization layer: Archive
  * round-trips and golden wire bytes, CRC32 reference vectors, a
  * bytewise CRC oracle, CRC chaining and the run-time kernel
- * selection, atomic file replacement, the checkpoint writer's exact
- * bytes (gathered pieces included), and the checkpoint container's
+ * selection, the streaming DigestWriter against one-buffer FNV-1a,
+ * atomic file replacement (a short write resumed, then failed,
+ * included), the checkpoint writer's exact bytes (gathered pieces
+ * included), and the checkpoint container's
  * rejection of every corruption class (truncation, bit flips, bad
  * magic, future versions, trailing garbage) as a structured
  * tapas::Error.
@@ -12,15 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <climits>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <deque>
+#include <functional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 
 #include "common/serialize.hh"
@@ -330,6 +338,66 @@ TEST(Serialize, ArchiveWriterGrowsAcrossManyFields)
     EXPECT_TRUE(r.done());
 }
 
+TEST(Serialize, DigestWriterMatchesOneBufferFnv)
+{
+    // Walks mixing values, bytes(), empty and non-empty stableBytes()
+    // runs, runs and bytes() calls larger than the block, and small
+    // fields that overflow the block at varying fill levels: the
+    // streamed digest must equal fnv1a64 over the buffer a plain
+    // writer holds after the same walk.
+    const std::size_t block = DigestWriter::kBlockBytes;
+    std::vector<std::uint8_t> big = noiseBytes(3 * block + 5, 41);
+    std::vector<std::uint8_t> small = noiseBytes(7, 43);
+    const auto small_fields = [](Archive &ar, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            std::uint8_t u8 = static_cast<std::uint8_t>(i);
+            std::uint32_t u32 = static_cast<std::uint32_t>(i * 2654435761u);
+            double f64 = 0.5 * static_cast<double>(i);
+            ar.value(u8);
+            ar.value(u32);
+            ar.value(f64);
+        }
+    };
+    const std::vector<std::function<void(Archive &)>> walks = {
+        [](Archive &) {},
+        [&](Archive &ar) { small_fields(ar, 1); },
+        // 1-, 4- and 8-byte fields: blocks flush at varying fills.
+        [&](Archive &ar) { small_fields(ar, 5 * block / 13 + 3); },
+        [&](Archive &ar) {
+            ar.stableBytes(nullptr, 0);
+            ar.stableBytes(small.data(), small.size());
+        },
+        [&](Archive &ar) {
+            small_fields(ar, 2 * block / 13);
+            ar.stableBytes(big.data(), big.size());
+            ar.stableBytes(nullptr, 0);
+            ar.stableBytes(small.data(), small.size());
+            small_fields(ar, 3);
+            ar.bytes(big.data(), big.size());
+            small_fields(ar, block / 13 + 1);
+            std::string name = "ring";
+            ar.str(name);
+            ar.stableBytes(big.data(), block);
+        },
+    };
+    for (std::size_t w = 0; w < walks.size(); ++w) {
+        Archive plain = Archive::writer();
+        walks[w](plain);
+        DigestWriter digest;
+        walks[w](digest.archive());
+        EXPECT_EQ(digest.value(),
+                  fnv1a64(plain.buffer().data(), plain.buffer().size()))
+            << "walk " << w;
+        // Reading the value leaves the stream open: more fields
+        // extend both sides alike.
+        small_fields(plain, 400);
+        small_fields(digest.archive(), 400);
+        EXPECT_EQ(digest.value(),
+                  fnv1a64(plain.buffer().data(), plain.buffer().size()))
+            << "walk " << w << " extended";
+    }
+}
+
 TEST(Serialize, ArchiveReadPastEndFailsCleanly)
 {
     Archive w = Archive::writer();
@@ -414,6 +482,78 @@ TEST(Serialize, AtomicWriteAndReadBack)
     Result<std::string> back = readFileText(path);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), text2);
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, AtomicWriteResumesAShortWriteThenReportsTheFailure)
+{
+    // A file-size limit inside the second of four pieces: the first
+    // writev stops short at the limit, the loop resumes mid-piece,
+    // and the next writev fails with EFBIG (SIGXFSZ ignored, so it
+    // returns instead of killing the process). The failure must name
+    // the temp file, remove it, and leave the destination alone.
+    const std::string path = tmpPath("serialize_fsize.bin");
+    const std::string previous = "previous contents";
+    ASSERT_TRUE(atomicWriteFile(path, previous).ok());
+
+    std::vector<std::vector<std::uint8_t>> blocks;
+    std::vector<ByteView> pieces;
+    for (std::uint64_t i = 0; i < 4; ++i)
+        blocks.push_back(noiseBytes(4096, 60 + i));
+    for (const std::vector<std::uint8_t> &b : blocks)
+        pieces.push_back(b);
+
+    // Restores the limit and SIGXFSZ's disposition on every return.
+    struct FileSizeLimit
+    {
+        rlimit saved{};
+        struct sigaction savedAction{};
+
+        explicit FileSizeLimit(rlim_t bytes)
+        {
+            getrlimit(RLIMIT_FSIZE, &saved);
+            struct sigaction ignore{};
+            ignore.sa_handler = SIG_IGN;
+            sigaction(SIGXFSZ, &ignore, &savedAction);
+            rlimit low = saved;
+            low.rlim_cur = bytes;
+            setrlimit(RLIMIT_FSIZE, &low);
+        }
+        ~FileSizeLimit()
+        {
+            setrlimit(RLIMIT_FSIZE, &saved);
+            sigaction(SIGXFSZ, &savedAction, nullptr);
+        }
+    };
+    Error err;
+    {
+        rlimit current{};
+        ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &current), 0);
+        ASSERT_GT(current.rlim_cur, rlim_t{4096 + 1000});
+        FileSizeLimit limit(4096 + 1000);
+        err = atomicWriteFile(path, pieces);
+    }
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Io);
+    EXPECT_NE(err.message().find("'" + path + ".tmp'"),
+              std::string::npos)
+        << err.message();
+    EXPECT_NE(err.message().find(std::strerror(EFBIG)),
+              std::string::npos)
+        << err.message();
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    Result<std::string> kept = readFileText(path);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(kept.value(), previous);
+
+    // With the limit lifted the same pieces land whole.
+    ASSERT_TRUE(atomicWriteFile(path, pieces).ok());
+    Result<std::vector<std::uint8_t>> back = readFileBytes(path);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back.value().size(), 4u * 4096);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_TRUE(std::equal(blocks[i].begin(), blocks[i].end(),
+                               back.value().begin() + i * 4096));
     removeFileIfExists(path);
 }
 

@@ -4,8 +4,9 @@
  * (run-to-T equals save-at-T/2 + restore + run-to-T on every metric
  * and on stateDigest, fault timelines and sensor corruption
  * included), config-mismatch rejection, structured-error
- * rejection of corrupted snapshots at the sim level, and the pinned
- * bytes of one saved file.
+ * rejection of corrupted snapshots at the sim level, the pinned
+ * bytes of saved files, and stateDigest() as FNV-1a over a saved
+ * file's section payloads.
  */
 
 #include <gtest/gtest.h>
@@ -526,14 +527,24 @@ TEST(Checkpoint, SavedFileBytesArePinned)
     removeFileIfExists(path);
 }
 
-TEST(Checkpoint, RingHeavySavedFileBytesArePinned)
+/**
+ * Six hours of retention over a simulated day: the server rings have
+ * wrapped, so each travels as two stableBytes() chunks.
+ */
+SimConfig
+ringHeavyScenario()
 {
-    // Six hours of retention over a simulated day: the server rings
-    // have wrapped, so each travels as two stableBytes() chunks that
-    // the writer gathers. The constants were taken from a writer
-    // that copied every chunk into one contiguous buffer.
     SimConfig cfg = faultDrillScenario(323).asTapas();
     cfg.telemetryRetention = 6 * kHour;
+    return cfg;
+}
+
+TEST(Checkpoint, RingHeavySavedFileBytesArePinned)
+{
+    // The writer gathers the ring chunks. The constants were taken
+    // from a writer that copied every chunk into one contiguous
+    // buffer.
+    const SimConfig cfg = ringHeavyScenario();
     const std::string path = tmpPath("ckpt_pinned_rings.tapasckp");
     ClusterSim sim(cfg);
     sim.runSteps(static_cast<int>(kDay / cfg.stepLength));
@@ -544,6 +555,31 @@ TEST(Checkpoint, RingHeavySavedFileBytesArePinned)
     EXPECT_EQ(fnv1a64(bytes.value().data(), bytes.value().size()),
               0x18b523d0230adf96ull);
     removeFileIfExists(path);
+}
+
+TEST(Checkpoint, RingHeavyStateDigestIsFnvOverTheSavedPayloads)
+{
+    // stateDigest() hashes the stream as its walk produces it, small
+    // fields through a block and ring chunks in place; the value is
+    // FNV-1a chained over the seven section payloads of a save of
+    // the same state, in section order.
+    const SimConfig cfg = ringHeavyScenario();
+    const std::string path = tmpPath("ckpt_digest_rings.tapasckp");
+    ClusterSim sim(cfg);
+    sim.runSteps(static_cast<int>(kDay / cfg.stepLength));
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    Result<CheckpointData> data = readCheckpointFile(path);
+    removeFileIfExists(path);
+    ASSERT_TRUE(data.ok());
+    ASSERT_EQ(data.value().sections.size(), 7u);
+    std::uint64_t expect = fnv1a64(nullptr, 0);
+    for (std::size_t i = 0; i < 7; ++i) {
+        const CheckpointSection &section = data.value().sections[i];
+        EXPECT_EQ(section.id, i + 1);
+        expect = fnv1a64(section.payload.data(), section.payload.size(),
+                         expect);
+    }
+    EXPECT_EQ(sim.stateDigest(), expect);
 }
 
 } // namespace
