@@ -8,20 +8,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# ctest reporting "Skipped" means a registered test silently stopped
-# gating; fail loudly instead of letting coverage decay. GTEST_SKIP
-# is surfaced by the SKIP_REGULAR_EXPRESSION property every test
-# target carries (the binary exits 0, so ctest would otherwise count
-# it as Passed); DISABLED_ tests never run at all, so they are
-# caught at the source level by tapas-lint rule R6.
-fail_on_skipped() {
-    local log="$1"
-    if grep -qE '\*\*\*Skipped|\(Skipped\)|[0-9]+ tests? skipped|\[  SKIPPED \]' \
-        "$log"; then
-        echo "FAIL: skipped tests detected in $log" >&2
-        exit 1
-    fi
-}
+# Every ctest leg runs through scripts/ctest_noskip.sh, which fails
+# on a test that reports "Skipped" as well as on a failed one, so
+# coverage cannot decay silently; CI's ctest steps call it too.
 
 echo "== tapas-lint =="
 # The repo-specific static-analysis gate (scripts/tapas_lint.py):
@@ -52,10 +41,7 @@ echo "== tapas-analyze A3 (binary hot-path verification) =="
 python3 scripts/tapas_analyze.py --pass a3 --objdir build
 
 echo "== tier-1 tests (Release) =="
-release_log=$(mktemp)
-(cd build && ctest --output-on-failure -j --no-tests=error) \
-    | tee "$release_log"
-fail_on_skipped "$release_log"
+scripts/ctest_noskip.sh build
 
 echo "== step-loop bench + perf gate (Release) =="
 # Full mode (the loop is fast enough); emit the JSON into build/ so
@@ -93,10 +79,7 @@ echo "== build (Debug) =="
 cmake --build build-dbg -j
 
 echo "== tier-1 tests (Debug, asserts on) =="
-debug_log=$(mktemp)
-(cd build-dbg && ctest --output-on-failure -j --no-tests=error) \
-    | tee "$debug_log"
-fail_on_skipped "$debug_log"
+scripts/ctest_noskip.sh build-dbg
 
 echo "== step-loop bench under Debug asserts =="
 # Smoke mode with --check: in a Debug build the binary skips the
@@ -117,10 +100,7 @@ echo "== tier-1 tests (ASan+UBSan) =="
 # lanes through the hot loops; this leg catches out-of-bounds lane
 # writes, stale scratch aliasing, and UB in the branch-free solves
 # that Release codegen can silently absorb.
-asan_log=$(mktemp)
-(cd build-asan && ctest --output-on-failure -j --no-tests=error) \
-    | tee "$asan_log"
-fail_on_skipped "$asan_log"
+scripts/ctest_noskip.sh build-asan
 
 echo "== configure (TSan) =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
@@ -136,11 +116,8 @@ echo "== threadpool/sweep + fault suites (TSan) =="
 # worker threads), and the fault-drill integration test. A full
 # ctest pass under TSan is several times slower for no extra
 # concurrency coverage — everything else is single-threaded.
-tsan_log=$(mktemp)
-(cd build-tsan && ctest --output-on-failure -j --no-tests=error \
-    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention') \
-    | tee "$tsan_log"
-fail_on_skipped "$tsan_log"
+scripts/ctest_noskip.sh build-tsan \
+    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention'
 
 echo "== clang thread-safety analysis =="
 # Compile-time lock discipline: the TAPAS_GUARDED_BY/TAPAS_REQUIRES

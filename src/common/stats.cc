@@ -113,51 +113,6 @@ QuantileSample::cdf(std::size_t points) const
     return out;
 }
 
-Histogram::Histogram(double lo_, double hi_, std::size_t bins)
-    : lo(lo_), hi(hi_), counts(bins, 0.0)
-{
-    tapas_assert(hi > lo && bins > 0, "degenerate histogram bounds");
-}
-
-void
-Histogram::add(double value, double weight)
-{
-    const double pos = (value - lo) / (hi - lo);
-    auto bin = static_cast<std::int64_t>(
-        pos * static_cast<double>(counts.size()));
-    bin = std::clamp<std::int64_t>(
-        bin, 0, static_cast<std::int64_t>(counts.size()) - 1);
-    counts[static_cast<std::size_t>(bin)] += weight;
-    total += weight;
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo + (hi - lo) * static_cast<double>(i) /
-        static_cast<double>(counts.size());
-}
-
-double
-Histogram::binHigh(std::size_t i) const
-{
-    return binLow(i + 1);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    tapas_assert(total > 0.0, "quantile of empty histogram");
-    const double target = q * total;
-    double cum = 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        cum += counts[i];
-        if (cum >= target)
-            return 0.5 * (binLow(i) + binHigh(i));
-    }
-    return hi;
-}
-
 void
 TimeSeries::add(SimTime t, double v)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Statistics primitives used by the simulator, telemetry stack, and
- * benchmark harnesses: streaming accumulators, exact quantile samples,
- * histograms/CDFs, and timestamped series.
+ * benchmark harnesses: streaming accumulators, exact quantile samples
+ * and CDFs, and timestamped series.
  */
 
 #ifndef TAPAS_COMMON_STATS_HH
@@ -46,7 +46,8 @@ class StatAccumulator
 /**
  * Exact quantile tracker. Stores every sample; queries sort lazily.
  * Appropriate for the sample counts in this library (≤ tens of
- * millions); for unbounded streams use Histogram instead.
+ * millions); memory grows with the sample count, so it is not meant
+ * for unbounded streams.
  */
 class QuantileSample
 {
@@ -85,30 +86,6 @@ class QuantileSample
 
     mutable std::vector<double> values;
     mutable bool sorted = true;
-};
-
-/** Fixed-bin histogram over [lo, hi]; out-of-range values clamp. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double value, double weight = 1.0);
-
-    std::size_t binCount() const { return counts.size(); }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const;
-    double binWeight(std::size_t i) const { return counts[i]; }
-    double totalWeight() const { return total; }
-
-    /** Approximate quantile from bin midpoints. */
-    double quantile(double q) const;
-
-  private:
-    double lo;
-    double hi;
-    std::vector<double> counts;
-    double total = 0.0;
 };
 
 /** A (time, value) series, e.g. per-step peak row power. */

@@ -60,7 +60,6 @@ class RiskAssessor
                       const std::vector<double> &gpu_power_w);
 
     bool fresh() const { return !risks.empty(); }
-    SimTime lastRefresh() const { return lastRefreshAt; }
 
     /** Whether maybeRefresh() would recompute at the given time. */
     bool

@@ -119,14 +119,6 @@ PowerHierarchy::effectiveRowProvision(RowId id) const
 }
 
 Watts
-PowerHierarchy::upsProvision(UpsId id) const
-{
-    tapas_assert(id.index < upsProvisionW.size(), "unknown UPS %u",
-                 id.index);
-    return Watts(upsProvisionW[id.index]);
-}
-
-Watts
 PowerHierarchy::effectiveUpsProvision(UpsId id) const
 {
     return Watts(upsProvisionW[id.index] * deratingFrac);
@@ -193,20 +185,20 @@ PowerHierarchy::anyFailure() const
 }
 
 PowerAssessment
-PowerHierarchy::assess(const std::vector<Watts> &server_draws) const
+PowerHierarchy::assess(std::span<const double> server_draws_w) const
 {
     PowerAssessment out;
-    assess(server_draws, out);
+    assess(server_draws_w, out);
     return out;
 }
 
 void
-PowerHierarchy::assess(const std::vector<Watts> &server_draws,
+PowerHierarchy::assess(std::span<const double> server_draws_w,
                        PowerAssessment &out) const
 {
-    tapas_assert(server_draws.size() == layout.serverCount(),
+    tapas_assert(server_draws_w.size() == layout.serverCount(),
                  "per-server draw vector has wrong size: %zu vs %zu",
-                 server_draws.size(), layout.serverCount());
+                 server_draws_w.size(), layout.serverCount());
 
     out.clear();
     out.rowDrawW.resize(layout.rowCount(), 0.0);
@@ -216,7 +208,7 @@ PowerHierarchy::assess(const std::vector<Watts> &server_draws,
 
     for (const Server &server : layout.servers()) {
         out.rowDrawW[server.row.index] +=
-            server_draws[server.id.index].value();
+            server_draws_w[server.id.index];
     }
     for (const Row &row : layout.rows()) {
         out.rowBudgetW[row.id.index] =

@@ -13,6 +13,7 @@
 #define TAPAS_DCSIM_POWER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -131,7 +132,6 @@ class PowerHierarchy
     /** Budget after any emergency derating. */
     Watts effectiveRowProvision(RowId id) const;
 
-    Watts upsProvision(UpsId id) const;
     Watts effectiveUpsProvision(UpsId id) const;
 
     /** Total provisioned datacenter power. */
@@ -160,10 +160,11 @@ class PowerHierarchy
     double datacenterDerate() const { return deratingFrac; }
 
     /**
-     * Aggregate per-server draws up the hierarchy and flag every
-     * level that exceeds its effective budget.
+     * Aggregate per-server draws (watts, indexed by server) up the
+     * hierarchy and flag every level that exceeds its effective
+     * budget.
      */
-    PowerAssessment assess(const std::vector<Watts> &server_draws)
+    PowerAssessment assess(std::span<const double> server_draws_w)
         const;
 
     /**
@@ -171,7 +172,7 @@ class PowerHierarchy
      * assessment, reusing its vectors' capacity. The step loop calls
      * this up to 7x per step during capping convergence.
      */
-    void assess(const std::vector<Watts> &server_draws,
+    void assess(std::span<const double> server_draws_w,
                 PowerAssessment &out) const;
 
   private:

@@ -172,9 +172,6 @@ class ThermalModel
     /** Per-GPU additive offset (degC above inlet at idle power). */
     double gpuOffset(ServerId id, int gpu) const;
 
-    /** Average spatial offset across all servers (cold/warm split). */
-    double meanSpatialOffset() const;
-
     /**
      * Materialize heterogeneity for servers added to the layout
      * after construction (oversubscription racks). Deterministic

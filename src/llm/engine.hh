@@ -62,10 +62,6 @@ class InferenceEngine
     std::size_t outstanding() const
     { return queue.size() + running.size() + (prefillActive ? 1 : 0); }
 
-    std::size_t queueDepth() const { return queue.size(); }
-    std::size_t runningBatch() const
-    { return running.size() + (prefillActive ? 1 : 0); }
-
     /** Add a request. Panics if called while not accepting. */
     void enqueue(const Request &request);
 
@@ -94,8 +90,6 @@ class InferenceEngine
      * processing rates without touching the software configuration.
      */
     void setHardwareThrottle(double frac);
-
-    double hardwareThrottle() const { return hwThrottle; }
 
     /** Completions produced by the last step() call. */
     const std::vector<CompletedRequest> &lastCompletions() const

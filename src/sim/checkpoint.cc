@@ -214,11 +214,6 @@ ClusterSim::rebuildDerivedState()
         serverVm[vmTable.serverOf[i]] = static_cast<std::uint32_t>(i);
     }
 
-    // Last-step draw mirror in Watts (capping reads it).
-    serverDrawWatts.resize(serverDrawW.size());
-    for (std::size_t s = 0; s < serverDrawW.size(); ++s)
-        serverDrawWatts[s] = Watts(serverDrawW[s]);
-
     // Memo caches: drop and let the next step refill them.
     idleSpecCache = nullptr;
 }

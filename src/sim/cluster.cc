@@ -96,7 +96,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
 
     bank.offlineProfile(thermal, powerModel, mixSeed(cfg.seed, 0x555));
     refProfile = perf.profile(referenceConfig());
-    refGoodput = refProfile.goodputTps;
 
     tapas = std::make_unique<TapasController>(
         cfg.policy, layout, cooling, hierarchy, &bank, &perf);
@@ -108,6 +107,7 @@ ClusterSim::ClusterSim(const SimConfig &config)
     double size_total = 0.0;
     for (int s : sizes)
         size_total += s;
+    const double ref_goodput = refProfile.goodputTps;
     const double saas_steady =
         vmGen.config().targetVmCount * vmGen.config().saasFraction;
     std::vector<EndpointDemand> endpoints;
@@ -117,7 +117,7 @@ ClusterSim::ClusterSim(const SimConfig &config)
         const double share =
             size_total > 0.0 ? sizes[e] / size_total : 0.0;
         ep.peakTokensPerS =
-            cfg.endpointPeakUtil * refGoodput * saas_steady * share;
+            cfg.endpointPeakUtil * ref_goodput * saas_steady * share;
         // SaaS inference demand is synchronized across endpoints
         // (business-hours diurnal), the effect the paper exploits.
         ep.peakHour = cfg.demandPeakHour - 1.0 +
@@ -155,7 +155,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
         throttleAtC.push_back(
             layout.specOf(server.id).throttleTemp.value());
 
-    serverDrawWatts.assign(layout.serverCount(), Watts(0.0));
     drawsScratch.assign(static_cast<std::size_t>(gpusPerServer),
                         Watts(0.0));
     customerPowerScratch.assign(
@@ -661,7 +660,6 @@ ClusterSim::computeDraws()
                           static_cast<std::size_t>(g)] = idle_w;
             }
             serverDrawW[s] = idleDrawWCache;
-            serverDrawWatts[s] = Watts(idleDrawWCache);
             continue;
         }
         {
@@ -718,10 +716,8 @@ ClusterSim::computeDraws()
                       static_cast<std::size_t>(g)] =
                 draws[static_cast<std::size_t>(g)].value();
         }
-        const double draw_w =
+        serverDrawW[s] =
             powerModel.serverPower(spec, draws, heat).value();
-        serverDrawW[s] = draw_w;
-        serverDrawWatts[s] = Watts(draw_w);
     }
     // tapas-hot end(draws)
 }
@@ -730,10 +726,10 @@ void
 ClusterSim::enforcePowerBudgets()
 {
     // tapas-hot begin(power-cap)
-    // computeDraws keeps serverDrawWatts current; assess writes into
+    // computeDraws keeps serverDrawW current; assess writes into
     // the member scratch, so the capping loop allocates nothing.
     PowerAssessment &assessment = assessScratch;
-    hierarchy.assess(serverDrawWatts, assessment);
+    hierarchy.assess(serverDrawW, assessment);
     if (!assessment.anyViolation()) {
         lastPowerViolation = false;
         return;
@@ -791,7 +787,7 @@ ClusterSim::enforcePowerBudgets()
             }
         }
         computeDraws();
-        hierarchy.assess(serverDrawWatts, assessment);
+        hierarchy.assess(serverDrawW, assessment);
     }
     // A violation the capping loop could not converge away is a
     // genuine budget excursion (robustness accounting).
@@ -800,7 +796,7 @@ ClusterSim::enforcePowerBudgets()
 }
 
 void
-ClusterSim::evaluateThermal(bool enforce)
+ClusterSim::evaluateThermal()
 {
     // tapas-hot begin(thermal)
     const int gpus = gpusPerServer;
@@ -860,8 +856,6 @@ ClusterSim::evaluateThermal(bool enforce)
     bool over = evaluate();
     if (over)
         ++simMetrics.thermalThrottleSteps;
-    if (!enforce)
-        return;
 
     for (int iter = 0; iter < 5 && over; ++iter) {
         // Hardware throttle on every server with a hot GPU (the
@@ -1253,7 +1247,7 @@ ClusterSim::step()
     lap(phaseTimes_.powerS);
     const std::uint64_t throttles_before =
         simMetrics.thermalThrottleSteps;
-    evaluateThermal(true);
+    evaluateThermal();
 
     // Hardware throttles carry into the next step's engine work.
     for (std::uint32_t i : activeVms) {

@@ -97,7 +97,6 @@ class ClusterSim
     const DatacenterLayout &datacenter() const { return layout; }
     const ProfileBank &profiles() const { return bank; }
     const TelemetryStore &telemetry() const { return store; }
-    const PerfModel &perfModel() const { return perf; }
     TapasController &controller() { return *tapas; }
     FailureManager &failures() { return *failureMgr; }
     /** The fault-injection engine, or nullptr when the config's
@@ -114,22 +113,11 @@ class ClusterSim
     /** Count of currently placed VMs. */
     std::size_t activeVmCount() const;
 
-    /** Reference goodput of the default SaaS configuration. */
-    double referenceGoodputTps() const { return refGoodput; }
-
-    /** Per-server draw of the last completed step, watts. */
-    const std::vector<double> &lastServerDrawW() const
-    { return serverDrawW; }
-
     /** Cumulative per-phase step-loop timing since construction. */
     const StepPhaseTimes &phaseTimes() const { return phaseTimes_; }
 
     /** Turn on per-phase step timing (see StepPhaseTimes). */
     void enablePhaseTiming() { phaseTiming_ = true; }
-
-    /** Per-GPU temperature of the last completed step. */
-    const std::vector<double> &lastGpuTempC() const
-    { return gpuTempC; }
 
     /**
      * Consistency of the SoA hot arrays against the cold side table
@@ -216,7 +204,6 @@ class ClusterSim
     /** Fault-injection timeline (nullptr = faults disabled). */
     std::unique_ptr<FaultEngine> faultEngine;
     double dcLoadFrac = 0.5;
-    double refGoodput = 0.0;
     bool lastEmergency = false;
     ConfigProfile refProfile;
 
@@ -246,7 +233,6 @@ class ClusterSim
     std::vector<double> throttleAtC;
 
     /** Reusable step-loop scratch (hoisted per-step temporaries). */
-    std::vector<Watts> serverDrawWatts;
     std::vector<Watts> drawsScratch;
     std::vector<double> noiseScratch;
     std::vector<double> overdrawScratch;
@@ -335,7 +321,7 @@ class ClusterSim
     void replayIaasLoads(SimTime t);
     void computeDraws();
     void enforcePowerBudgets();
-    void evaluateThermal(bool enforce);
+    void evaluateThermal();
     void recordTelemetry(SimTime t);
     void refreshPredictedPeaks();
     void collectMetrics(bool power_capped, bool thermal_throttled);

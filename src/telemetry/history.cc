@@ -104,21 +104,6 @@ TelemetryStore::endpointVmPowerSeries(EndpointId id) const
         : SeriesView<KeyedSample>();
 }
 
-double
-TelemetryStore::rowPowerPeak(RowId id) const
-{
-    return id.index < rowPower.size()
-        ? rowPower[id.index].peakValue()
-        : 0.0;
-}
-
-SimTime
-TelemetryStore::rowPowerSpan(RowId id) const
-{
-    return id.index < rowPower.size() ? rowPower[id.index].span()
-                                      : 0;
-}
-
 std::vector<RowId>
 TelemetryStore::rowsWithData() const
 {
@@ -159,56 +144,13 @@ TelemetryStore::endpointsWithData() const
     return out;
 }
 
-SimTime
-TelemetryStore::customerLoadSpan(CustomerId id) const
-{
-    if (id.index >= customerLoads.size() ||
-        customerLoads[id.index].first < 0) {
-        return 0;
-    }
-    const LoadDigest &digest = customerLoads[id.index];
-    return digest.last - digest.first;
-}
-
-SimTime
-TelemetryStore::endpointLoadSpan(EndpointId id) const
-{
-    if (id.index >= endpointLoads.size() ||
-        endpointLoads[id.index].first < 0) {
-        return 0;
-    }
-    const LoadDigest &digest = endpointLoads[id.index];
-    return digest.last - digest.first;
-}
-
-double
-TelemetryStore::customerPeakLoad(CustomerId id) const
-{
-    // A slot materialized by a higher id but never recorded reads
-    // as absent (the map behaved the same way).
-    if (id.index >= customerLoads.size() ||
-        customerLoads[id.index].first < 0) {
-        return 1.0;
-    }
-    return customerLoads[id.index].peak;
-}
-
-double
-TelemetryStore::endpointPeakLoad(EndpointId id) const
-{
-    if (id.index >= endpointLoads.size() ||
-        endpointLoads[id.index].first < 0) {
-        return 1.0;
-    }
-    return endpointLoads[id.index].peak;
-}
-
 double
 TelemetryStore::customerPredictedPeak(CustomerId id,
                                       SimTime min_span) const
 {
-    // Single slot read for the span gate + peak (the predicted-peak
-    // refresh does this for every customer on telemetry ticks).
+    // A slot materialized by a higher id but never recorded reads
+    // as absent (first < 0). The predicted-peak refresh calls this
+    // for every customer on telemetry ticks.
     if (id.index >= customerLoads.size())
         return 1.0;
     const LoadDigest &digest = customerLoads[id.index];
@@ -261,19 +203,6 @@ TelemetryStore::serverFresh(ServerId id, SimTime now,
 {
     const SimTime age = serverLastSampleAge(id, now);
     return age >= 0 && age <= max_age;
-}
-
-void
-TelemetryStore::trimBefore(SimTime cutoff)
-{
-    for (ServerSeriesRing &series : serverData)
-        series.trimBefore(cutoff);
-    for (KeyedSeriesRing &series : rowPower)
-        series.trimBefore(cutoff);
-    for (KeyedSeriesRing &series : customerVmPower)
-        series.trimBefore(cutoff);
-    for (KeyedSeriesRing &series : endpointVmPower)
-        series.trimBefore(cutoff);
 }
 
 namespace {

@@ -4,12 +4,13 @@
  * series, and per-VM power by customer/endpoint — the raw material
  * for weekly template building and profile refits (paper Section 4.5).
  *
- * Every series is a fixed-capacity ring (telemetry/series.hh):
- * appends are O(1), trimBefore() is a binary search plus a head
- * advance instead of an erase-from-front scan, and span/peak digests
- * are maintained incrementally on append. Queries return
- * SeriesView — a contiguous-chunk view that iterates and indexes
- * like the vectors it replaced.
+ * Every series is a fixed-capacity ring (telemetry/series.hh) with
+ * O(1) appends; a full ring evicts its oldest sample, so the store's
+ * capacity is its only retention bound. Queries return SeriesView —
+ * a contiguous-chunk view that iterates and indexes like the vectors
+ * it replaced. Per-VM loads keep no series, only a running
+ * first/last/peak digest per customer and endpoint, which placement
+ * reads through {customer,endpoint}PredictedPeak().
  */
 
 #ifndef TAPAS_TELEMETRY_HISTORY_HH
@@ -63,15 +64,13 @@ static_assert(offsetof(ServerSample, outsideC) == 24);
 static_assert(offsetof(ServerSample, dcLoadFrac) == 28);
 
 /**
- * Ring traits for the two sample kinds: the digested time and value,
- * the bytes a sample takes on the wire, and whether its memory image
+ * Ring traits for the two sample kinds: the sample time, the bytes a
+ * sample takes on the wire, and whether its memory image
  * is that wire image (whole-record checkpoints).
  */
 struct ServerSampleTraits
 {
     static SimTime timeOf(const ServerSample &s) { return s.time; }
-    static double valueOf(const ServerSample &s)
-    { return s.serverPowerW; }
     static constexpr std::size_t kWireBytes = sizeof(ServerSample);
     static constexpr bool kWireImage = true;
 };
@@ -79,7 +78,6 @@ struct ServerSampleTraits
 struct KeyedSampleTraits
 {
     static SimTime timeOf(const KeyedSample &s) { return s.time; }
-    static double valueOf(const KeyedSample &s) { return s.value; }
     /** i64 time + f32 value; 16 bytes in memory with padding. */
     static constexpr std::size_t kWireBytes = 8 + 4;
     static constexpr bool kWireImage = false;
@@ -137,30 +135,15 @@ class TelemetryStore
     SeriesView<KeyedSample>
     endpointVmPowerSeries(EndpointId id) const;
 
-    /** Peak row power seen in the retained window (O(1) digest). */
-    double rowPowerPeak(RowId id) const;
-    /** Retained row power series time span (O(1) digest). */
-    SimTime rowPowerSpan(RowId id) const;
-
     /** All row ids with any samples. */
     std::vector<RowId> rowsWithData() const;
     std::vector<CustomerId> customersWithData() const;
     std::vector<EndpointId> endpointsWithData() const;
 
     /**
-     * Observation span for a customer's VM loads; used for the
-     * "assume peak when history is under a week" rule.
-     */
-    SimTime customerLoadSpan(CustomerId id) const;
-    SimTime endpointLoadSpan(EndpointId id) const;
-
-    /** Peak (p99-ish: max) observed per-VM load for a customer. */
-    double customerPeakLoad(CustomerId id) const;
-    double endpointPeakLoad(EndpointId id) const;
-
-    /**
-     * Peak load if at least @p min_span of history exists, else the
-     * conservative 1.0 — one hash lookup instead of span + peak.
+     * Peak (max) observed per-VM load if at least @p min_span of
+     * history exists, else the conservative 1.0 (the "assume peak
+     * when history is too short" rule).
      */
     double customerPredictedPeak(CustomerId id,
                                  SimTime min_span) const;
@@ -188,9 +171,6 @@ class TelemetryStore
      */
     bool serverFresh(ServerId id, SimTime now, SimTime max_age)
         const;
-
-    /** Drop samples older than the cutoff (weekly refit window). */
-    void trimBefore(SimTime cutoff);
 
     /** Serialize/restore every ring and digest (checkpointing). */
     void checkpointState(Archive &ar);

@@ -1,10 +1,8 @@
 /**
  * @file
  * Bounded time-series storage for telemetry: a fixed-capacity ring
- * buffer with O(1) append, O(log n) trim (binary search + one head
- * advance, no element moves), and an incrementally maintained
- * span/peak digest. Queries hand out a lightweight view over the at
- * most two contiguous chunks of a (possibly wrapped) ring, so
+ * buffer with O(1) append. Queries hand out a lightweight view over
+ * the at most two contiguous chunks of a (possibly wrapped) ring, so
  * consumers keep simple indexed/iterator access without copying.
  *
  * Memory model: a ring grows geometrically like a vector until it
@@ -128,8 +126,8 @@ class SeriesView
 };
 
 /**
- * Fixed-capacity ring of time-ordered samples. @p TimeOf extracts
- * the sample timestamp, @p ValueOf the digested scalar (peak).
+ * Fixed-capacity ring of time-ordered samples. @p Traits::timeOf
+ * extracts the sample timestamp.
  */
 template <typename T, typename Traits>
 class SampleRing
@@ -139,8 +137,8 @@ class SampleRing
         : cap(std::max<std::size_t>(1, capacity_))
     {}
 
-    std::size_t size() const { return count; }
-    bool empty() const { return count == 0; }
+    std::size_t size() const { return data.size(); }
+    bool empty() const { return data.empty(); }
     std::size_t capacity() const { return cap; }
 
     /**
@@ -150,11 +148,11 @@ class SampleRing
     void
     push(const T &sample)
     {
-        tapas_assert(count == 0 ||
+        tapas_assert(empty() ||
                          Traits::timeOf(sample) >=
                              Traits::timeOf(back()),
                      "ring samples must arrive in time order");
-        if (count > 0) {
+        if (!empty()) {
             const SimTime gap =
                 Traits::timeOf(sample) - Traits::timeOf(back());
             lastGapS = gap;
@@ -162,85 +160,25 @@ class SampleRing
                 maxGapS = gap;
         }
         if (data.size() < cap) {
-            // Growth phase: the logical run always ends at the
-            // physical end (trim preserves head + count ==
-            // data.size()), so a plain append extends it.
+            // Growth phase: head is 0 (a restored ring is rebuilt
+            // at head 0), so the logical run ends at the physical
+            // end and a plain append extends it.
             data.push_back(sample);
-            ++count;
-        } else if (count < cap) {
-            // Partially trimmed full-size ring: wrap by comparison
-            // (head < cap and count < cap, so one subtraction
-            // suffices; the telemetry recorder pushes every sensor
-            // tick, so this path avoids the division).
-            std::size_t pos = head + count;
-            if (pos >= cap)
-                pos -= cap;
-            data[pos] = sample;
-            ++count;
         } else {
             // Full: overwrite the oldest slot.
-            digestEvict(data[head]);
             data[head] = sample;
             ++head;
             if (head == cap)
                 head = 0;
-        }
-        digestAppend(sample);
-    }
-
-    /**
-     * Drop samples with time < cutoff: search + one head advance.
-     *
-     * Edge cases (audited, pinned in test_series_ring.cc): a cutoff
-     * at exactly the head sample's timestamp removes nothing
-     * (samples are dropped strictly below the cutoff); a cutoff past
-     * the last sample empties the ring and resets it to a fresh
-     * growth phase, so the next push lands at the physical start and
-     * the growth-path invariant (head + count == data.size()) holds
-     * for every later regrow/wrap sequence — the PR-2 regrow bug was
-     * a reset that skipped this step.
-     */
-    void
-    trimBefore(SimTime cutoff)
-    {
-        // Binary search over the logically ordered ring.
-        std::size_t lo = 0;
-        std::size_t hi = count;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (Traits::timeOf(at(mid)) < cutoff) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if (lo == 0)
-            return;
-        if (peakValid) {
-            for (std::size_t i = 0; i < lo; ++i)
-                digestEvict(at(i));
-        }
-        // count > 0 here (lo > 0), so data is non-empty; head and lo
-        // are both bounded by data.size(), so one subtraction wraps.
-        head += lo;
-        if (head >= data.size())
-            head -= data.size();
-        count -= lo;
-        if (count == 0) {
-            // Reset to a fresh growth phase (capacity retained):
-            // the growth-path push appends at the physical end, so
-            // an empty ring must also end there.
-            data.clear();
-            head = 0;
         }
     }
 
     const T &
     at(std::size_t i) const
     {
-        tapas_assert(i < count, "ring index %zu out of %zu", i,
-                     count);
-        // head < data.size() and i < count <= data.size(): a single
+        tapas_assert(i < data.size(), "ring index %zu out of %zu", i,
+                     data.size());
+        // head < data.size() and i < data.size(): a single
         // comparison wraps (no modulo on the per-sample read path).
         std::size_t pos = head + i;
         if (pos >= data.size())
@@ -249,44 +187,24 @@ class SampleRing
     }
 
     const T &front() const { return at(0); }
-    const T &back() const { return at(count - 1); }
+    const T &back() const { return at(data.size() - 1); }
 
     SeriesView<T>
     view() const
     {
-        if (count == 0)
+        if (empty())
             return SeriesView<T>();
-        const std::size_t first_len =
-            std::min(count, data.size() - head);
-        typename SeriesView<T>::Chunk a{&data[head], first_len};
-        typename SeriesView<T>::Chunk b{data.data(),
-                                        count - first_len};
+        typename SeriesView<T>::Chunk a{&data[head],
+                                        data.size() - head};
+        typename SeriesView<T>::Chunk b{data.data(), head};
         return SeriesView<T>(a, b);
-    }
-
-    /** Peak digested value over the current contents. */
-    double
-    peakValue() const
-    {
-        if (!peakValid)
-            recomputePeak();
-        return count == 0 ? 0.0 : peak;
-    }
-
-    /** Time span covered by the current contents. */
-    SimTime
-    span() const
-    {
-        return count == 0
-            ? 0
-            : Traits::timeOf(back()) - Traits::timeOf(front());
     }
 
     /** Timestamp of the newest sample; -1 when empty. */
     SimTime
     lastTime() const
     {
-        return count == 0 ? -1 : Traits::timeOf(back());
+        return empty() ? -1 : Traits::timeOf(back());
     }
 
     /**
@@ -298,17 +216,16 @@ class SampleRing
 
     /**
      * Largest inter-push gap observed over the series' lifetime
-     * (maintained incrementally on push; trims do not rescan).
+     * (maintained incrementally on push).
      */
     SimTime maxGap() const { return maxGapS; }
 
     /**
      * Serialize/restore the ring. Samples travel in logical
      * (oldest-first) order; a restored ring is rebuilt in canonical
-     * form — head 0, physically contiguous — which push/trim handle
-     * identically to the original layout, and the peak digest is
-     * recomputed on the next query. A sample count read back is
-     * checked against the capacity and against the bytes left
+     * form — head 0, physically contiguous — which push handles
+     * identically to the original layout. A sample count read back
+     * is checked against the capacity and against the bytes left
      * (Traits::kWireBytes per sample) before anything is allocated;
      * a count that fails either latches fail() and leaves the ring
      * empty.
@@ -330,7 +247,7 @@ class SampleRing
     void
     checkpointState(Ar &ar)
     {
-        std::size_t n = count;
+        std::size_t n = data.size();
         ar.count(cap);
         ar.count(n);
         ar.value(lastGapS);
@@ -345,64 +262,26 @@ class SampleRing
             data.clear();
             data.resize(n);
             head = 0;
-            count = n;
-            peak = 0.0;
-            peakValid = false;
         }
         if constexpr (Traits::kWireImage) {
             static_assert(Traits::kWireBytes == sizeof(T) &&
                           std::is_trivially_copyable_v<T>);
-            const std::size_t first_len =
-                std::min(count, data.size() - head);
-            ar.stableBytes(data.data() + head, first_len * sizeof(T));
-            ar.stableBytes(data.data(), (count - first_len) * sizeof(T));
+            ar.stableBytes(data.data() + head,
+                           (data.size() - head) * sizeof(T));
+            ar.stableBytes(data.data(), head * sizeof(T));
         } else {
-            for (std::size_t i = 0; i < count; ++i)
+            for (std::size_t i = 0; i < data.size(); ++i)
                 Traits::fields(ar, const_cast<T &>(at(i)));
         }
     }
 
   private:
+    /** Samples; once full (size == cap), the oldest is at head. */
     std::vector<T> data;
     std::size_t cap = 1;
     std::size_t head = 0;
-    std::size_t count = 0;
     SimTime lastGapS = 0;
     SimTime maxGapS = 0;
-
-    /** Digest: peak is exact while valid; evicting the peak sample
-     *  defers an O(n) rescan until the next query. */
-    mutable double peak = 0.0;
-    mutable bool peakValid = true;
-
-    void
-    digestAppend(const T &sample)
-    {
-        if (!peakValid)
-            return;
-        const double v = Traits::valueOf(sample);
-        if (count == 1 || v > peak)
-            peak = v;
-    }
-
-    void
-    digestEvict(const T &sample)
-    {
-        if (peakValid && Traits::valueOf(sample) >= peak)
-            peakValid = false;
-    }
-
-    void
-    recomputePeak() const
-    {
-        peak = 0.0;
-        for (std::size_t i = 0; i < count; ++i) {
-            const double v = Traits::valueOf(at(i));
-            if (i == 0 || v > peak)
-                peak = v;
-        }
-        peakValid = true;
-    }
 };
 
 } // namespace tapas

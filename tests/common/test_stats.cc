@@ -126,27 +126,6 @@ TEST(QuantileSample, CdfEndpoints)
     EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-100.0); // clamps into first bin
-    h.add(100.0);  // clamps into last bin
-    EXPECT_DOUBLE_EQ(h.binWeight(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.binWeight(9), 2.0);
-    EXPECT_DOUBLE_EQ(h.totalWeight(), 4.0);
-}
-
-TEST(Histogram, WeightedQuantile)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
 TEST(TimeSeries, MaxMinMean)
 {
     TimeSeries ts;

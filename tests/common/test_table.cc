@@ -1,15 +1,12 @@
 /**
  * @file
- * Unit tests for console table and CSV output helpers.
+ * Unit tests for the console table output helper.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "common/csv.hh"
 #include "common/table.hh"
 
 namespace tapas {
@@ -39,25 +36,6 @@ TEST(ConsoleTable, NumFormatting)
     EXPECT_EQ(ConsoleTable::num(2.0, 0), "2");
     EXPECT_EQ(ConsoleTable::pct(0.231, 1), "23.1%");
     EXPECT_EQ(ConsoleTable::pct(1.0, 0), "100%");
-}
-
-TEST(CsvWriter, RoundTripRowsWithEscaping)
-{
-    const std::string path = "/tmp/tapas_test_csv.csv";
-    {
-        CsvWriter csv(path, {"a", "b"});
-        csv.writeRow({std::vector<std::string>{"x,y", "plain"}});
-        csv.writeRow(std::vector<double>{1.5, 2.5});
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "\"x,y\",plain");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1.5,2.5");
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -108,20 +108,19 @@ TEST_F(PowerTest, TotalProvisionSumsRows)
 
 TEST_F(PowerTest, AssessFindsNoViolationAtFullDesignLoad)
 {
-    std::vector<Watts> draws(dc.serverCount(),
-                             model.serverPeakPower(spec));
+    std::vector<double> draws(dc.serverCount(),
+                              model.serverPeakPower(spec).value());
     const PowerAssessment result = hierarchy.assess(draws);
     EXPECT_FALSE(result.anyViolation());
 }
 
 TEST_F(PowerTest, AssessFlagsOverBudgetRow)
 {
-    std::vector<Watts> draws(dc.serverCount(),
-                             model.serverPeakPower(spec));
+    std::vector<double> draws(dc.serverCount(),
+                              model.serverPeakPower(spec).value());
     // Push every server in row 0 over its share.
     for (ServerId sid : dc.row(RowId(0)).servers) {
-        draws[sid.index] =
-            Watts(model.serverPeakPower(spec).value() * 1.2);
+        draws[sid.index] = model.serverPeakPower(spec).value() * 1.2;
     }
     const PowerAssessment result = hierarchy.assess(draws);
     ASSERT_EQ(result.overBudgetRows.size(), 1u);
@@ -140,8 +139,8 @@ TEST_F(PowerTest, UpsFailureDeratesBudgets)
                 before * 0.75, 1e-6);
 
     // Full design load now violates everywhere.
-    std::vector<Watts> draws(dc.serverCount(),
-                             model.serverPeakPower(spec));
+    std::vector<double> draws(dc.serverCount(),
+                              model.serverPeakPower(spec).value());
     const PowerAssessment result = hierarchy.assess(draws);
     EXPECT_EQ(result.overBudgetRows.size(), dc.rowCount());
 
@@ -158,8 +157,8 @@ TEST_F(PowerTest, OversubscriptionSharesFrozenBudget)
     // Budget unchanged after adding a rack.
     EXPECT_DOUBLE_EQ(hierarchy.rowProvision(RowId(0)).value(), budget);
     // Full load on the grown row now violates.
-    std::vector<Watts> draws(dc.serverCount(),
-                             model.serverPeakPower(spec));
+    std::vector<double> draws(dc.serverCount(),
+                              model.serverPeakPower(spec).value());
     const PowerAssessment result = hierarchy.assess(draws);
     ASSERT_FALSE(result.overBudgetRows.empty());
     EXPECT_EQ(result.overBudgetRows.front(), RowId(0));

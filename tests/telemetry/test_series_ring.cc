@@ -1,8 +1,9 @@
 /**
  * @file
- * Ring-buffer telemetry series versus a naive unbounded-vector
- * reference: append/trim/digest equality under churn, eviction
- * semantics at capacity, and the contiguous-chunk view contract.
+ * Ring-buffer telemetry series versus a naive bounded-vector
+ * reference: equality through many wraps and checkpoint round trips,
+ * eviction semantics at capacity, and the contiguous-chunk view
+ * contract.
  * Also the rings' checkpoint codec: whole-record server rings keep
  * the field-wise wire bytes, copied or gathered into a checkpoint
  * file, and crafted sample counts fail the archive instead of
@@ -26,90 +27,126 @@
 namespace tapas {
 namespace {
 
-/** Naive reference: unbounded vector with erase-from-front trims. */
-struct NaiveSeries
+/** Naive reference: a vector that drops its front once it holds
+ *  more than the ring's capacity, plus the gap bookkeeping. */
+template <typename Sample>
+struct BoundedReference
 {
-    std::vector<KeyedSample> data;
-
-    void push(const KeyedSample &s) { data.push_back(s); }
+    std::size_t cap;
+    std::vector<Sample> data;
+    SimTime lastGap = 0;
+    SimTime maxGap = 0;
 
     void
-    trimBefore(SimTime cutoff)
+    push(const Sample &s)
     {
-        auto first_kept = std::find_if(
-            data.begin(), data.end(), [cutoff](const KeyedSample &s) {
-                return s.time >= cutoff;
-            });
-        data.erase(data.begin(), first_kept);
-    }
-
-    double
-    peak() const
-    {
-        double out = 0.0;
-        for (std::size_t i = 0; i < data.size(); ++i)
-            out = i == 0 ? data[i].value
-                         : std::max(out, double(data[i].value));
-        return out;
-    }
-
-    SimTime
-    span() const
-    {
-        return data.empty() ? 0
-                            : data.back().time - data.front().time;
+        if (!data.empty()) {
+            lastGap = s.time - data.back().time;
+            maxGap = std::max(maxGap, lastGap);
+        }
+        data.push_back(s);
+        if (data.size() > cap)
+            data.erase(data.begin());
     }
 };
 
-void
-expectEqual(const KeyedSeriesRing &ring, const NaiveSeries &ref)
+bool
+sameSample(const KeyedSample &a, const KeyedSample &b)
 {
-    const SeriesView<KeyedSample> view = ring.view();
+    return a.time == b.time && a.value == b.value;
+}
+
+bool
+sameSample(const ServerSample &a, const ServerSample &b)
+{
+    return std::memcmp(&a, &b, sizeof(ServerSample)) == 0;
+}
+
+template <typename Ring, typename Sample>
+void
+expectEqual(const Ring &ring, const BoundedReference<Sample> &ref)
+{
+    const SeriesView<Sample> view = ring.view();
+    ASSERT_EQ(ring.size(), ref.data.size());
     ASSERT_EQ(view.size(), ref.data.size());
+    EXPECT_EQ(ring.capacity(), ref.cap);
     for (std::size_t i = 0; i < ref.data.size(); ++i) {
-        EXPECT_EQ(view[i].time, ref.data[i].time);
-        EXPECT_EQ(view[i].value, ref.data[i].value);
+        EXPECT_TRUE(sameSample(view[i], ref.data[i])) << "sample " << i;
+        EXPECT_TRUE(sameSample(ring.at(i), ref.data[i]))
+            << "sample " << i;
     }
-    EXPECT_DOUBLE_EQ(ring.peakValue(), ref.peak());
-    EXPECT_EQ(ring.span(), ref.span());
+    EXPECT_EQ(ring.lastTime(),
+              ref.data.empty() ? -1 : ref.data.back().time);
+    EXPECT_EQ(ring.lastGap(), ref.lastGap);
+    EXPECT_EQ(ring.maxGap(), ref.maxGap);
+}
+
+/** The ring after a checkpoint round trip into a fresh ring, which
+ *  comes back at head 0 whatever the original's layout. */
+template <typename Ring>
+Ring
+roundTrip(Ring &ring)
+{
+    Archive w = Archive::writer();
+    ring.checkpointState(w);
+    const std::vector<std::uint8_t> bytes(w.buffer().begin(),
+                                          w.buffer().end());
+    Ring back;
+    Archive r = Archive::reader(bytes);
+    back.checkpointState(r);
+    EXPECT_TRUE(r.done());
+    return back;
+}
+
+/** A sample whose every field differs from its neighbours'. */
+ServerSample
+serverSampleAt(SimTime t)
+{
+    const float f = static_cast<float>(t);
+    return {t, 20.0f + f, 60.0f + f, 3000.0f + f, 0.01f * f, -5.0f + f,
+            0.5f + 0.001f * f};
+}
+
+template <typename Ring, typename Sample, typename Make>
+void
+churnAgainstReference(Make make)
+{
+    // Push many times past capacity (so the ring wraps over and over)
+    // with duplicate timestamps allowed; at random points, continue
+    // in a ring restored from a checkpoint of this one. Throughout,
+    // the ring must read exactly like the bounded reference.
+    for (std::size_t cap : {1u, 7u, 64u}) {
+        Rng rng(41 + cap);
+        Ring ring(cap);
+        BoundedReference<Sample> ref{cap, {}};
+        SimTime t = 0;
+        int restores = 0;
+        for (int op = 0; op < 4000; ++op) {
+            t += rng.uniformInt(0, 600);
+            const Sample s = make(t, rng);
+            ring.push(s);
+            ref.push(s);
+            if (rng.bernoulli(0.01)) {
+                ring = roundTrip(ring);
+                ++restores;
+            }
+            if (op % 7 == 0)
+                expectEqual(ring, ref);
+        }
+        expectEqual(ring, ref);
+        EXPECT_GT(restores, 10) << "capacity " << cap;
+    }
 }
 
 TEST(SampleRing, MatchesNaiveReferenceUnderChurn)
 {
-    // Random interleaving of appends and trims; as long as the ring
-    // never overflows, it must be indistinguishable from the naive
-    // unbounded store.
-    Rng rng(41);
-    KeyedSeriesRing ring(512);
-    NaiveSeries ref;
-    SimTime t = 0;
-    SimTime cutoff = 0;
-    for (int op = 0; op < 4000; ++op) {
-        if (rng.bernoulli(0.85) || ref.data.empty()) {
-            t += rng.uniformInt(1, 600);
-            const KeyedSample s{
+    churnAgainstReference<KeyedSeriesRing, KeyedSample>(
+        [](SimTime t, Rng &rng) {
+            return KeyedSample{
                 t, static_cast<float>(rng.uniform(0.0, 5000.0))};
-            ring.push(s);
-            ref.push(s);
-        } else {
-            cutoff = std::max(
-                cutoff,
-                ref.data.front().time +
-                    rng.uniformInt(0, ref.span() + 1));
-            ring.trimBefore(cutoff);
-            ref.trimBefore(cutoff);
-        }
-        // Keep the churn below capacity so the semantics must agree.
-        if (ref.data.size() > 480) {
-            cutoff =
-                std::max(cutoff, ref.data[ref.data.size() / 2].time);
-            ring.trimBefore(cutoff);
-            ref.trimBefore(cutoff);
-        }
-        if (op % 7 == 0)
-            expectEqual(ring, ref);
-    }
-    expectEqual(ring, ref);
+        });
+    churnAgainstReference<ServerSeriesRing, ServerSample>(
+        [](SimTime t, Rng &) { return serverSampleAt(t); });
 }
 
 TEST(SampleRing, EvictsOldestAtCapacity)
@@ -120,101 +157,6 @@ TEST(SampleRing, EvictsOldestAtCapacity)
     EXPECT_EQ(ring.size(), 8u);
     EXPECT_EQ(ring.front().time, 12);
     EXPECT_EQ(ring.back().time, 19);
-    // Digest tracks the retained window only.
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 19.0);
-    EXPECT_EQ(ring.span(), 7);
-}
-
-TEST(SampleRing, PeakRecomputesAfterEvictingThePeak)
-{
-    KeyedSeriesRing ring(4);
-    ring.push({0, 100.0f});
-    ring.push({1, 5.0f});
-    ring.push({2, 7.0f});
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 100.0);
-    ring.push({3, 6.0f});
-    ring.push({4, 1.0f}); // evicts the 100 peak
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 7.0);
-    ring.trimBefore(3); // evicts the 7 peak via trim
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 6.0);
-}
-
-TEST(SampleRing, TrimExactlyAtHeadRemovesNothing)
-{
-    // Samples strictly below the cutoff are dropped, so a cutoff at
-    // exactly the head sample's timestamp is a no-op — including on
-    // a wrapped full ring and with duplicate head timestamps.
-    KeyedSeriesRing ring(4);
-    for (SimTime t = 0; t < 6; ++t)
-        ring.push({t, static_cast<float>(t)});
-    ASSERT_EQ(ring.front().time, 2);
-    ring.trimBefore(2);
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.front().time, 2);
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 5.0);
-    EXPECT_EQ(ring.span(), 3);
-
-    KeyedSeriesRing dup(8);
-    dup.push({5, 1.0f});
-    dup.push({5, 2.0f});
-    dup.push({6, 3.0f});
-    dup.trimBefore(5);
-    EXPECT_EQ(dup.size(), 3u);
-    EXPECT_DOUBLE_EQ(dup.peakValue(), 3.0);
-}
-
-TEST(SampleRing, TrimPastLastSampleEmptiesAndRegrows)
-{
-    // A cutoff beyond the last sample empties the ring and resets it
-    // to a fresh growth phase; pushes afterwards must land in order
-    // with exact digests — on a growth-phase ring, a wrapped full
-    // ring, and repeatedly (the PR-2 regrow bug was a reset that
-    // left the physical run misaligned).
-    for (int prefill : {3, 12}) { // below capacity / wrapped-full
-        KeyedSeriesRing ring(8);
-        for (SimTime t = 0; t < prefill; ++t)
-            ring.push({t, static_cast<float>(100 + t)});
-        ring.trimBefore(1000);
-        EXPECT_EQ(ring.size(), 0u);
-        EXPECT_TRUE(ring.view().empty());
-        EXPECT_DOUBLE_EQ(ring.peakValue(), 0.0);
-        EXPECT_EQ(ring.span(), 0);
-
-        // Regrow past capacity: eviction and digests must behave
-        // like a freshly constructed ring.
-        for (SimTime t = 2000; t < 2012; ++t)
-            ring.push({t, static_cast<float>(t - 2000)});
-        EXPECT_EQ(ring.size(), 8u);
-        EXPECT_EQ(ring.front().time, 2004);
-        EXPECT_EQ(ring.back().time, 2011);
-        EXPECT_DOUBLE_EQ(ring.peakValue(), 11.0);
-        EXPECT_EQ(ring.span(), 7);
-
-        // And a second trim-to-empty on the regrown ring.
-        ring.trimBefore(3000);
-        EXPECT_EQ(ring.size(), 0u);
-        ring.push({3000, 9.0f});
-        EXPECT_EQ(ring.size(), 1u);
-        EXPECT_EQ(ring.front().time, 3000);
-        EXPECT_DOUBLE_EQ(ring.peakValue(), 9.0);
-    }
-}
-
-TEST(SampleRing, TrimToEmptyWhilePeakDigestIsInvalid)
-{
-    // Evicting the peak defers the digest rescan; trimming the rest
-    // away while the digest is invalid must still leave a clean
-    // empty ring (peak 0) and exact digests after regrowth.
-    KeyedSeriesRing ring(4);
-    ring.push({0, 50.0f});
-    ring.push({1, 1.0f});
-    ring.push({2, 2.0f});
-    ring.trimBefore(1); // evicts the 50 peak -> digest invalid
-    ring.trimBefore(10); // empties the ring before any peak query
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 0.0);
-    ring.push({20, 4.0f});
-    EXPECT_DOUBLE_EQ(ring.peakValue(), 4.0);
 }
 
 TEST(SampleRing, ViewChunksAreContiguousAndOrdered)
@@ -247,23 +189,6 @@ TEST(TelemetryStore, RingCapacityBoundsSeries)
     EXPECT_EQ(series.size(), 16u);
     EXPECT_EQ(series.front().time, 84 * 600);
     EXPECT_EQ(series.back().time, 99 * 600);
-    EXPECT_DOUBLE_EQ(store.rowPowerPeak(RowId(0)), 1099.0);
-}
-
-TEST(TelemetryStore, TrimBeforeMatchesEraseSemantics)
-{
-    TelemetryStore store;
-    for (SimTime t = 0; t < 10 * kHour; t += kHour)
-        store.recordRowPower(RowId(0), t, 1.0);
-    store.trimBefore(5 * kHour);
-    EXPECT_EQ(store.rowPowerSeries(RowId(0)).size(), 5u);
-    EXPECT_EQ(store.rowPowerSeries(RowId(0)).front().time,
-              5 * kHour);
-    // Trimming everything leaves an empty, reusable series.
-    store.trimBefore(kWeek);
-    EXPECT_TRUE(store.rowPowerSeries(RowId(0)).empty());
-    store.recordRowPower(RowId(0), kWeek, 2.0);
-    EXPECT_EQ(store.rowPowerSeries(RowId(0)).size(), 1u);
 }
 
 /** Field-wise ServerSample codec: the oracle for the wire bytes of
@@ -308,26 +233,16 @@ ringBytes(Ring &ring)
     return {ar.buffer().begin(), ar.buffer().end()};
 }
 
-/** A sample whose every field differs from its neighbours'. */
-ServerSample
-serverSampleAt(SimTime t)
-{
-    const float f = static_cast<float>(t);
-    return {t, 20.0f + f, 60.0f + f, 3000.0f + f, 0.01f * f, -5.0f + f,
-            0.5f + 0.001f * f};
-}
-
-/** An empty ring, a growing one (one chunk) and a wrapped, trimmed
- *  one (head != 0, both chunks non-empty). */
+/** An empty ring, a growing one (one chunk) and a wrapped one
+ *  (head != 0, both chunks non-empty). */
 std::vector<ServerSeriesRing>
 checkpointRings()
 {
     std::vector<ServerSeriesRing> rings(3, ServerSeriesRing(8));
     for (SimTime t = 0; t < 5; ++t)
         rings[1].push(serverSampleAt(t * 600));
-    for (SimTime t = 0; t < 12; ++t)
+    for (SimTime t = 0; t < 13; ++t)
         rings[2].push(serverSampleAt(t * 600 + (t > 9 ? 900 : 0)));
-    rings[2].trimBefore(6 * 600);
     return rings;
 }
 
@@ -349,7 +264,6 @@ TEST(SampleRingCheckpoint, WholeRecordBytesEqualFieldWiseEncoding)
         EXPECT_EQ(back.capacity(), ring->capacity());
         EXPECT_EQ(back.lastGap(), ring->lastGap());
         EXPECT_EQ(back.maxGap(), ring->maxGap());
-        EXPECT_DOUBLE_EQ(back.peakValue(), ring->peakValue());
         ASSERT_EQ(back.size(), ring->size());
         for (std::size_t i = 0; i < back.size(); ++i) {
             EXPECT_EQ(std::memcmp(&back.at(i), &ring->at(i),

@@ -31,27 +31,26 @@ TEST(TelemetryStore, RecordAndQuery)
     EXPECT_EQ(store.rowsWithData().size(), 2u);
 }
 
-TEST(TelemetryStore, TrimBeforeDropsOldSamples)
-{
-    TelemetryStore store;
-    for (SimTime t = 0; t < 10 * kHour; t += kHour)
-        store.recordRowPower(RowId(0), t, 1.0);
-    store.trimBefore(5 * kHour);
-    EXPECT_EQ(store.rowPowerSeries(RowId(0)).size(), 5u);
-    EXPECT_EQ(store.rowPowerSeries(RowId(0)).front().time, 5 * kHour);
-}
-
 TEST(TelemetryStore, LoadDigestTracksSpanAndPeak)
 {
     TelemetryStore store;
-    EXPECT_DOUBLE_EQ(store.customerPeakLoad(CustomerId(3)), 1.0);
+    EXPECT_DOUBLE_EQ(store.customerPredictedPeak(CustomerId(3), 0),
+                     1.0);
     store.recordVmLoad(VmId(0), CustomerId(3), EndpointId(), 0, 0.4);
     store.recordVmLoad(VmId(0), CustomerId(3), EndpointId(),
                        2 * kDay, 0.8);
-    EXPECT_EQ(store.customerLoadSpan(CustomerId(3)), 2 * kDay);
-    EXPECT_DOUBLE_EQ(store.customerPeakLoad(CustomerId(3)), 0.8);
+    // Two days of history: the running peak once the span gate is
+    // met, the conservative 1.0 while it is not.
+    EXPECT_DOUBLE_EQ(
+        store.customerPredictedPeak(CustomerId(3), 2 * kDay), 0.8);
+    EXPECT_DOUBLE_EQ(
+        store.customerPredictedPeak(CustomerId(3), 2 * kDay + 1), 1.0);
+    // A lower slot materialized by id 3 but never recorded is absent.
+    EXPECT_DOUBLE_EQ(store.customerPredictedPeak(CustomerId(1), 0),
+                     1.0);
     // Endpoint side untouched.
-    EXPECT_EQ(store.endpointLoadSpan(EndpointId(0)), 0);
+    EXPECT_DOUBLE_EQ(store.endpointPredictedPeak(EndpointId(0), 0),
+                     1.0);
 }
 
 TEST(PowerTemplates, HourOfWeekPrediction)

@@ -116,7 +116,7 @@ RULES = [
             r"|(?<![A-Za-z0-9_])printf\s*\("
         ),
         "include": ["src/**"],
-        # common/logging IS the sanctioned sink; CSV/table/timer
+        # common/logging IS the sanctioned sink; table/timer
         # emitters format with snprintf, which the lookbehind above
         # already permits.
         "exclude": ["src/common/logging.hh", "src/common/logging.cc"],
