@@ -10,9 +10,11 @@
 #  3. Resume leg: rerun pointing at the surviving snapshot; the
 #     resumed report must be BYTE-IDENTICAL to the reference
 #     (stateDigest and every metric, %.17g doubles included).
-#  4. Corruption leg: flip one byte in the middle of the snapshot
-#     and assert restore fails with a structured error — a damaged
-#     file must never silently resume wrong.
+#  4. Corruption legs: flip one byte in the middle of the snapshot,
+#     truncate it at byte 100 and halfway through the telemetry
+#     section's payload, and assert each restore fails with a
+#     structured error — a damaged file must never silently resume
+#     wrong.
 #
 # Usage: scripts/crash_drill.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -94,5 +96,30 @@ EOF
 head -c 100 "$work/corrupt.tapasckp" > "$work/truncated.tapasckp"
 "$drill" --scenario "$spec" \
     --expect-corrupt "$work/truncated.tapasckp"
+
+# The same halfway through section 3's (telemetry) payload, found by
+# walking the frame table (28-byte header, then per frame a u32 id, a
+# u64 payload length, the payload and a u32 CRC). The frames of ids 1
+# and 2 stream and pass their CRCs first; section 3's length then exceeds
+# what is left of the file, so this leg checks the frame-length bound
+# after two streamed frames.
+cut=$(python3 - "$work/drill.tapasckp" <<'PY'
+import struct, sys
+with open(sys.argv[1], "rb") as f:
+    blob = f.read()
+(count,) = struct.unpack_from("<I", blob, 12)
+pos = 28
+for _ in range(count):
+    sid, length = struct.unpack_from("<IQ", blob, pos)
+    if sid == 3:
+        print(pos + 12 + length // 2)
+        sys.exit(0)
+    pos += 12 + length + 4
+sys.exit("no telemetry section (id 3) in " + sys.argv[1])
+PY
+)
+head -c "$cut" "$work/drill.tapasckp" > "$work/truncated_rings.tapasckp"
+"$drill" --scenario "$spec" \
+    --expect-corrupt "$work/truncated_rings.tapasckp"
 
 echo "OK: crash drill passed"

@@ -248,6 +248,37 @@ Archive::grow(std::size_t n)
     storeCap = cap;
 }
 
+bool
+Archive::getMore(void *p, std::size_t n)
+{
+    if (!okFlag || n > remaining()) {
+        okFlag = false;
+        return false;
+    }
+    // The buffer's bytes first, then window after window from the
+    // source, which holds the rest of the frame.
+    auto *to = static_cast<std::uint8_t *>(p);
+    for (;;) {
+        const std::size_t take = std::min(n, readSize - readPos);
+        if (take > 0)
+            std::memcpy(to, readData + readPos, take);
+        readPos += take;
+        to += take;
+        n -= take;
+        if (n == 0)
+            return true;
+        const ByteView view = source->refill(readBeyond);
+        if (view.empty())
+            break;
+        readData = view.data();
+        readSize = view.size();
+        readPos = 0;
+        readBeyond -= view.size();
+    }
+    okFlag = false;
+    return false;
+}
+
 namespace {
 
 /**
@@ -346,15 +377,12 @@ atomicWriteFile(const std::string &path, const std::string &text)
 namespace {
 
 /**
- * Read all of @p path into @p bytes, a byte vector of either
- * allocator: a regular file in one call into a buffer sized up front
- * (resize() is the vector's own: zero-filled or, under
- * CheckpointData's allocator, left for the read to overwrite); pipes
- * and files that grow meanwhile are read on to EOF.
+ * Read all of @p path into @p bytes: a regular file in one call into
+ * a buffer sized up front; pipes and files that grow meanwhile are
+ * read on to EOF.
  */
-template <typename Bytes>
 Error
-readWholeFile(const std::string &path, Bytes &bytes)
+readWholeFile(const std::string &path, std::vector<std::uint8_t> &bytes)
 {
     FileHandle in(std::fopen(path.c_str(), "rb"));
     if (!in.fp)
@@ -432,8 +460,8 @@ constexpr char kMagic[8] = {'T', 'A', 'P', 'A', 'S',
                             'C', 'K', 'P'};
 /** magic + version + sectionCount + configDigest + headerCrc. */
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 4;
-/** id + payloadLen + payloadCrc. */
-constexpr std::size_t kSectionOverhead = 4 + 8 + 4;
+/** id + payloadLen, ahead of each payload. */
+constexpr std::size_t kFrameHead = 4 + 8;
 
 std::uint32_t
 getU32(const std::uint8_t *p)
@@ -555,75 +583,198 @@ DigestWriter::full(ByteView buffered)
     return true;
 }
 
+CheckpointReader::CheckpointReader()
+{
+    ar.readMode = true;
+    ar.source = this;
+}
+
+CheckpointReader::~CheckpointReader()
+{
+    if (fd >= 0)
+        ::close(fd);
+}
+
+Error
+CheckpointReader::corrupt(const std::string &what) const
+{
+    return Error::corrupt("checkpoint '" + path + "': " + what);
+}
+
+bool
+CheckpointReader::fill(std::size_t n)
+{
+    if (winLen - winPos >= n)
+        return true;
+    // Keep the unconsumed tail, then read on until the window is full
+    // or the file ends.
+    std::memmove(window.get(), window.get() + winPos, winLen - winPos);
+    winLen -= winPos;
+    winPos = 0;
+    while (winLen < n) {
+        const std::size_t got =
+            readSome(window.get() + winLen,
+                     std::min(kWindowBytes - winLen, fileSize - filePos));
+        if (got == 0)
+            return false;
+        winLen += got;
+    }
+    return true;
+}
+
+std::size_t
+CheckpointReader::readSome(std::uint8_t *to, std::size_t n)
+{
+    for (;;) {
+        const ssize_t got = n == 0 ? 0 : ::read(fd, to, n);
+        if (got > 0) {
+            filePos += static_cast<std::size_t>(got);
+            return static_cast<std::size_t>(got);
+        }
+        if (got < 0 && errno == EINTR)
+            continue;
+        // Every read stays inside the size fstat reported, so only a
+        // read error or a file that shrank since lands here.
+        readError = got < 0
+            ? Error::io(errnoMessage("read failed on", path))
+            : Error::io("short read on '" + path + "': " +
+                        std::to_string(filePos) + " of " +
+                        std::to_string(fileSize) + " bytes");
+        return 0;
+    }
+}
+
+ByteView
+CheckpointReader::handOut(std::size_t left)
+{
+    const ByteView view{window.get() + winPos,
+                        std::min(winLen - winPos, left)};
+    frameCrc = crc32(view.data(), view.size(), frameCrc);
+    winPos += view.size();
+    return view;
+}
+
+ByteView
+CheckpointReader::refill(std::size_t left)
+{
+    return fill(1) ? handOut(left) : ByteView{};
+}
+
+Error
+CheckpointReader::open(const std::string &file)
+{
+    path = file;
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return Error::io(errnoMessage("cannot open", path));
+    struct stat st;
+    if (fstat(fd, &st) != 0)
+        return Error::io(errnoMessage("cannot stat", path));
+    // Every length is bounded by the size fstat reports, which only
+    // a regular file has.
+    if (!S_ISREG(st.st_mode))
+        return Error::io("checkpoint '" + path +
+                         "': not a regular file");
+    fileSize = static_cast<std::size_t>(st.st_size);
+    if (fileSize < kHeaderSize)
+        return corrupt("truncated header (" + std::to_string(fileSize) +
+                       " bytes)");
+    window = std::make_unique_for_overwrite<std::uint8_t[]>(kWindowBytes);
+    if (!fill(kHeaderSize))
+        return readError;
+    const std::uint8_t *header = window.get() + winPos;
+    winPos += kHeaderSize;
+    if (std::memcmp(header, kMagic, sizeof kMagic) != 0)
+        return corrupt("bad magic");
+    if (getU32(header + kHeaderSize - 4) !=
+        crc32(header, kHeaderSize - 4))
+        return corrupt("header CRC mismatch");
+    const std::uint32_t version = getU32(header + 8);
+    if (version != kCheckpointFormatVersion)
+        return Error::version(
+            "checkpoint '" + path + "': format version " +
+            std::to_string(version) + ", expected " +
+            std::to_string(kCheckpointFormatVersion));
+    sectionCount = getU32(header + 12);
+    digest = getU64(header + 16);
+    return Error::okValue();
+}
+
+Error
+CheckpointReader::beginSection(std::uint32_t index)
+{
+    if (fileSize - position() < kFrameHead)
+        return corrupt("truncated at section " + std::to_string(index) +
+                       " frame");
+    if (!fill(kFrameHead))
+        return readError;
+    const std::uint8_t *head = window.get() + winPos;
+    frameId = getU32(head);
+    const std::uint64_t len = getU64(head + 4);
+    frameCrc = crc32(head, kFrameHead);
+    winPos += kFrameHead;
+    const std::size_t left = fileSize - position();
+    if (len > left || left - static_cast<std::size_t>(len) < 4)
+        return corrupt("section " + std::to_string(index) + " length " +
+                       std::to_string(len) + " exceeds file");
+
+    // The frame's archive starts with the payload bytes the window
+    // already holds; the source hands out the rest.
+    ar.okFlag = true;
+    ar.readBeyond = static_cast<std::size_t>(len);
+    const ByteView view = handOut(ar.readBeyond);
+    ar.readData = view.data();
+    ar.readSize = view.size();
+    ar.readPos = 0;
+    ar.readBeyond -= view.size();
+    return Error::okValue();
+}
+
+Error
+CheckpointReader::endSection(std::uint32_t index)
+{
+    // Skip what the visitor left of the payload, CRC'ing it on the
+    // way, then check the frame's CRC.
+    ar.readPos = ar.readSize;
+    while (readError.ok() && ar.readBeyond > 0)
+        ar.readBeyond -= refill(ar.readBeyond).size();
+    if (!readError.ok() || !fill(4))
+        return readError;
+    const std::uint32_t stored = getU32(window.get() + winPos);
+    winPos += 4;
+    if (stored != frameCrc)
+        return corrupt("section " + std::to_string(index) + " (id " +
+                       std::to_string(frameId) + ") CRC mismatch");
+    return Error::okValue();
+}
+
+Error
+CheckpointReader::finish()
+{
+    if (position() != fileSize)
+        return corrupt(std::to_string(fileSize - position()) +
+                       " trailing bytes after last section");
+    return Error::okValue();
+}
+
 Result<CheckpointData>
 readCheckpointFile(const std::string &path)
 {
+    CheckpointReader reader;
+    Error err = reader.open(path);
+    if (!err.ok())
+        return err;
     CheckpointData data;
-    const Error read = readWholeFile(path, data.file);
-    if (!read.ok())
-        return read;
-    const auto &bytes = data.file;
-
-    if (bytes.size() < kHeaderSize)
-        return Error::corrupt("checkpoint '" + path +
-                              "': truncated header (" +
-                              std::to_string(bytes.size()) +
-                              " bytes)");
-    if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-        return Error::corrupt("checkpoint '" + path +
-                              "': bad magic");
-    if (getU32(bytes.data() + kHeaderSize - 4) !=
-        crc32(bytes.data(), kHeaderSize - 4))
-        return Error::corrupt("checkpoint '" + path +
-                              "': header CRC mismatch");
-
-    data.version = getU32(bytes.data() + 8);
-    const std::uint32_t section_count =
-        getU32(bytes.data() + 12);
-    data.configDigest = getU64(bytes.data() + 16);
-    if (data.version != kCheckpointFormatVersion)
-        return Error::version(
-            "checkpoint '" + path + "': format version " +
-            std::to_string(data.version) + ", expected " +
-            std::to_string(kCheckpointFormatVersion));
-
-    std::size_t pos = kHeaderSize;
-    // The count is untrusted: reserve no more frames than fit.
-    data.sections.reserve(std::min<std::size_t>(
-        section_count, (bytes.size() - pos) / kSectionOverhead));
-    for (std::uint32_t i = 0; i < section_count; ++i) {
-        if (bytes.size() - pos < 4 + 8)
-            return Error::corrupt(
-                "checkpoint '" + path + "': truncated at section " +
-                std::to_string(i) + " frame");
-        const std::size_t frame_start = pos;
-        const std::uint32_t id = getU32(bytes.data() + pos);
-        const std::uint64_t len = getU64(bytes.data() + pos + 4);
-        pos += 4 + 8;
-        if (len > bytes.size() - pos ||
-            bytes.size() - pos - static_cast<std::size_t>(len) < 4)
-            return Error::corrupt(
-                "checkpoint '" + path + "': section " +
-                std::to_string(i) + " length " +
-                std::to_string(len) + " exceeds file");
-        const std::uint8_t *payload = bytes.data() + pos;
-        pos += static_cast<std::size_t>(len);
-        const std::uint32_t stored_crc = getU32(bytes.data() + pos);
-        pos += 4;
-        if (stored_crc != crc32(bytes.data() + frame_start,
-                                pos - 4 - frame_start))
-            return Error::corrupt("checkpoint '" + path +
-                                  "': section " + std::to_string(i) +
-                                  " (id " + std::to_string(id) +
-                                  ") CRC mismatch");
-        data.sections.push_back(
-            {id, {payload, static_cast<std::size_t>(len)}});
-    }
-    if (pos != bytes.size())
-        return Error::corrupt(
-            "checkpoint '" + path + "': " +
-            std::to_string(bytes.size() - pos) +
-            " trailing bytes after last section");
+    data.version = kCheckpointFormatVersion;
+    data.configDigest = reader.configDigest();
+    err = reader.sections([&data](std::uint32_t id, Archive &ar) {
+        CheckpointSection &section = data.sections.emplace_back();
+        section.id = id;
+        section.payload.resize(ar.remaining());
+        ar.bytes(section.payload.data(), section.payload.size());
+    });
+    if (!err.ok())
+        return err;
     return data;
 }
 

@@ -21,12 +21,14 @@
  *    ([id][length][payload][crc32]). CheckpointWriter frames the
  *    small fields of every section in one buffer and references the
  *    stableBytes() pieces (telemetry ring chunks) where they lie,
- *    then gathers both into one write; readCheckpointFile hands back
- *    sections as views into the file bytes. Truncation, bit flips,
- *    and version skew are *detected* (length/CRC/magic checks) and
- *    surfaced as tapas::Error — never undefined behavior, never a
- *    silent wrong resume. Bump kCheckpointFormatVersion whenever any
- *    serialized struct changes shape (docs/checkpoint-format.md).
+ *    then gathers both into one write; CheckpointReader streams a
+ *    file back through one fixed window, chaining each frame's CRC
+ *    over its bytes as they arrive (readCheckpointFile is built on
+ *    it). Truncation, bit flips, and version skew are *detected*
+ *    (length/CRC/magic checks) and surfaced as tapas::Error — never
+ *    undefined behavior, never a silent wrong resume. Bump
+ *    kCheckpointFormatVersion whenever any serialized struct changes
+ *    shape (docs/checkpoint-format.md).
  *
  *  - atomicWriteFile: write-to-temp (gathered from any number of
  *    pieces) + fsync + rename. Every durable write in the repo goes
@@ -113,6 +115,7 @@ bool fileExists(const std::string &path);
 /** Best-effort delete; missing files are not an error. */
 void removeFileIfExists(const std::string &path);
 
+class CheckpointReader;
 class CheckpointWriter;
 class DigestWriter;
 
@@ -121,10 +124,11 @@ class DigestWriter;
  * through a cursor into storage that grows geometrically (or, under
  * a sink that consumes it, is reused once full), so each field costs
  * one capacity check plus one memcpy; read mode consumes with bounds
- * checks. A read past the end (or a semantic mismatch flagged by
- * fail()) latches ok() to false and turns every later read into a
- * zero-fill no-op — callers run the full checkpointState walk and
- * check ok() once at the end.
+ * checks, from one buffer or, under a CheckpointReader, from a frame
+ * that streams through the reader's window. A read past the end (or
+ * a semantic mismatch flagged by fail()) latches ok() to false and
+ * turns every later read into a zero-fill no-op — callers run the
+ * full checkpointState walk and check ok() once at the end.
  */
 class Archive
 {
@@ -169,11 +173,12 @@ class Archive
         return {store.get(), writePos};
     }
 
-    /** Unconsumed bytes (read mode). */
+    /** Unconsumed bytes (read mode): under a CheckpointReader, what
+     *  the frame holds past the cursor, not just what is buffered. */
     std::size_t
     remaining() const
     {
-        return readSize - readPos;
+        return readSize - readPos + readBeyond;
     }
 
     /** A fully consumed, error-free read. */
@@ -262,17 +267,16 @@ class Archive
             s.clear();
             return;
         }
-        s.assign(reinterpret_cast<const char *>(readData + readPos),
-                 n);
-        readPos += n;
+        s.resize(n);
+        getBytes(s.data(), n);
     }
 
     /**
      * @p n raw bytes whose memory image is their wire image: one
      * copy each way. The caller static_asserts that layout (size,
      * field offsets, trivially copyable, little-endian host; see
-     * ServerSample). A short read latches fail() and leaves @p p
-     * untouched.
+     * ServerSample). A read past the end latches fail() and leaves
+     * @p p untouched.
      */
     void
     bytes(void *p, std::size_t n)
@@ -329,15 +333,19 @@ class Archive
             value(elem);
     }
 
-    /** Vector of composite elements; @p fn(Archive&, T&) per slot. */
+    /**
+     * Vector of composite elements; @p fn(Archive&, T&) per slot.
+     * A count read back is checked against @p min_elem_bytes, the
+     * fewest wire bytes one element takes, before the resize.
+     */
     template <typename T, typename Fn>
     void
-    each(std::vector<T> &v, Fn fn)
+    each(std::vector<T> &v, Fn fn, std::size_t min_elem_bytes = 1)
     {
         std::size_t n = v.size();
         count(n);
         if (readMode) {
-            if (!checkCount(n, 1)) {
+            if (!checkCount(n, min_elem_bytes)) {
                 v.clear();
                 return;
             }
@@ -368,6 +376,7 @@ class Archive
     }
 
   private:
+    friend class CheckpointReader;
     friend class CheckpointWriter;
     friend class DigestWriter;
 
@@ -384,6 +393,19 @@ class Archive
         virtual bool stable(ByteView buffered, ByteView run) = 0;
         /** @p buffered fills the storage; false lets it grow. */
         virtual bool full(ByteView buffered) = 0;
+    };
+
+    /**
+     * The read stream's producer past the buffered bytes, the
+     * read-mode counterpart of Sink: CheckpointReader hands out a
+     * frame's payload through its window, CRC'ing it on the way.
+     */
+    struct Source
+    {
+        /** The next bytes of the frame in the refilled window: at
+         *  least one, at most @p left and at most a window; empty on
+         *  a read error. */
+        virtual ByteView refill(std::size_t left) = 0;
     };
 
     /** A stableBytes() run, referenced where it goes: right after
@@ -442,14 +464,20 @@ class Archive
     bool
     getBytes(void *p, std::size_t n)
     {
-        if (!okFlag || n > remaining()) {
-            okFlag = false;
-            return false;
-        }
+        if (!okFlag || n > readSize - readPos)
+            return getMore(p, n);
         std::memcpy(p, readData + readPos, n);
         readPos += n;
         return true;
     }
+
+    /**
+     * getBytes() past the buffered bytes: take what the buffer holds,
+     * then the rest from the source, one refilled window at a time.
+     * Fails (leaving @p p untouched) when the frame holds fewer than
+     * @p n.
+     */
+    bool getMore(void *p, std::size_t n);
 
     bool readMode = false;
     bool okFlag = true;
@@ -460,9 +488,14 @@ class Archive
     std::unique_ptr<std::uint8_t[]> store;
     std::size_t storeCap = 0;
     std::size_t writePos = 0;
+    // Read buffer: [readPos, readSize) of readData is unconsumed;
+    // readBeyond more bytes of the frame are still with the source.
     const std::uint8_t *readData = nullptr;
     std::size_t readSize = 0;
     std::size_t readPos = 0;
+    std::size_t readBeyond = 0;
+    // Set by CheckpointReader.
+    Source *source = nullptr;
 };
 
 // ---------------------------------------------- checkpoint files --
@@ -565,27 +598,109 @@ class DigestWriter final : private Archive::Sink
     std::uint64_t hash = fnv1a64(nullptr, 0);
 };
 
-/** One framed section: a view into its CheckpointData's bytes. */
+/**
+ * Reads a checkpoint file back through one fixed kWindowBytes window,
+ * never a file-sized buffer. open() checks the header; sections()
+ * then streams every frame: its id and length, its payload through
+ * the frame's archive, then its CRC, chained over the bytes as they
+ * arrive, while they are still in cache. The archive's remaining() is
+ * what the frame holds past its cursor, so checkCount() bounds every
+ * count by the frame. A read that runs past the window takes what the
+ * window holds, then refills it, as often as the run needs. The checks
+ * and their errors are the ones readCheckpointFile documents.
+ *
+ * A frame's bytes reach the visitor before its CRC is checked, so
+ * whatever a visitor decodes must stay apart from live state until
+ * sections() has returned ok.
+ */
+class CheckpointReader final : private Archive::Source
+{
+  public:
+    static constexpr std::size_t kWindowBytes = 64 * 1024;
+
+    CheckpointReader();
+    ~CheckpointReader();
+
+    CheckpointReader(const CheckpointReader &) = delete;
+    CheckpointReader &operator=(const CheckpointReader &) = delete;
+
+    /** Open @p path and check its header: magic, CRC and version. */
+    Error open(const std::string &path);
+
+    /** Digest of the writing simulation's configuration. */
+    std::uint64_t configDigest() const { return digest; }
+
+    /**
+     * Stream every frame of the open file: @p visit(id, Archive&)
+     * reads as much of the payload as it wants, and the reader CRCs
+     * and skips the rest, then checks the frame's CRC. Ok once every
+     * frame and the end of the file pass; otherwise the first failed
+     * check's error, and no later frame is visited.
+     */
+    template <typename Visit>
+    Error
+    sections(Visit &&visit)
+    {
+        for (std::uint32_t i = 0; i < sectionCount; ++i) {
+            Error err = beginSection(i);
+            if (!err.ok())
+                return err;
+            visit(frameId, ar);
+            err = endSection(i);
+            if (!err.ok())
+                return err;
+        }
+        return finish();
+    }
+
+  private:
+    Error beginSection(std::uint32_t index);
+    Error endSection(std::uint32_t index);
+    Error finish();
+
+    /** Make @p n unconsumed bytes (at most a window) ready in the
+     *  window, reading as much of the file as fits; false on a failed
+     *  or short read (readError says which). */
+    bool fill(std::size_t n);
+    /** One read() of at most @p n file bytes into @p to, retried on
+     *  EINTR: how many landed, 0 (readError set) on failure. */
+    std::size_t readSome(std::uint8_t *to, std::size_t n);
+    /** Consume up to @p left of the window's bytes into the frame
+     *  CRC and return them. */
+    ByteView handOut(std::size_t left);
+    ByteView refill(std::size_t left) override;
+    /** File offset of the window's first unconsumed byte. */
+    std::size_t position() const { return filePos - (winLen - winPos); }
+    Error corrupt(const std::string &what) const;
+
+    Archive ar;
+    std::string path;
+    int fd = -1;
+    std::size_t fileSize = 0;
+    // Bytes read from the file so far; [winPos, winLen) of the window
+    // are the last of them not yet consumed.
+    std::size_t filePos = 0;
+    std::unique_ptr<std::uint8_t[]> window;
+    std::size_t winLen = 0;
+    std::size_t winPos = 0;
+    std::uint32_t sectionCount = 0;
+    std::uint64_t digest = 0;
+    // The open frame.
+    std::uint32_t frameId = 0;
+    std::uint32_t frameCrc = 0;
+    Error readError;
+};
+
+/** One framed section and a copy of its payload. */
 struct CheckpointSection
 {
     std::uint32_t id = 0;
-    std::span<const std::uint8_t> payload;
+    std::vector<std::uint8_t> payload;
 };
 
-/**
- * Parsed, CRC-verified checkpoint file contents. It owns the file
- * bytes and its sections are views into them, so it is move-only: a
- * move keeps the views valid, a copy would leave them on the source.
- */
-class CheckpointData
+/** Parsed, CRC-verified checkpoint file contents. */
+struct CheckpointData
 {
-  public:
-    CheckpointData() = default;
-    CheckpointData(CheckpointData &&) = default;
-    CheckpointData &operator=(CheckpointData &&) = default;
-    CheckpointData(const CheckpointData &) = delete;
-    CheckpointData &operator=(const CheckpointData &) = delete;
-
     std::uint32_t version = 0;
     /** Digest of the writing simulation's configuration. */
     std::uint64_t configDigest = 0;
@@ -600,40 +715,17 @@ class CheckpointData
         }
         return nullptr;
     }
-
-  private:
-    friend Result<CheckpointData>
-    readCheckpointFile(const std::string &path);
-
-    /** std::allocator whose value-less construct() leaves the byte
-     *  unset: resize() reserves room the file read overwrites,
-     *  without zero-filling it first. */
-    template <typename T>
-    struct OverwriteAllocator : std::allocator<T>
-    {
-        template <typename U>
-        struct rebind
-        {
-            using other = OverwriteAllocator<U>;
-        };
-
-        void
-        construct(T *p) noexcept
-        {
-            ::new (static_cast<void *>(p)) T;
-        }
-    };
-
-    std::vector<std::uint8_t, OverwriteAllocator<std::uint8_t>> file;
 };
 
 /**
- * Read + fully validate a checkpoint file: magic, header CRC,
- * version, per-section length bounds and frame CRCs (each section's
- * CRC seals its id, length, and payload). Any
- * truncation or bit flip yields ErrorCode::Corrupt (wrong version:
- * ErrorCode::Version); the sections, views into the file bytes read
- * once, are returned only when every check passed.
+ * Read + fully validate a checkpoint file through a CheckpointReader:
+ * magic, header CRC, version, per-section length bounds against the
+ * file's size, frame CRCs (each section's CRC seals its id, length,
+ * and payload) and trailing bytes. Any truncation or bit flip yields
+ * ErrorCode::Corrupt (wrong version: ErrorCode::Version; a file that
+ * cannot be read, or is not a regular file: ErrorCode::Io); the
+ * sections, each payload in its own buffer, are returned only when
+ * every check passed.
  */
 Result<CheckpointData> readCheckpointFile(const std::string &path);
 

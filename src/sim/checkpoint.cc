@@ -294,36 +294,66 @@ ClusterSim::saveCheckpoint(const std::string &path)
 Error
 ClusterSim::restoreCheckpoint(const std::string &path)
 {
-    Result<CheckpointData> read = readCheckpointFile(path);
-    if (!read.ok())
-        return read.error();
-    const CheckpointData &data = read.value();
+    CheckpointReader reader;
+    Error err = reader.open(path);
+    if (!err.ok())
+        return err;
+    const auto undecodable = [&path](std::uint32_t id) {
+        return Error::corrupt(
+            "checkpoint '" + path + "': section '" + sectionName(id) +
+            "' payload does not decode to this configuration");
+    };
 
-    if (data.configDigest != configDigest()) {
+    // Stream the frames; the first of each known id counts. The
+    // telemetry section, nearly all of the file, decodes as it
+    // arrives into a staged store; the small sections are kept as
+    // bytes. Nothing touches the sim until every check has passed.
+    TelemetryStore staged(store.capacity());
+    bool telemetry_decodes = false;
+    std::vector<std::uint8_t> payloads[kSecMetrics + 1];
+    bool seen[kSecMetrics + 1] = {};
+    err = reader.sections([&](std::uint32_t id, Archive &ar) {
+        if (id < kSecCore || id > kSecMetrics || seen[id])
+            return;
+        seen[id] = true;
+        if (id == kSecTelemetry) {
+            staged.checkpointState(ar);
+            telemetry_decodes = ar.done();
+            return;
+        }
+        payloads[id].resize(ar.remaining());
+        ar.bytes(payloads[id].data(), payloads[id].size());
+    });
+    if (!err.ok())
+        return err;
+    if (reader.configDigest() != configDigest()) {
         return Error::mismatch(
             "checkpoint '" + path +
             "' was written by a different configuration");
     }
     for (std::uint32_t id : kAllSections) {
-        if (!data.find(id))
+        if (!seen[id])
             return Error::corrupt("checkpoint '" + path +
                                   "': missing section '" +
                                   sectionName(id) + "'");
     }
+    if (!telemetry_decodes)
+        return undecodable(kSecTelemetry);
 
     // All file-level validation passed (CRCs, lengths, config
-    // digest); apply the sections. A payload that decodes
-    // inconsistently past this point still surfaces as a structured
-    // error, but the sim must then be discarded.
+    // digest) and the telemetry decoded; apply the sections. A small
+    // payload that decodes inconsistently past this point still
+    // surfaces as a structured error, but the sim must then be
+    // discarded.
     for (std::uint32_t id : kAllSections) {
-        const CheckpointSection *section = data.find(id);
-        Archive ar = Archive::reader(section->payload);
+        if (id == kSecTelemetry) {
+            store = std::move(staged);
+            continue;
+        }
+        Archive ar = Archive::reader(payloads[id]);
         checkpointSection(id, ar);
         if (!ar.done())
-            return Error::corrupt(
-                "checkpoint '" + path + "': section '" +
-                sectionName(id) +
-                "' payload does not decode to this configuration");
+            return undecodable(id);
     }
     rebuildDerivedState();
     return Error::okValue();

@@ -143,9 +143,15 @@ class ClusterSim
      * or otherwise share the checkpoint writer's SimConfig: a config
      * digest mismatch is rejected with ErrorCode::Mismatch, and
      * corrupted or truncated files with ErrorCode::Corrupt /
-     * ErrorCode::Version. The sim is untouched by errors detected
-     * before state application (bad magic/CRC/length/version/config
-     * — every realistic crash artifact); a payload that passes those
+     * ErrorCode::Version. The file streams through a fixed window:
+     * the telemetry section decodes into a staged store as it
+     * arrives, the small sections are kept as bytes, and nothing is
+     * applied until every check has passed. So the sim is untouched
+     * by errors detected before state application: a file that
+     * cannot be read or is not a regular file (ErrorCode::Io), bad
+     * magic/CRC/length/version/config (every realistic crash
+     * artifact), a missing section, and a telemetry payload that
+     * does not decode. A small section's payload that passes those
      * checks but decodes inconsistently still returns Corrupt, but
      * the sim must then be discarded.
      */

@@ -210,20 +210,28 @@ namespace {
 void
 keyedTable(Archive &ar, std::vector<KeyedSeriesRing> &table)
 {
-    ar.each(table, [](Archive &a, KeyedSeriesRing &ring) {
-        ring.checkpointState(a);
-    });
+    ar.each(
+        table,
+        [](Archive &a, KeyedSeriesRing &ring) { ring.checkpointState(a); },
+        KeyedSeriesRing::kHeaderWireBytes);
 }
+
+/** first, last and peak. */
+constexpr std::size_t kLoadDigestWireBytes = 3 * 8;
 
 } // namespace
 
 void
 TelemetryStore::checkpointState(Archive &ar)
 {
+    // Every table count is bounded by its elements' wire bytes: a
+    // restore decodes this section before its frame CRC is checked,
+    // so a flipped count must not drive a resize far past the frame.
     ar.count(seriesCapacity);
-    ar.each(serverData, [](Archive &a, ServerSeriesRing &ring) {
-        ring.checkpointState(a);
-    });
+    ar.each(
+        serverData,
+        [](Archive &a, ServerSeriesRing &ring) { ring.checkpointState(a); },
+        ServerSeriesRing::kHeaderWireBytes);
     keyedTable(ar, rowPower);
     keyedTable(ar, customerVmPower);
     keyedTable(ar, endpointVmPower);
@@ -232,8 +240,8 @@ TelemetryStore::checkpointState(Archive &ar)
         a.value(d.last);
         a.value(d.peak);
     };
-    ar.each(customerLoads, digest);
-    ar.each(endpointLoads, digest);
+    ar.each(customerLoads, digest, kLoadDigestWireBytes);
+    ar.each(endpointLoads, digest, kLoadDigestWireBytes);
 }
 
 } // namespace tapas

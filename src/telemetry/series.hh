@@ -133,6 +133,10 @@ template <typename T, typename Traits>
 class SampleRing
 {
   public:
+    /** Capacity, count, lastGap and maxGap: the wire bytes of an
+     *  empty ring, the fewest one takes. */
+    static constexpr std::size_t kHeaderWireBytes = 4 * 8;
+
     explicit SampleRing(std::size_t capacity_ = 0)
         : cap(std::max<std::size_t>(1, capacity_))
     {}

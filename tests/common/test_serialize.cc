@@ -6,7 +6,9 @@
  * selection, the streaming DigestWriter against one-buffer FNV-1a,
  * atomic file replacement (a short write resumed, then failed,
  * included), the checkpoint writer's exact bytes (gathered pieces
- * included), and the checkpoint container's
+ * included), the streaming checkpoint reader at its window's edges
+ * (fields, runs and frames across them, runs longer than it, counts
+ * bounded by the frame), and the checkpoint container's
  * rejection of every corruption class (truncation, bit flips, bad
  * magic, future versions, trailing garbage) as a structured
  * tapas::Error.
@@ -33,6 +35,7 @@
 
 #include "common/serialize.hh"
 #include "common/types.hh"
+#include "telemetry/history.hh"
 
 namespace tapas {
 namespace {
@@ -603,6 +606,38 @@ TEST(Serialize, ReadDirectoryIsIoError)
     EXPECT_EQ(r.error().code(), ErrorCode::Io);
 }
 
+TEST(Serialize, ReadCheckpointFileRejectsWhatIsNotARegularFile)
+{
+    // Frame lengths are bounded by the size fstat reports, which only
+    // a regular file has: a directory or a FIFO is an Io error before
+    // any byte is read.
+    Result<CheckpointData> dir = readCheckpointFile(::testing::TempDir());
+    ASSERT_FALSE(dir.ok());
+    EXPECT_EQ(dir.error().code(), ErrorCode::Io);
+    EXPECT_NE(dir.error().message().find("not a regular file"),
+              std::string::npos)
+        << dir.error().message();
+
+    const std::string path = tmpPath("ckpt_fifo");
+    removeFileIfExists(path);
+    ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+    // Opening a FIFO to read waits for a writer; this one writes
+    // nothing, so the reader's early close cannot raise SIGPIPE.
+    std::thread writer([&] {
+        std::FILE *fp = std::fopen(path.c_str(), "wb");
+        if (fp)
+            std::fclose(fp);
+    });
+    Result<CheckpointData> fifo = readCheckpointFile(path);
+    writer.join();
+    removeFileIfExists(path);
+    ASSERT_FALSE(fifo.ok());
+    EXPECT_EQ(fifo.error().code(), ErrorCode::Io);
+    EXPECT_NE(fifo.error().message().find("not a regular file"),
+              std::string::npos)
+        << fifo.error().message();
+}
+
 TEST(Serialize, ReadMissingFileIsIoError)
 {
     Result<std::vector<std::uint8_t>> r =
@@ -633,8 +668,7 @@ TEST(Serialize, CheckpointFileRoundTrip)
 
     Result<CheckpointData> r = readCheckpointFile(path);
     ASSERT_TRUE(r.ok());
-    // The sections are views into the file bytes, and stay valid
-    // when the data moves.
+    // Each section owns its payload, so the data can move.
     const CheckpointData data = std::move(r.value());
     EXPECT_EQ(data.version, kCheckpointFormatVersion);
     EXPECT_EQ(data.configDigest, digest);
@@ -854,6 +888,251 @@ TEST(Serialize, CheckpointRejectsWrongMagic)
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), ErrorCode::Corrupt);
     EXPECT_NE(r.error().message().find("magic"), std::string::npos);
+    removeFileIfExists(path);
+}
+
+constexpr std::size_t kWindow = CheckpointReader::kWindowBytes;
+/** Header (28 bytes) and the first frame's id and length: where the
+ *  first payload starts in a file. */
+constexpr std::size_t kFirstPayloadAt = 28 + 12;
+
+/** A payload of small fields around a pad and a stable run; one walk
+ *  writes and reads it. */
+struct StreamFields
+{
+    std::vector<std::uint8_t> pad;
+    std::uint64_t a = 0;
+    std::uint32_t b = 0;
+    std::uint8_t c = 0;
+    std::vector<std::uint8_t> run;
+    std::uint64_t d = 0;
+
+    /** Payload offset of @c a: two counts, then the pad. */
+    static constexpr std::size_t kFieldsAt = 16;
+    /** Bytes of a, b and c: the run starts this far after @c a. */
+    static constexpr std::size_t kSmallBytes = 8 + 4 + 1;
+
+    void
+    walk(Archive &ar)
+    {
+        std::size_t pad_n = pad.size();
+        std::size_t run_n = run.size();
+        ar.count(pad_n);
+        ar.count(run_n);
+        if (!ar.writing() && ar.checkCount(pad_n, 1) &&
+            ar.checkCount(run_n, 1)) {
+            pad.resize(pad_n);
+            run.resize(run_n);
+        }
+        ar.bytes(pad.data(), pad.size());
+        ar.value(a);
+        ar.value(b);
+        ar.value(c);
+        ar.stableBytes(run.data(), run.size());
+        ar.value(d);
+    }
+
+    bool
+    operator==(const StreamFields &o) const
+    {
+        return pad == o.pad && a == o.a && b == o.b && c == o.c &&
+            run == o.run && d == o.d;
+    }
+};
+
+StreamFields
+streamFields(std::size_t pad, std::size_t run)
+{
+    StreamFields f;
+    f.pad = noiseBytes(pad, 31 + pad);
+    f.a = 0x0123456789abcdefull;
+    f.b = 0xfeedf00du;
+    f.c = 0x5a;
+    f.run = noiseBytes(run, 37 + run);
+    f.d = 0x1122334455667788ull;
+    return f;
+}
+
+TEST(Serialize, ReaderStreamsFieldsAndRunsAcrossTheWindowEdge)
+{
+    // The first window holds the file's first kWindow bytes. Every
+    // case puts a field or a run across that edge, at it, or a run
+    // of a window and more after it, which takes several refills; the
+    // streamed walk must read back exactly what was written, with
+    // nothing left over.
+    const std::size_t to_edge =
+        kWindow - kFirstPayloadAt - StreamFields::kFieldsAt;
+    std::vector<std::pair<std::size_t, std::size_t>> cases;
+    // a, b or c straddles the edge, or a starts at it.
+    for (std::size_t k = 0; k <= StreamFields::kSmallBytes; ++k)
+        cases.push_back({to_edge - k, 300});
+    // The run straddles the edge; what follows it fits a window.
+    for (std::size_t m : {1u, 100u, 299u})
+        cases.push_back({to_edge - StreamFields::kSmallBytes - m, 300});
+    // The run starts at the edge: one byte short of a window (one
+    // refill), a window, and a window and more (two refills).
+    for (std::size_t run : {kWindow - 1, kWindow, kWindow + 1})
+        cases.push_back({to_edge - StreamFields::kSmallBytes, run});
+    // Runs longer than the window, starting inside the first one.
+    for (std::size_t run : {kWindow + 1, 2 * kWindow, 3 * kWindow + 123})
+        cases.push_back({0, run});
+
+    const std::string path = tmpPath("ckpt_stream_fields.tapasckp");
+    for (const auto &[pad, run] : cases) {
+        StreamFields wrote = streamFields(pad, run);
+        CheckpointWriter writer(0x99);
+        writer.section(1, [&](Archive &ar) { wrote.walk(ar); });
+        ASSERT_TRUE(writer.write(path).ok());
+
+        CheckpointReader reader;
+        ASSERT_TRUE(reader.open(path).ok());
+        StreamFields back;
+        bool done = false;
+        const Error err =
+            reader.sections([&](std::uint32_t, Archive &ar) {
+                back.walk(ar);
+                done = ar.done();
+            });
+        ASSERT_TRUE(err.ok()) << err.message();
+        EXPECT_TRUE(done) << "pad " << pad << " run " << run;
+        EXPECT_TRUE(back == wrote) << "pad " << pad << " run " << run;
+
+        // readCheckpointFile is the same reader: its payload is the
+        // walk's plain-archive bytes.
+        Archive plain = Archive::writer();
+        wrote.walk(plain);
+        Result<CheckpointData> data = readCheckpointFile(path);
+        ASSERT_TRUE(data.ok());
+        ASSERT_EQ(data.value().sections.size(), 1u);
+        EXPECT_TRUE(std::ranges::equal(data.value().sections[0].payload,
+                                       plain.buffer()))
+            << "pad " << pad << " run " << run;
+    }
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, ReaderReadsFramesEndingAtTheWindowEdge)
+{
+    // The first frame ends exactly at the window edge, or its payload
+    // does, or its CRC, or the next frame's id and length straddle
+    // it: the second frame must read back intact either way.
+    const std::size_t frame_to_edge = kWindow - kFirstPayloadAt - 4;
+    const std::string path = tmpPath("ckpt_stream_frames.tapasckp");
+    std::vector<std::uint8_t> second = noiseBytes(100, 41);
+    for (std::size_t len :
+         {frame_to_edge, frame_to_edge - 1, frame_to_edge + 1,
+          frame_to_edge + 4, frame_to_edge + 2, frame_to_edge - 6,
+          frame_to_edge - 12}) {
+        std::vector<std::uint8_t> first = noiseBytes(len, len);
+        CheckpointWriter writer(0x98);
+        writer.section(1, [&](Archive &ar) {
+            ar.bytes(first.data(), first.size());
+        });
+        writer.section(2, [&](Archive &ar) {
+            ar.bytes(second.data(), second.size());
+        });
+        ASSERT_TRUE(writer.write(path).ok());
+
+        Result<CheckpointData> data = readCheckpointFile(path);
+        ASSERT_TRUE(data.ok()) << "len " << len << ": "
+                               << data.error().message();
+        ASSERT_EQ(data.value().sections.size(), 2u);
+        EXPECT_TRUE(data.value().sections[0].payload == first)
+            << "len " << len;
+        EXPECT_EQ(data.value().sections[1].id, 2u);
+        EXPECT_TRUE(data.value().sections[1].payload == second)
+            << "len " << len;
+    }
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, ReaderRejectsAFileTruncatedInsideARun)
+{
+    const std::string path = tmpPath("ckpt_stream_trunc.tapasckp");
+    StreamFields wrote = streamFields(0, 3 * kWindow + 123);
+    CheckpointWriter writer(0x97);
+    writer.section(1, [&](Archive &ar) { wrote.walk(ar); });
+    ASSERT_TRUE(writer.write(path).ok());
+    Result<std::vector<std::uint8_t>> good = readFileBytes(path);
+    ASSERT_TRUE(good.ok());
+
+    // Inside the run's first window, at the window edge, two windows
+    // in, and one byte short of the frame CRC. Every frame length is
+    // checked against the file's size, so a file that was short when
+    // opened fails before any refill; only a file that shrinks while
+    // it is read reaches a failed refill.
+    for (std::size_t len :
+         {kFirstPayloadAt + 100, kWindow, 2 * kWindow + 5,
+          good.value().size() - 5}) {
+        ASSERT_TRUE(
+            atomicWriteFile(path, good.value().data(), len).ok());
+        CheckpointReader reader;
+        ASSERT_TRUE(reader.open(path).ok());
+        bool visited = false;
+        const Error err = reader.sections(
+            [&](std::uint32_t, Archive &) { visited = true; });
+        ASSERT_FALSE(err.ok()) << "accepted truncation at " << len;
+        EXPECT_EQ(err.code(), ErrorCode::Corrupt) << "at " << len;
+        EXPECT_NE(err.message().find("exceeds file"), std::string::npos)
+            << err.message();
+        // The length check fires before any payload byte goes out.
+        EXPECT_FALSE(visited);
+    }
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, ReaderBoundsARingCountByItsFrame)
+{
+    // A server ring whose capacity and count claim 100 samples, more
+    // than its frame holds but fewer than the file holds after it:
+    // remaining() is the frame's, so the count fails the archive (no
+    // resize) and the next frame still reads back intact.
+    ServerSeriesRing ring(8);
+    for (int i = 0; i < 4; ++i)
+        ring.push({.time = i, .inletC = 20.0f + static_cast<float>(i)});
+    Archive plain = Archive::writer();
+    ring.checkpointState(plain);
+    std::vector<std::uint8_t> doctored(plain.buffer().begin(),
+                                       plain.buffer().end());
+    const std::uint64_t claimed = 100;
+    std::memcpy(doctored.data(), &claimed, sizeof claimed);     // cap
+    std::memcpy(doctored.data() + 8, &claimed, sizeof claimed); // n
+    std::vector<std::uint8_t> after = noiseBytes(10000, 43);
+    ASSERT_LT(doctored.size(), claimed * sizeof(ServerSample));
+    ASSERT_GT(after.size(), claimed * sizeof(ServerSample));
+
+    const std::string path = tmpPath("ckpt_stream_ring.tapasckp");
+    CheckpointWriter writer(0x96);
+    writer.section(1, [&](Archive &ar) {
+        ar.bytes(doctored.data(), doctored.size());
+    });
+    writer.section(2, [&](Archive &ar) {
+        ar.bytes(after.data(), after.size());
+    });
+    ASSERT_TRUE(writer.write(path).ok());
+
+    CheckpointReader reader;
+    ASSERT_TRUE(reader.open(path).ok());
+    ServerSeriesRing back(8);
+    back.push({.time = 0});
+    std::size_t frame_bytes = 0;
+    bool ring_ok = true;
+    std::vector<std::uint8_t> second;
+    const Error err = reader.sections([&](std::uint32_t id, Archive &ar) {
+        if (id == 1) {
+            frame_bytes = ar.remaining();
+            back.checkpointState(ar);
+            ring_ok = ar.ok();
+            return;
+        }
+        second.resize(ar.remaining());
+        ar.bytes(second.data(), second.size());
+    });
+    ASSERT_TRUE(err.ok()) << err.message();
+    EXPECT_EQ(frame_bytes, doctored.size());
+    EXPECT_FALSE(ring_ok);
+    EXPECT_EQ(back.size(), 0u);
+    EXPECT_TRUE(second == after);
     removeFileIfExists(path);
 }
 

@@ -19,6 +19,7 @@
 #include "common/serialize.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
+#include "telemetry/history.hh"
 
 namespace tapas {
 namespace {
@@ -234,6 +235,17 @@ TEST(Checkpoint, MissingFileIsIoError)
         sim.restoreCheckpoint(tmpPath("no_such_ckpt.tapasckp"));
     ASSERT_FALSE(err.ok());
     EXPECT_EQ(err.code(), ErrorCode::Io);
+}
+
+TEST(Checkpoint, RestoringADirectoryIsIoErrorAndLeavesTheSimUntouched)
+{
+    ClusterSim sim(smallTestScenario(316).asTapas());
+    sim.runSteps(3);
+    const std::uint64_t before = sim.stateDigest();
+    const Error err = sim.restoreCheckpoint(::testing::TempDir());
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Io);
+    EXPECT_EQ(sim.stateDigest(), before);
 }
 
 TEST(Checkpoint, CorruptedSnapshotsAreRejectedPerSection)
@@ -580,6 +592,85 @@ TEST(Checkpoint, RingHeavyStateDigestIsFnvOverTheSavedPayloads)
                          expect);
     }
     EXPECT_EQ(sim.stateDigest(), expect);
+}
+
+/**
+ * Restore @p bytes, written to @p path, into a fresh sim of @p cfg:
+ * it must fail as Corrupt and leave the sim as a fresh one.
+ */
+void
+expectRejectedUntouched(const SimConfig &cfg, const std::string &path,
+                        const std::vector<std::uint8_t> &bytes,
+                        const char *what)
+{
+    ASSERT_TRUE(atomicWriteFile(path, bytes.data(), bytes.size()).ok());
+    ClusterSim victim(cfg);
+    const Error err = victim.restoreCheckpoint(path);
+    ASSERT_FALSE(err.ok()) << "accepted " << what;
+    EXPECT_EQ(err.code(), ErrorCode::Corrupt) << what;
+    ClusterSim fresh(cfg);
+    EXPECT_EQ(victim.stateDigest(), fresh.stateDigest()) << what;
+}
+
+TEST(Checkpoint, CorruptedRingSnapshotsAreRejectedUntouched)
+{
+    // Where the rings are: the telemetry section streams into a
+    // staged store before its CRC is checked, so damage inside it
+    // must still leave the sim as it was.
+    const SimConfig cfg = ringHeavyScenario();
+    const std::string path = tmpPath("ckpt_corrupt_rings.tapasckp");
+    ClusterSim writer(cfg);
+    writer.runSteps(static_cast<int>(kDay / cfg.stepLength));
+    ASSERT_TRUE(writer.saveCheckpoint(path).ok());
+    Result<std::vector<std::uint8_t>> good = readFileBytes(path);
+    ASSERT_TRUE(good.ok());
+    Result<CheckpointData> parsed = readCheckpointFile(path);
+    ASSERT_TRUE(parsed.ok());
+
+    // The telemetry payload's file offset: the header, then whole
+    // frames (id, length, payload, CRC) up to section 3's payload.
+    constexpr std::uint32_t kTelemetrySection = 3;
+    std::size_t payload_at = 28;
+    for (const CheckpointSection &section : parsed.value().sections) {
+        if (section.id == kTelemetrySection)
+            break;
+        payload_at += 16 + section.payload.size();
+    }
+    payload_at += 12;
+    const CheckpointSection *telemetry =
+        parsed.value().find(kTelemetrySection);
+    ASSERT_NE(telemetry, nullptr);
+
+    // The payload leads with the store's capacity and the server ring
+    // count; the first ring follows: capacity, sample count and two
+    // gaps (u64 each), then its samples as one run.
+    std::uint64_t samples = 0;
+    std::memcpy(&samples, telemetry->payload.data() + 24, sizeof samples);
+    ASSERT_GT(samples, 0u);
+    const std::size_t run_at = payload_at + 48;
+    std::vector<std::uint8_t> flipped = good.value();
+    flipped[run_at + samples * sizeof(ServerSample) / 2] ^= 0x01;
+    expectRejectedUntouched(cfg, path, flipped, "a flip in a ring run");
+
+    std::vector<std::uint8_t> truncated = good.value();
+    truncated.resize(payload_at + telemetry->payload.size() / 2);
+    expectRejectedUntouched(cfg, path, truncated,
+                            "a truncation in the telemetry section");
+
+    // A CRC-valid telemetry payload that does not decode is caught
+    // before any section applies, too.
+    rewriteCheckpoint(
+        path, parsed.value(),
+        [](std::uint32_t id, std::vector<std::uint8_t> &payload) {
+            if (id == kTelemetrySection)
+                payload.resize(payload.size() - 8);
+            return true;
+        });
+    Result<std::vector<std::uint8_t>> resealed = readFileBytes(path);
+    ASSERT_TRUE(resealed.ok());
+    expectRejectedUntouched(cfg, path, resealed.value(),
+                            "an undecodable telemetry payload");
+    removeFileIfExists(path);
 }
 
 } // namespace
