@@ -4,16 +4,18 @@
  * components: placement, routing, risk refresh, configuration
  * choice, and the ground-truth model evaluations. These bound the
  * control-plane overheads the paper's Section 4.5 claims are
- * lightweight. Two checkpoint layers have their own throughput
- * numbers too: the CRC-32 kernel and the whole-record server ring
- * codec.
+ * lightweight. Three checkpoint layers have their own numbers too:
+ * the CRC-32 kernel, the whole-record server ring codec, and a
+ * fleet-sized save to a file.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/serialize.hh"
@@ -437,6 +439,57 @@ BM_ServerRingCheckpoint(benchmark::State &state)
                             static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_ServerRingCheckpoint)->ArgName("read")->Arg(0)->Arg(1);
+
+/**
+ * Save a fleet-sized checkpoint to a temp file through
+ * CheckpointWriter, fsync and rename included: 960 server rings of a
+ * week of 10-minute samples (1008, wrapped) and 24 row-power rings in
+ * one telemetry section, and ~1 MB of small fields in another, about
+ * what fleet_week's six other sections hold. One save per iteration,
+ * so the repetitions give a save-time spread that perfbench's one
+ * save per episode cannot.
+ */
+void
+BM_CheckpointSave(benchmark::State &state)
+{
+    constexpr std::size_t kSamples = 1008;
+    TelemetryStore store(kSamples);
+    for (SimTime t = 0; t < static_cast<SimTime>(kSamples + 100); ++t) {
+        const float f = static_cast<float>(t % 97);
+        for (std::uint32_t s = 0; s < 960; ++s) {
+            store.recordServer(ServerId(s),
+                               {t * 600, 20.0f + f, 60.0f + f,
+                                3000.0f + f, 0.5f, 25.0f, 0.6f});
+        }
+        for (std::uint32_t r = 0; r < 24; ++r)
+            store.recordRowPower(RowId(r), t * 600, 1e5 + r + f);
+    }
+    std::vector<double> small(std::size_t{1} << 17);
+    for (std::size_t i = 0; i < small.size(); ++i)
+        small[i] = 0.5 * static_cast<double>(i);
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bm_checkpoint_save")
+            .string();
+    for (auto _ : state) {
+        CheckpointWriter writer(path, 0x5eed);
+        writer.section(1, [&](Archive &ar) { ar.podVector(small); });
+        writer.section(3, [&](Archive &ar) { store.checkpointState(ar); });
+        const Error err = writer.commit();
+        if (!err.ok()) {
+            state.SkipWithError(err.message().c_str());
+            break;
+        }
+    }
+    Result<CheckpointData> saved = readCheckpointFile(path);
+    removeFileIfExists(path);
+    if (saved.ok()) {
+        std::int64_t bytes = 0;
+        for (const CheckpointSection &section : saved.value().sections)
+            bytes += static_cast<std::int64_t>(section.payload.size());
+        state.SetBytesProcessed(state.iterations() * bytes);
+    }
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

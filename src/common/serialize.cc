@@ -1,10 +1,10 @@
 /**
  * @file
  * Checkpoint file I/O, CRC32/FNV hashing, and the atomic
- * write-rename helper. This file is the one place in the library
+ * write-rename file. This file is the one place in the library
  * allowed to touch raw stdio or POSIX file writes (lint rule R8
  * exempts it); everything else writes durable files through
- * atomicWriteFile().
+ * atomicWriteFile() or CheckpointWriter, both on AtomicFile.
  */
 
 #include "common/serialize.hh"
@@ -217,6 +217,47 @@ crc32(const void *data, std::size_t size, std::uint32_t prev)
     return crc32Table(c, bytes, size) ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+/** @p a times @p b modulo the CRC polynomial, both reflected (bit 31
+ *  holds x^0), as zlib's multmodp. */
+constexpr std::uint32_t
+multModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t product = 0;
+    for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            product ^= b;
+        b = (b & 1) ? 0xEDB88320u ^ (b >> 1) : b >> 1;
+    }
+    return product;
+}
+
+/** x^(2^k) modulo the polynomial, for k < 67: enough for a shift by
+ *  any 64-bit byte count, 2^3 bits per byte. */
+constexpr std::array<std::uint32_t, 67> kX2n = [] {
+    std::array<std::uint32_t, 67> t{};
+    t[0] = 1u << 30; // x^1
+    for (std::size_t k = 1; k < t.size(); ++k)
+        t[k] = multModP(t[k - 1], t[k - 1]);
+    return t;
+}();
+
+} // namespace
+
+std::uint32_t
+crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b)
+{
+    // The pre- and post-inversions cancel: crc(a b) is crc(a) times
+    // x^(8 len_b), xor crc(b).
+    std::uint32_t shifted = crc_a;
+    for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+        if (len_b & 1)
+            shifted = multModP(kX2n[k], shifted);
+    }
+    return shifted ^ crc_b;
+}
+
 std::uint64_t
 fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
 {
@@ -230,22 +271,34 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
 }
 
 void
-Archive::grow(std::size_t n)
+Archive::putMore(const void *p, std::size_t n)
 {
-    if (sink && writePos > 0 && sink->full(buffer())) {
-        writePos = 0;
-        if (n <= storeCap)
-            return;
+    const auto *from = static_cast<const std::uint8_t *>(p);
+    if (!sink) {
+        const std::size_t cap =
+            std::max({storeCap * 2, writePos + n, std::size_t{256}});
+        // for_overwrite: the tail is not zero-filled, so its pages
+        // stay untouched (and out of RSS) until written.
+        auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+        if (writePos > 0)
+            std::memcpy(bigger.get(), store.get(), writePos);
+        store = std::move(bigger);
+        storeCap = cap;
+        std::memcpy(store.get() + writePos, from, n);
+        writePos += n;
+        return;
     }
-    const std::size_t cap =
-        std::max({storeCap * 2, writePos + n, std::size_t{256}});
-    // for_overwrite: the tail is not zero-filled, so its pages stay
-    // untouched (and out of RSS) until written.
-    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
-    if (writePos > 0)
-        std::memcpy(bigger.get(), store.get(), writePos);
-    store = std::move(bigger);
-    storeCap = cap;
+    for (;;) {
+        const std::size_t take = std::min(n, storeCap - writePos);
+        std::memcpy(store.get() + writePos, from, take);
+        writePos += take;
+        from += take;
+        n -= take;
+        if (n == 0)
+            return;
+        sink->full(buffer());
+        writePos = 0;
+    }
 }
 
 bool
@@ -291,7 +344,7 @@ writeAllPieces(int fd, std::span<const ByteView> pieces)
 {
     std::size_t next = 0; // first piece not yet fully written
     std::size_t done = 0; // bytes of pieces[next] already written
-    iovec batch[IOV_MAX] = {};
+    iovec batch[IOV_MAX]; // [0, n) is set before each writev
     for (;;) {
         int n = 0;
         std::size_t want = 0;
@@ -329,43 +382,89 @@ writeAllPieces(int fd, std::span<const ByteView> pieces)
 
 } // namespace
 
-Error
-atomicWriteFile(const std::string &path,
-                std::span<const ByteView> pieces)
+AtomicFile::AtomicFile(const std::string &file)
+    : path(file), tmp(file + ".tmp")
 {
-    const std::string tmp = path + ".tmp";
-    const auto fail = [&tmp](int fd, const std::string &what,
-                             const std::string &name) {
-        Error err = Error::io(errnoMessage(what, name));
-        if (fd >= 0)
-            ::close(fd);
-        std::remove(tmp.c_str());
-        return err;
-    };
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-               0666);
+    // O_TRUNC: a stale temp file left by a killed write is
+    // overwritten, never appended to.
+    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                0666);
     if (fd < 0)
-        return Error::io(errnoMessage("cannot create", tmp));
-    if (!writeAllPieces(fd, pieces))
-        return fail(fd, "short write to", tmp);
+        err = Error::io(errnoMessage("cannot create", tmp));
+}
+
+AtomicFile::~AtomicFile()
+{
+    if (fd >= 0) {
+        ::close(fd);
+        std::remove(tmp.c_str());
+    }
+}
+
+void
+AtomicFile::fail(const std::string &what, const std::string &name)
+{
+    err = Error::io(errnoMessage(what, name));
+    if (fd >= 0)
+        ::close(fd);
+    fd = -1;
+    std::remove(tmp.c_str());
+}
+
+void
+AtomicFile::write(std::span<const ByteView> pieces)
+{
+    if (fd >= 0 && !writeAllPieces(fd, pieces))
+        fail("short write to", tmp);
+}
+
+void
+AtomicFile::writeAt(std::uint64_t at, ByteView bytes)
+{
+    while (fd >= 0 && !bytes.empty()) {
+        const ssize_t wrote = ::pwrite(fd, bytes.data(), bytes.size(),
+                                       static_cast<off_t>(at));
+        if (wrote < 0 && errno == EINTR)
+            continue;
+        if (wrote <= 0) {
+            if (wrote == 0)
+                errno = EIO;
+            fail("short write to", tmp);
+            return;
+        }
+        bytes = bytes.subspan(static_cast<std::size_t>(wrote));
+        at += static_cast<std::uint64_t>(wrote);
+    }
+}
+
+Error
+AtomicFile::commit()
+{
+    if (fd < 0)
+        return err;
     // Force the bytes to disk before the rename publishes the file:
     // rename-before-fsync can expose an empty file after a power cut.
-    if (fsync(fd) != 0)
-        return fail(fd, "cannot flush", tmp);
-    if (::close(fd) != 0)
-        return fail(-1, "cannot close", tmp);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return fail(-1, "cannot rename into", path);
-    return Error::okValue();
+    if (fsync(fd) != 0) {
+        fail("cannot flush", tmp);
+        return err;
+    }
+    const int closing = fd;
+    fd = -1;
+    if (::close(closing) != 0)
+        fail("cannot close", tmp);
+    else if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        fail("cannot rename into", path);
+    return err;
 }
 
 Error
 atomicWriteFile(const std::string &path, const void *data,
                 std::size_t size)
 {
+    AtomicFile file(path);
     const ByteView piece{static_cast<const std::uint8_t *>(data), size};
-    return atomicWriteFile(path, {&piece, 1});
+    file.write({&piece, 1});
+    return file.commit();
 }
 
 Error
@@ -481,90 +580,131 @@ getU64(const std::uint8_t *p)
     return v;
 }
 
+/** The file header for @p section_count sections, its CRC sealed. */
+std::array<std::uint8_t, kHeaderSize>
+checkpointHeader(std::uint32_t section_count, std::uint64_t config_digest)
+{
+    std::array<std::uint8_t, kHeaderSize> header{};
+    const std::uint32_t version = kCheckpointFormatVersion;
+    std::memcpy(header.data(), kMagic, sizeof kMagic);
+    std::memcpy(header.data() + 8, &version, 4);
+    std::memcpy(header.data() + 12, &section_count, 4);
+    std::memcpy(header.data() + 16, &config_digest, 8);
+    const std::uint32_t crc = crc32(header.data(), kHeaderSize - 4);
+    std::memcpy(header.data() + kHeaderSize - 4, &crc, 4);
+    return header;
+}
+
 } // namespace
 
-CheckpointWriter::CheckpointWriter(std::uint64_t config_digest)
+CheckpointWriter::CheckpointWriter(const std::string &path,
+                                   std::uint64_t config_digest)
+    : file(path), digest(config_digest)
 {
     ar.sink = this;
-    ar.putBytes(kMagic, sizeof kMagic);
-    std::uint32_t version = kCheckpointFormatVersion;
-    std::uint32_t count_placeholder = 0;
-    std::uint32_t crc_placeholder = 0;
-    ar.value(version);
-    ar.value(count_placeholder);
-    ar.value(config_digest);
-    ar.value(crc_placeholder);
+    ar.useWindow(CheckpointReader::kWindowBytes);
+    pending.reserve(IOV_MAX);
+    // The count is a placeholder until commit() rewrites the header.
+    auto header = checkpointHeader(0, digest);
+    ar.bytes(header.data(), header.size());
+}
+
+void
+CheckpointWriter::queue(ByteView piece)
+{
+    if (inPayload) {
+        payloadCrc = crc32(piece.data(), piece.size(), payloadCrc);
+        payloadLen += piece.size();
+    }
+    pending.push_back(piece);
+    streamed += piece.size();
+}
+
+void
+CheckpointWriter::queueWindow()
+{
+    if (ar.writePos > queued)
+        queue({ar.store.get() + queued, ar.writePos - queued});
+    queued = ar.writePos;
+}
+
+void
+CheckpointWriter::flush()
+{
+    file.write(pending);
+    pending.clear();
+    queued = 0;
+    ar.writePos = 0;
 }
 
 bool
-CheckpointWriter::stable(ByteView buffered, ByteView run)
+CheckpointWriter::stable(ByteView, ByteView run)
 {
-    pieces.push_back({buffered.size(), run});
-    return false;
+    queueWindow();
+    queue(run);
+    // Room for the next call's two pieces.
+    if (pending.size() + 2 <= IOV_MAX)
+        return false;
+    flush();
+    return true;
+}
+
+void
+CheckpointWriter::full(ByteView)
+{
+    queueWindow();
+    flush();
 }
 
 void
 CheckpointWriter::beginSection(std::uint32_t id)
 {
-    frameAt = ar.writePos;
-    framePiece = pieces.size();
+    frameAt = streamed + (ar.writePos - queued);
+    frameId = id;
     std::uint64_t length_placeholder = 0;
     ar.value(id);
     ar.value(length_placeholder);
+    queueWindow();
+    inPayload = true;
+    payloadLen = 0;
+    payloadCrc = 0;
     ++sectionCount;
 }
 
 void
 CheckpointWriter::endSection()
 {
+    // Every stableBytes() run of the section goes out before its walk
+    // is over; the window is reused from here on.
+    queueWindow();
+    inPayload = false;
+    flush();
     // The section CRC seals the whole frame (id + length + payload),
     // so a flipped id or length is as detectable as a flipped
-    // payload byte. It chains over the buffer's runs and the stable
-    // pieces between them in stream order, which is the CRC of the
-    // contiguous frame. The archive's bytes are little-endian in
-    // memory.
-    std::uint64_t length = ar.writePos - frameAt - 4 - 8;
-    for (std::size_t i = framePiece; i < pieces.size(); ++i)
-        length += pieces[i].bytes.size();
-    std::memcpy(ar.store.get() + frameAt + 4, &length, sizeof length);
-    std::uint32_t crc = 0;
-    std::size_t at = frameAt;
-    for (std::size_t i = framePiece; i < pieces.size(); ++i) {
-        const Archive::StablePiece &piece = pieces[i];
-        crc = crc32(ar.store.get() + at, piece.at - at, crc);
-        crc = crc32(piece.bytes.data(), piece.bytes.size(), crc);
-        at = piece.at;
-    }
-    crc = crc32(ar.store.get() + at, ar.writePos - at, crc);
+    // payload byte: the head's CRC, shifted over the payload.
+    std::uint8_t head[kFrameHead];
+    std::memcpy(head, &frameId, 4);
+    std::memcpy(head + 4, &payloadLen, 8);
+    file.writeAt(frameAt + 4, {head + 4, 8});
+    std::uint32_t crc =
+        crc32Combine(crc32(head, kFrameHead), payloadCrc, payloadLen);
     ar.value(crc);
 }
 
 Error
-CheckpointWriter::write(const std::string &path)
+CheckpointWriter::commit()
 {
-    std::memcpy(ar.store.get() + 12, &sectionCount,
-                sizeof sectionCount);
-    const std::uint32_t crc = crc32(ar.store.get(), kHeaderSize - 4);
-    std::memcpy(ar.store.get() + kHeaderSize - 4, &crc, sizeof crc);
-
-    // The buffer's runs with the stable pieces between them.
-    std::vector<ByteView> file;
-    file.reserve(2 * pieces.size() + 1);
-    std::size_t at = 0;
-    for (const Archive::StablePiece &piece : pieces) {
-        if (piece.at > at)
-            file.push_back({ar.store.get() + at, piece.at - at});
-        file.push_back(piece.bytes);
-        at = piece.at;
-    }
-    file.push_back({ar.store.get() + at, ar.writePos - at});
-    return atomicWriteFile(path, file);
+    queueWindow();
+    flush();
+    const auto header = checkpointHeader(sectionCount, digest);
+    file.writeAt(0, header);
+    return file.commit();
 }
 
 DigestWriter::DigestWriter()
 {
     ar.sink = this;
-    ar.grow(kBlockBytes);
+    ar.useWindow(kBlockBytes);
 }
 
 bool
@@ -576,11 +716,10 @@ DigestWriter::stable(ByteView buffered, ByteView run)
     return true;
 }
 
-bool
+void
 DigestWriter::full(ByteView buffered)
 {
     hash = fnv1a64(buffered.data(), buffered.size(), hash);
-    return true;
 }
 
 CheckpointReader::CheckpointReader()

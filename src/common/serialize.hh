@@ -18,23 +18,22 @@
  *    digest needs no state-sized copy.
  *
  *  - Checkpoint files: magic + format version + per-section framing
- *    ([id][length][payload][crc32]). CheckpointWriter frames the
- *    small fields of every section in one buffer and references the
- *    stableBytes() pieces (telemetry ring chunks) where they lie,
- *    then gathers both into one write; CheckpointReader streams a
- *    file back through one fixed window, chaining each frame's CRC
- *    over its bytes as they arrive (readCheckpointFile is built on
- *    it). Truncation, bit flips, and version skew are *detected*
- *    (length/CRC/magic checks) and surfaced as tapas::Error — never
- *    undefined behavior, never a silent wrong resume. Bump
- *    kCheckpointFormatVersion whenever any serialized struct changes
- *    shape (docs/checkpoint-format.md).
+ *    ([id][length][payload][crc32]). CheckpointWriter streams a file
+ *    out through one fixed window, gathering the stableBytes() pieces
+ *    (telemetry ring chunks) in place between the window's runs;
+ *    CheckpointReader streams a file back through one fixed window,
+ *    chaining each frame's CRC over its bytes as they arrive
+ *    (readCheckpointFile is built on it). Truncation, bit flips, and
+ *    version skew are *detected* (length/CRC/magic checks) and
+ *    surfaced as tapas::Error — never undefined behavior, never a
+ *    silent wrong resume. Bump kCheckpointFormatVersion whenever any
+ *    serialized struct changes shape (docs/checkpoint-format.md).
  *
- *  - atomicWriteFile: write-to-temp (gathered from any number of
- *    pieces) + fsync + rename. Every durable write in the repo goes
- *    through it (lint rule R8 bans raw fopen/fwrite/ofstream
- *    elsewhere), so a crash mid-write leaves the previous good file,
- *    not a torn one.
+ *  - AtomicFile: write-to-temp + fsync + rename, the one durable
+ *    write sequence; atomicWriteFile and CheckpointWriter both run
+ *    it. Every durable write in the repo goes through it (lint rule
+ *    R8 bans raw fopen/fwrite/ofstream elsewhere), so a crash
+ *    mid-write leaves the previous good file, not a torn one.
  */
 
 #ifndef TAPAS_COMMON_SERIALIZE_HH
@@ -79,6 +78,15 @@ Crc32Kernel crc32Kernel();
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t prev = 0);
 
+/**
+ * The CRC of a followed by b from crc32(a), crc32(b) and b's length,
+ * without b's bytes: @p crc_a shifted by @p len_b zero bytes (a
+ * multiply by x^(8 len_b) modulo the polynomial, as zlib's
+ * crc32_combine), xor @p crc_b.
+ */
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::size_t len_b);
+
 /** FNV-1a 64-bit hash; @p seed chains multi-buffer digests. */
 std::uint64_t fnv1a64(const void *data, std::size_t size,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
@@ -87,14 +95,47 @@ std::uint64_t fnv1a64(const void *data, std::size_t size,
 using ByteView = std::span<const std::uint8_t>;
 
 /**
- * Write-to-temp + fsync + rename. The destination either keeps its
- * previous contents or atomically becomes the new ones; a crash (or
- * SIGKILL) at any point never leaves a torn file behind. The file is
- * @p pieces back to back, handed to the kernel by writev in batches
- * of at most IOV_MAX; the other overloads write one piece.
+ * Write-to-temp + fsync + rename. The constructor creates (or
+ * truncates) `<path>.tmp`; write() appends to it, writeAt() rewrites
+ * bytes already written, and commit() fsyncs it and renames it over
+ * @p path. The first failure is latched: the temp file is closed and
+ * removed, later calls do nothing, and commit() returns it. A file
+ * dropped uncommitted is removed too. So the destination either keeps
+ * its previous contents or atomically becomes the new ones; a crash
+ * (or SIGKILL) at any point never leaves a torn file behind, only,
+ * at worst, a stale `<path>.tmp` that the next write truncates and
+ * no reader opens.
  */
-Error atomicWriteFile(const std::string &path,
-                      std::span<const ByteView> pieces);
+class AtomicFile
+{
+  public:
+    explicit AtomicFile(const std::string &path);
+    ~AtomicFile();
+
+    AtomicFile(const AtomicFile &) = delete;
+    AtomicFile &operator=(const AtomicFile &) = delete;
+
+    /** Append @p pieces back to back, by writev in batches of at
+     *  most IOV_MAX, resuming after short writes and EINTR. */
+    void write(std::span<const ByteView> pieces);
+
+    /** Rewrite @p bytes at file offset @p at (pwrite). */
+    void writeAt(std::uint64_t at, ByteView bytes);
+
+    /** Flush and publish the file, once: ok, or the first failure. */
+    Error commit();
+
+  private:
+    /** Latch an Io error about @p name, close and remove the file. */
+    void fail(const std::string &what, const std::string &name);
+
+    std::string path;
+    std::string tmp;
+    int fd = -1;
+    Error err;
+};
+
+/** AtomicFile holding @p size bytes at @p data, or @p text. */
 Error atomicWriteFile(const std::string &path, const void *data,
                       std::size_t size);
 Error atomicWriteFile(const std::string &path,
@@ -122,10 +163,11 @@ class DigestWriter;
 /**
  * Bidirectional field codec over a byte buffer. Write mode appends
  * through a cursor into storage that grows geometrically (or, under
- * a sink that consumes it, is reused once full), so each field costs
- * one capacity check plus one memcpy; read mode consumes with bounds
- * checks, from one buffer or, under a CheckpointReader, from a frame
- * that streams through the reader's window. A read past the end (or
+ * a sink, is one fixed window handed to the sink and reused each
+ * time it fills), so each field costs one capacity check plus one
+ * memcpy; read mode consumes with bounds checks, from one buffer or,
+ * under a CheckpointReader, from a frame that streams through the
+ * reader's window. A read past the end (or
  * a semantic mismatch flagged by fail()) latches ok() to false and
  * turns every later read into a zero-fill no-op — callers run the
  * full checkpointState walk and check ok() once at the end.
@@ -162,10 +204,9 @@ class Archive
     void fail() { okFlag = false; }
 
     /**
-     * Serialized bytes (write mode): exactly what was written. In a
-     * CheckpointWriter's archive the stableBytes() pieces are not in
-     * it; the writer gathers them in at write(). A DigestWriter's
-     * archive holds only what it has not hashed yet.
+     * Serialized bytes (write mode): exactly what was written. Under
+     * a sink (CheckpointWriter, DigestWriter) only what the sink has
+     * not consumed yet, and no stableBytes() piece.
      */
     std::span<const std::uint8_t>
     buffer() const
@@ -291,13 +332,14 @@ class Archive
 
     /**
      * bytes() for memory whose owner keeps it alive and unchanged
-     * until the CheckpointWriter walking it returns from write().
-     * That writer records where the bytes go and reads them in place
-     * when it seals the frame CRC and writes the file; a DigestWriter
-     * hashes them in place during the call. Neither copies them; any
-     * other archive treats the call as bytes(). Memory that changes
-     * or dies before write() returns (a loop-local payload, a
-     * temporary) must go through bytes().
+     * until the CheckpointWriter walking it next flushes, at the
+     * latest until the walk of the section it belongs to returns.
+     * That writer CRCs the bytes in place and queues them for its
+     * next gathered write; a DigestWriter hashes them in place during
+     * the call. Neither copies them; any other archive treats the
+     * call as bytes(). Memory that changes or dies while the section
+     * is still being walked (a loop-local payload, a temporary) must
+     * go through bytes().
      */
     void
     stableBytes(void *p, std::size_t n)
@@ -381,18 +423,20 @@ class Archive
     friend class DigestWriter;
 
     /**
-     * The write stream's consumer besides the archive's own storage:
-     * CheckpointWriter references stableBytes() runs, DigestWriter
-     * hashes the stream. Each hook gets the storage's bytes so far
-     * and returns true when it has consumed them, which empties the
-     * storage for reuse.
+     * The write stream's consumer: CheckpointWriter writes it to a
+     * file, DigestWriter hashes it. The archive's storage is then one
+     * fixed window (useWindow()). Each hook gets the window's bytes
+     * so far.
      */
     struct Sink
     {
-        /** A stableBytes() run, @p run, follows @p buffered. */
+        /** A stableBytes() run, @p run, follows @p buffered; true
+         *  when the sink has consumed both, which empties the window
+         *  for reuse. */
         virtual bool stable(ByteView buffered, ByteView run) = 0;
-        /** @p buffered fills the storage; false lets it grow. */
-        virtual bool full(ByteView buffered) = 0;
+        /** @p buffered fills the window; the sink consumes it, and
+         *  the window is reused. */
+        virtual void full(ByteView buffered) = 0;
     };
 
     /**
@@ -406,14 +450,6 @@ class Archive
          *  least one, at most @p left and at most a window; empty on
          *  a read error. */
         virtual ByteView refill(std::size_t left) = 0;
-    };
-
-    /** A stableBytes() run, referenced where it goes: right after
-     *  the first @c at bytes of the archive's own storage. */
-    struct StablePiece
-    {
-        std::size_t at;
-        ByteView bytes;
     };
 
     Archive() = default;
@@ -448,18 +484,30 @@ class Archive
     void
     putBytes(const void *p, std::size_t n)
     {
-        if (n > storeCap - writePos)
-            grow(n);
+        if (n > storeCap - writePos) {
+            putMore(p, n);
+            return;
+        }
         std::memcpy(store.get() + writePos, p, n);
         writePos += n;
     }
 
     /**
-     * Make room for @p n more bytes: hand the full storage to the
-     * sink, if it consumes it, and reuse it; otherwise reallocate
+     * putBytes() past the storage's end. Under a sink: fill the
+     * window, hand it to the sink, reuse it, as often as the bytes
+     * need, so the storage never grows. Otherwise reallocate
      * (capacity at least doubles).
      */
-    void grow(std::size_t n);
+    void putMore(const void *p, std::size_t n);
+
+    /** Give a sink's archive its fixed window of @p n bytes. */
+    void
+    useWindow(std::size_t n)
+    {
+        store = std::make_unique_for_overwrite<std::uint8_t[]>(n);
+        storeCap = n;
+        writePos = 0;
+    }
 
     bool
     getBytes(void *p, std::size_t n)
@@ -510,21 +558,32 @@ class Archive
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
 /**
- * Writes a checkpoint file by gathering, not copying, its biggest
- * runs. The header and every section's small fields are walked
- * straight into one growing buffer: a section's id and a length
- * placeholder go first, its walk appends the payload, then the length
- * is patched and the frame sealed with its CRC. Archive::stableBytes()
- * runs stay where their owner keeps them: the writer records where
- * each goes, chains the frame CRC over the buffer and those pieces in
- * stream order, and write() hands the same ordered pieces to the
- * gathered atomicWriteFile. The file is byte for byte the one a
- * contiguous frame would give.
+ * Streams a checkpoint file to `<path>.tmp` through one fixed window
+ * of CheckpointReader::kWindowBytes, never a buffer that grows with
+ * the state. The constructor opens the file and puts the header in
+ * the window. Each section's id and a length placeholder follow, then
+ * its walk's small fields; Archive::stableBytes() runs stay where
+ * their owner keeps them and are queued as pieces between the
+ * window's runs. The payload's CRC is chained over each piece as it
+ * is queued. The queue goes out in one gathered write (writev) when
+ * the window fills or IOV_MAX pieces are pending, and at the end of
+ * each section's walk; then the window is reused. At the end of a
+ * section the real length is written at the frame's offset, and the
+ * frame CRC is the head's CRC combined with the payload's
+ * (crc32Combine). commit() writes the header's section count and
+ * CRC at offset 0, then fsyncs and renames the file into place
+ * (AtomicFile). The file is byte for byte the one a contiguous frame
+ * would give.
+ *
+ * A write that fails is latched: the walks still run, write nothing,
+ * and commit() returns the error with the temp file removed. A writer
+ * dropped without commit() removes its temp file.
  */
 class CheckpointWriter final : private Archive::Sink
 {
   public:
-    explicit CheckpointWriter(std::uint64_t config_digest);
+    CheckpointWriter(const std::string &path,
+                     std::uint64_t config_digest);
 
     CheckpointWriter(const CheckpointWriter &) = delete;
     CheckpointWriter &operator=(const CheckpointWriter &) = delete;
@@ -539,25 +598,42 @@ class CheckpointWriter final : private Archive::Sink
         endSection();
     }
 
-    /** Seal the header (section count, CRC) and write the file. */
-    Error write(const std::string &path);
+    /** Seal the header (section count, CRC) and publish the file. */
+    Error commit();
 
   private:
     void beginSection(std::uint32_t id);
     void endSection();
 
-    /** Record where @p run goes; the buffer stays. */
-    bool stable(ByteView buffered, ByteView run) override;
-    /** The frame buffer keeps growing. */
-    bool full(ByteView) override { return false; }
+    /** Queue @p piece, CRC'ing it into the open payload. */
+    void queue(ByteView piece);
+    /** Queue the window's bytes not queued yet. */
+    void queueWindow();
+    /** Write the queued pieces and empty the window. */
+    void flush();
 
+    /** Queue the window so far and @p run; flush once IOV_MAX
+     *  pieces are near. */
+    bool stable(ByteView buffered, ByteView run) override;
+    /** Queue the full window and flush. */
+    void full(ByteView buffered) override;
+
+    AtomicFile file;
     Archive ar;
-    std::vector<Archive::StablePiece> pieces;
+    std::uint64_t digest;
     std::uint32_t sectionCount = 0;
-    // The open section: its frame's offset in ar's storage and its
-    // first entry in pieces.
-    std::size_t frameAt = 0;
-    std::size_t framePiece = 0;
+    // Pieces not written yet; [0, queued) of the window is among
+    // them. streamed counts every byte queued so far, written or not.
+    std::vector<ByteView> pending;
+    std::size_t queued = 0;
+    std::uint64_t streamed = 0;
+    // The open section: its frame's file offset, and its payload's
+    // length and CRC so far.
+    bool inPayload = false;
+    std::uint64_t frameAt = 0;
+    std::uint32_t frameId = 0;
+    std::uint64_t payloadLen = 0;
+    std::uint32_t payloadCrc = 0;
 };
 
 /**
@@ -567,8 +643,7 @@ class CheckpointWriter final : private Archive::Sink
  * into the running hash each time it fills and then reused;
  * a stableBytes() run folds the block so far, then is hashed where
  * it lies. FNV-1a is byte-serial, so splitting the stream this way
- * yields the one-buffer value, and memory stays O(block) (a single
- * bytes() call longer than the block still grows it).
+ * yields the one-buffer value, and memory stays one block.
  */
 class DigestWriter final : private Archive::Sink
 {
@@ -592,7 +667,7 @@ class DigestWriter final : private Archive::Sink
 
   private:
     bool stable(ByteView buffered, ByteView run) override;
-    bool full(ByteView buffered) override;
+    void full(ByteView buffered) override;
 
     Archive ar;
     std::uint64_t hash = fnv1a64(nullptr, 0);

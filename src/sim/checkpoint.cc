@@ -279,7 +279,7 @@ ClusterSim::configDigest() const
 Error
 ClusterSim::saveCheckpoint(const std::string &path)
 {
-    CheckpointWriter writer(configDigest());
+    CheckpointWriter writer(path, configDigest());
     for (std::uint32_t id : kAllSections) {
         writer.section(id, [&](Archive &ar) {
             checkpointSection(id, ar);
@@ -288,7 +288,7 @@ ClusterSim::saveCheckpoint(const std::string &path)
                          sectionName(id));
         });
     }
-    return writer.write(path);
+    return writer.commit();
 }
 
 Error

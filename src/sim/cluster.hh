@@ -129,8 +129,9 @@ class ClusterSim
     // ------------------------------- checkpoint/restore (durability)
 
     /**
-     * Persist the complete stepping state to @p path (atomic
-     * write-rename; see docs/checkpoint-format.md). A sim restored
+     * Persist the complete stepping state to @p path (streamed
+     * through one fixed window into an atomic write-rename; see
+     * docs/checkpoint-format.md). A sim restored
      * from the file steps bit-identically to this one: every metric
      * and stateDigest() match a straight-through run at every later
      * step boundary, fault timelines and sensor corruption included.

@@ -237,9 +237,9 @@ class SampleRing
      * When Traits::kWireImage says a sample's memory image is its
      * wire image, the ring's (at most two) contiguous chunks travel
      * as one Archive::stableBytes() run each: a checkpoint writer
-     * reads them in place (the ring must not change until its
-     * write() returns), a digest hashes them in place, any other
-     * archive copies them once. That is
+     * CRCs and writes them in place (the ring must not change until
+     * the writer's section walk returns), a digest hashes them in
+     * place, any other archive copies them once. That is
      * a layout promise the sample's header guards with static_asserts
      * on sizeof, every field's offsetof, trivial copyability and a
      * little-endian host, so a new field (or padding, which would

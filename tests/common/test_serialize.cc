@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -28,11 +27,13 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
 #include <sys/stat.h>
 
+#include "common/file_size_limit.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
 #include "telemetry/history.hh"
@@ -132,6 +133,51 @@ TEST(Serialize, Crc32ChainsAcrossPieces)
     three = crc32(noise.data() + 10, 0, three);
     three = crc32(noise.data() + 10, 990, three);
     EXPECT_EQ(three, whole);
+}
+
+TEST(Serialize, Crc32CombineEqualsTheCrcOfTheConcatenation)
+{
+    // Every split of every length 0-1024. The parts' CRCs come from
+    // the slicing tables under 64 bytes and from the fold at 64 and
+    // up, so the shift is checked against both kernels' values.
+    const std::vector<std::uint8_t> noise = noiseBytes(1024, 23);
+    std::vector<std::uint32_t> prefix(noise.size() + 1);
+    for (std::size_t n = 0; n <= noise.size(); ++n)
+        prefix[n] = crc32(noise.data(), n);
+    for (std::size_t len = 0; len <= noise.size(); ++len) {
+        for (std::size_t split = 0; split <= len; ++split) {
+            const std::size_t tail = len - split;
+            ASSERT_EQ(crc32Combine(prefix[split],
+                                   crc32(noise.data() + split, tail),
+                                   tail),
+                      prefix[len])
+                << "length " << len << " split " << split;
+        }
+    }
+    // Multi-MiB inputs, split around the fold's lanes and windows.
+    for (const std::size_t n :
+         {(std::size_t{1} << 20) + 5, (std::size_t{4} << 20) + 13}) {
+        const std::vector<std::uint8_t> big = noiseBytes(n, 31 + n);
+        const std::uint32_t whole = crc32(big.data(), big.size());
+        for (const std::size_t split :
+             {std::size_t{0}, std::size_t{1}, std::size_t{63},
+              std::size_t{65536}, n / 2 + 3, n - 64, n - 1, n}) {
+            EXPECT_EQ(crc32Combine(crc32(big.data(), split),
+                                   crc32(big.data() + split, n - split),
+                                   n - split),
+                      whole)
+                << n << " bytes split at " << split;
+        }
+    }
+    // Shifts far past any buffer compose: shifting by m and then by n
+    // is shifting by m + n, for any register values.
+    const std::size_t m = (std::size_t{1} << 40) + 3;
+    const std::size_t n = (std::size_t{1} << 62) + 7;
+    EXPECT_EQ(crc32Combine(crc32Combine(0x12345678u, 0x9abcdef0u, m),
+                           0x0f1e2d3cu, n),
+              crc32Combine(0x12345678u,
+                           crc32Combine(0x9abcdef0u, 0x0f1e2d3cu, n),
+                           m + n));
 }
 
 TEST(Serialize, Crc32SelectsTheFoldKernelWhereTheHostHasIt)
@@ -506,35 +552,15 @@ TEST(Serialize, AtomicWriteResumesAShortWriteThenReportsTheFailure)
     for (const std::vector<std::uint8_t> &b : blocks)
         pieces.push_back(b);
 
-    // Restores the limit and SIGXFSZ's disposition on every return.
-    struct FileSizeLimit
-    {
-        rlimit saved{};
-        struct sigaction savedAction{};
-
-        explicit FileSizeLimit(rlim_t bytes)
-        {
-            getrlimit(RLIMIT_FSIZE, &saved);
-            struct sigaction ignore{};
-            ignore.sa_handler = SIG_IGN;
-            sigaction(SIGXFSZ, &ignore, &savedAction);
-            rlimit low = saved;
-            low.rlim_cur = bytes;
-            setrlimit(RLIMIT_FSIZE, &low);
-        }
-        ~FileSizeLimit()
-        {
-            setrlimit(RLIMIT_FSIZE, &saved);
-            sigaction(SIGXFSZ, &savedAction, nullptr);
-        }
-    };
     Error err;
     {
         rlimit current{};
         ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &current), 0);
         ASSERT_GT(current.rlim_cur, rlim_t{4096 + 1000});
         FileSizeLimit limit(4096 + 1000);
-        err = atomicWriteFile(path, pieces);
+        AtomicFile file(path);
+        file.write(pieces);
+        err = file.commit();
     }
     ASSERT_FALSE(err.ok());
     EXPECT_EQ(err.code(), ErrorCode::Io);
@@ -550,7 +576,9 @@ TEST(Serialize, AtomicWriteResumesAShortWriteThenReportsTheFailure)
     EXPECT_EQ(kept.value(), previous);
 
     // With the limit lifted the same pieces land whole.
-    ASSERT_TRUE(atomicWriteFile(path, pieces).ok());
+    AtomicFile file(path);
+    file.write(pieces);
+    ASSERT_TRUE(file.commit().ok());
     Result<std::vector<std::uint8_t>> back = readFileBytes(path);
     ASSERT_TRUE(back.ok());
     ASSERT_EQ(back.value().size(), 4u * 4096);
@@ -654,10 +682,10 @@ writeSampleCheckpoint(const std::string &path, std::uint64_t digest)
 {
     std::vector<std::uint8_t> a = {0x01, 0x02, 0x03, 0x04, 0x05};
     std::vector<std::uint8_t> b(300, 0xab);
-    CheckpointWriter writer(digest);
+    CheckpointWriter writer(path, digest);
     writer.section(1, [&](Archive &ar) { ar.bytes(a.data(), a.size()); });
     writer.section(7, [&](Archive &ar) { ar.bytes(b.data(), b.size()); });
-    return writer.write(path);
+    return writer.commit();
 }
 
 TEST(Serialize, CheckpointFileRoundTrip)
@@ -689,12 +717,12 @@ TEST(Serialize, CheckpointWriterFramesInPlaceByteForByte)
     // id, u64 payload length, payload and a CRC over the frame.
     const std::string path = tmpPath("ckpt_layout.tapasckp");
     std::vector<std::uint8_t> payload = {0xde, 0xad};
-    CheckpointWriter writer(0x0102030405060708ull);
+    CheckpointWriter writer(path, 0x0102030405060708ull);
     writer.section(3, [&](Archive &ar) {
         ar.bytes(payload.data(), payload.size());
     });
     writer.section(9, [](Archive &) {});
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writer.commit().ok());
     Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
     ASSERT_TRUE(bytes.ok());
     const std::vector<std::uint8_t> &b = bytes.value();
@@ -718,6 +746,46 @@ TEST(Serialize, CheckpointWriterFramesInPlaceByteForByte)
     put_u32(crc32(expect.data() + frame, expect.size() - frame));
     EXPECT_EQ(hexOf(b), hexOf(expect));
     removeFileIfExists(path);
+}
+
+/** A section id and the walk that writes its payload. */
+using SectionWalk = std::pair<std::uint32_t, std::function<void(Archive &)>>;
+
+/** The v1 file of @p sections: each walk run through a plain archive
+ *  (stableBytes copies) and framed by hand with whole-frame CRCs. */
+std::vector<std::uint8_t>
+framedByHand(std::uint64_t digest, const std::vector<SectionWalk> &sections)
+{
+    std::vector<std::uint8_t> file = {'T', 'A', 'P', 'A', 'S', 'C',
+                                      'K', 'P', 1,   0,   0,   0};
+    const auto put_le = [&file](std::uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put_le(sections.size(), 4);
+    put_le(digest, 8);
+    put_le(crc32(file.data(), file.size()), 4);
+    for (const auto &[id, walk] : sections) {
+        Archive ar = Archive::writer();
+        walk(ar);
+        const std::size_t start = file.size();
+        put_le(id, 4);
+        put_le(ar.buffer().size(), 8);
+        file.insert(file.end(), ar.buffer().begin(), ar.buffer().end());
+        put_le(crc32(file.data() + start, file.size() - start), 4);
+    }
+    return file;
+}
+
+/** Write @p sections through a CheckpointWriter to @p path. */
+Error
+writeSections(const std::string &path, std::uint64_t digest,
+              const std::vector<SectionWalk> &sections)
+{
+    CheckpointWriter writer(path, digest);
+    for (const auto &[id, walk] : sections)
+        writer.section(id, walk);
+    return writer.commit();
 }
 
 TEST(Serialize, CheckpointWriterGathersMoreThanIovMaxPieces)
@@ -746,40 +814,14 @@ TEST(Serialize, CheckpointWriterGathersMoreThanIovMaxPieces)
         ar.value(trailer);
     };
 
+    const std::vector<SectionWalk> sections = {
+        {4, walk_first}, {5, [](Archive &) {}}, {6, walk_last}};
     const std::string path = tmpPath("ckpt_gathered.tapasckp");
-    CheckpointWriter writer(0x55aa55aa55aa55aaull);
-    writer.section(4, walk_first);
-    writer.section(5, [](Archive &) {});
-    writer.section(6, walk_last);
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writeSections(path, 0x55aa55aa55aa55aaull, sections).ok());
     Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
     ASSERT_TRUE(bytes.ok());
-
-    // The same walks through a plain archive (stableBytes copies),
-    // framed by hand with whole-frame CRCs.
-    std::vector<std::uint8_t> expect = {'T',  'A',  'P',  'A',  'S',
-                                        'C',  'K',  'P',  1,    0,
-                                        0,    0,    3,    0,    0,
-                                        0,    0xaa, 0x55, 0xaa, 0x55,
-                                        0xaa, 0x55, 0xaa, 0x55};
-    const auto put_le = [&expect](std::uint64_t v, int width) {
-        for (int i = 0; i < width; ++i)
-            expect.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    put_le(crc32(expect.data(), expect.size()), 4);
-    const auto frame = [&](std::uint32_t id, auto walk) {
-        Archive ar = Archive::writer();
-        walk(ar);
-        const std::size_t start = expect.size();
-        put_le(id, 4);
-        put_le(ar.buffer().size(), 8);
-        expect.insert(expect.end(), ar.buffer().begin(),
-                      ar.buffer().end());
-        put_le(crc32(expect.data() + start, expect.size() - start), 4);
-    };
-    frame(4, walk_first);
-    frame(5, [](Archive &) {});
-    frame(6, walk_last);
+    const std::vector<std::uint8_t> expect =
+        framedByHand(0x55aa55aa55aa55aaull, sections);
     ASSERT_EQ(bytes.value().size(), expect.size());
     EXPECT_TRUE(bytes.value() == expect);
 
@@ -788,6 +830,118 @@ TEST(Serialize, CheckpointWriterGathersMoreThanIovMaxPieces)
     ASSERT_EQ(back.value().sections.size(), 3u);
     EXPECT_TRUE(back.value().find(5)->payload.empty());
     removeFileIfExists(path);
+}
+
+TEST(Serialize, CheckpointWriterStreamsSmallFieldsThroughItsWindow)
+{
+    // Small fields filling several windows, with fields straddling
+    // each window's edge; a single bytes() call three windows long;
+    // stable runs between them; a section of a window's bytes
+    // exactly. The window is reused, never grown, so the file must be
+    // exactly the contiguous frames.
+    constexpr std::size_t kWin = CheckpointReader::kWindowBytes;
+    std::vector<std::uint8_t> big = noiseBytes(3 * kWin + 17, 61);
+    std::vector<std::uint8_t> run = noiseBytes(5000, 62);
+    std::vector<std::uint8_t> exact = noiseBytes(kWin, 63);
+    const std::vector<SectionWalk> sections = {
+        {1, [&](Archive &ar) {
+            std::uint8_t odd = 7;
+            ar.value(odd);
+            for (std::uint64_t i = 0; i < 5 * kWin / 8; ++i) {
+                ar.value(i);
+                if (i % 4000 == 0)
+                    ar.stableBytes(run.data(), run.size());
+            }
+        }},
+        {2, [&](Archive &ar) {
+            std::uint32_t tag = 0xfeedu;
+            ar.value(tag);
+            ar.bytes(big.data(), big.size());
+            ar.stableBytes(run.data(), run.size());
+            ar.value(tag);
+        }},
+        {3, [&](Archive &ar) { ar.bytes(exact.data(), exact.size()); }},
+        {4, [](Archive &) {}},
+    };
+    const std::string path = tmpPath("ckpt_window.tapasckp");
+    ASSERT_TRUE(writeSections(path, 0x1234, sections).ok());
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    const std::vector<std::uint8_t> expect = framedByHand(0x1234, sections);
+    ASSERT_EQ(bytes.value().size(), expect.size());
+    EXPECT_TRUE(bytes.value() == expect);
+    EXPECT_TRUE(readCheckpointFile(path).ok());
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, CheckpointWriterIsDoneWithStableRunsWhenTheirSectionEnds)
+{
+    // A stable run must stay unchanged only while its section is
+    // walked: once section() returns, its owner may change it (here
+    // before the next section walks it again), and the file still
+    // holds what the run was when its section was walked.
+    std::vector<std::uint8_t> ring = noiseBytes(3000, 64);
+    const std::vector<std::uint8_t> first = ring;
+    const std::string path = tmpPath("ckpt_run_lifetime.tapasckp");
+    CheckpointWriter writer(path, 0x5678);
+    const auto walk = [&ring](Archive &ar) {
+        std::uint64_t n = ring.size();
+        ar.value(n);
+        ar.stableBytes(ring.data(), ring.size());
+    };
+    writer.section(1, walk);
+    ring = noiseBytes(3000, 65);
+    writer.section(2, walk);
+    ring.assign(ring.size(), 0);
+    ASSERT_TRUE(writer.commit().ok());
+
+    Result<CheckpointData> back = readCheckpointFile(path);
+    ASSERT_TRUE(back.ok()) << back.error().message();
+    ASSERT_EQ(back.value().sections.size(), 2u);
+    EXPECT_TRUE(std::equal(first.begin(), first.end(),
+                           back.value().sections[0].payload.begin() + 8));
+    const std::vector<std::uint8_t> second = noiseBytes(3000, 65);
+    EXPECT_TRUE(std::equal(second.begin(), second.end(),
+                           back.value().sections[1].payload.begin() + 8));
+    removeFileIfExists(path);
+}
+
+TEST(Serialize, CheckpointWriterLeavesNoTempFileBehind)
+{
+    // A writer dropped before commit() removes its temp file and
+    // leaves the destination as it was; one whose temp file cannot be
+    // created still walks its sections, then reports the path.
+    const std::string path = tmpPath("ckpt_dropped.tapasckp");
+    ASSERT_TRUE(atomicWriteFile(path, std::string("previous")).ok());
+    std::vector<std::uint8_t> payload = noiseBytes(100000, 66);
+    {
+        CheckpointWriter writer(path, 1);
+        writer.section(1, [&](Archive &ar) {
+            ar.stableBytes(payload.data(), payload.size());
+        });
+        EXPECT_TRUE(fileExists(path + ".tmp"));
+    }
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    Result<std::string> kept = readFileText(path);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(kept.value(), "previous");
+    removeFileIfExists(path);
+
+    const std::string nowhere = tmpPath("no_such_dir/ckpt.tapasckp");
+    CheckpointWriter writer(nowhere, 1);
+    bool walked = false;
+    writer.section(1, [&](Archive &ar) {
+        ar.bytes(payload.data(), payload.size());
+        walked = true;
+    });
+    const Error err = writer.commit();
+    EXPECT_TRUE(walked);
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Io);
+    EXPECT_NE(err.message().find("'" + nowhere + ".tmp'"),
+              std::string::npos)
+        << err.message();
 }
 
 std::vector<std::uint8_t>
@@ -980,9 +1134,9 @@ TEST(Serialize, ReaderStreamsFieldsAndRunsAcrossTheWindowEdge)
     const std::string path = tmpPath("ckpt_stream_fields.tapasckp");
     for (const auto &[pad, run] : cases) {
         StreamFields wrote = streamFields(pad, run);
-        CheckpointWriter writer(0x99);
+        CheckpointWriter writer(path, 0x99);
         writer.section(1, [&](Archive &ar) { wrote.walk(ar); });
-        ASSERT_TRUE(writer.write(path).ok());
+        ASSERT_TRUE(writer.commit().ok());
 
         CheckpointReader reader;
         ASSERT_TRUE(reader.open(path).ok());
@@ -1024,14 +1178,14 @@ TEST(Serialize, ReaderReadsFramesEndingAtTheWindowEdge)
           frame_to_edge + 4, frame_to_edge + 2, frame_to_edge - 6,
           frame_to_edge - 12}) {
         std::vector<std::uint8_t> first = noiseBytes(len, len);
-        CheckpointWriter writer(0x98);
+        CheckpointWriter writer(path, 0x98);
         writer.section(1, [&](Archive &ar) {
             ar.bytes(first.data(), first.size());
         });
         writer.section(2, [&](Archive &ar) {
             ar.bytes(second.data(), second.size());
         });
-        ASSERT_TRUE(writer.write(path).ok());
+        ASSERT_TRUE(writer.commit().ok());
 
         Result<CheckpointData> data = readCheckpointFile(path);
         ASSERT_TRUE(data.ok()) << "len " << len << ": "
@@ -1050,9 +1204,9 @@ TEST(Serialize, ReaderRejectsAFileTruncatedInsideARun)
 {
     const std::string path = tmpPath("ckpt_stream_trunc.tapasckp");
     StreamFields wrote = streamFields(0, 3 * kWindow + 123);
-    CheckpointWriter writer(0x97);
+    CheckpointWriter writer(path, 0x97);
     writer.section(1, [&](Archive &ar) { wrote.walk(ar); });
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writer.commit().ok());
     Result<std::vector<std::uint8_t>> good = readFileBytes(path);
     ASSERT_TRUE(good.ok());
 
@@ -1102,14 +1256,14 @@ TEST(Serialize, ReaderBoundsARingCountByItsFrame)
     ASSERT_GT(after.size(), claimed * sizeof(ServerSample));
 
     const std::string path = tmpPath("ckpt_stream_ring.tapasckp");
-    CheckpointWriter writer(0x96);
+    CheckpointWriter writer(path, 0x96);
     writer.section(1, [&](Archive &ar) {
         ar.bytes(doctored.data(), doctored.size());
     });
     writer.section(2, [&](Archive &ar) {
         ar.bytes(after.data(), after.size());
     });
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writer.commit().ok());
 
     CheckpointReader reader;
     ASSERT_TRUE(reader.open(path).ok());

@@ -5,17 +5,22 @@
  * and on stateDigest, fault timelines and sensor corruption
  * included), config-mismatch rejection, structured-error
  * rejection of corrupted snapshots at the sim level, the pinned
- * bytes of saved files, and stateDigest() as FNV-1a over a saved
- * file's section payloads.
+ * bytes of saved files, saves that fail part-way or find a stale
+ * temp file, and stateDigest() as FNV-1a over a saved file's section
+ * payloads.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
+#include "common/file_size_limit.hh"
 #include "common/serialize.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
@@ -51,7 +56,7 @@ void
 rewriteCheckpoint(const std::string &path, const CheckpointData &data,
                   Edit edit)
 {
-    CheckpointWriter writer(data.configDigest);
+    CheckpointWriter writer(path, data.configDigest);
     for (const CheckpointSection &section : data.sections) {
         std::vector<std::uint8_t> payload(section.payload.begin(),
                                           section.payload.end());
@@ -61,7 +66,7 @@ rewriteCheckpoint(const std::string &path, const CheckpointData &data,
             ar.bytes(payload.data(), payload.size());
         });
     }
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writer.commit().ok());
 }
 
 int
@@ -566,6 +571,127 @@ TEST(Checkpoint, RingHeavySavedFileBytesArePinned)
     EXPECT_EQ(bytes.value().size(), 142248u);
     EXPECT_EQ(fnv1a64(bytes.value().data(), bytes.value().size()),
               0x18b523d0230adf96ull);
+    removeFileIfExists(path);
+}
+
+/** @p path holds the file RingHeavySavedFileBytesArePinned pins: a
+ *  save of a ring-heavy sim stepped to the end of its day. */
+void
+expectRingHeavyPinnedBytes(const std::string &path)
+{
+    Result<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(bytes.value().size(), 142248u);
+    EXPECT_EQ(fnv1a64(bytes.value().data(), bytes.value().size()),
+              0x18b523d0230adf96ull);
+}
+
+TEST(Checkpoint, SaveFailingInsideTheTelemetrySectionKeepsThePreviousFile)
+{
+    // A file-size limit halfway through the telemetry payload: the
+    // gathered write that crosses it stops short, and the next one
+    // fails with EFBIG. The error names the temp file, which is gone, and the
+    // destination keeps the earlier save's bytes.
+    const SimConfig cfg = ringHeavyScenario();
+    const int day = static_cast<int>(kDay / cfg.stepLength);
+    const std::string path = tmpPath("ckpt_fsize_rings.tapasckp");
+    ClusterSim sim(cfg);
+    sim.runSteps(12);
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    Result<std::vector<std::uint8_t>> previous = readFileBytes(path);
+    ASSERT_TRUE(previous.ok());
+    sim.runSteps(day - 12);
+
+    // Where this state's telemetry payload lies in its file.
+    const std::string scout = tmpPath("ckpt_fsize_scout.tapasckp");
+    ASSERT_TRUE(sim.saveCheckpoint(scout).ok());
+    Result<CheckpointData> parsed = readCheckpointFile(scout);
+    removeFileIfExists(scout);
+    ASSERT_TRUE(parsed.ok());
+    constexpr std::uint32_t kTelemetrySection = 3;
+    std::size_t payload_at = 28 + 12;
+    std::size_t telemetry_bytes = 0;
+    for (const CheckpointSection &section : parsed.value().sections) {
+        if (section.id == kTelemetrySection) {
+            telemetry_bytes = section.payload.size();
+            break;
+        }
+        payload_at += 16 + section.payload.size();
+    }
+    ASSERT_GT(telemetry_bytes, 0u);
+
+    Error err;
+    {
+        const rlim_t limit = payload_at + telemetry_bytes / 2;
+        rlimit current{};
+        ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &current), 0);
+        ASSERT_GT(current.rlim_cur, limit);
+        FileSizeLimit fsize(limit);
+        err = sim.saveCheckpoint(path);
+    }
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Io);
+    EXPECT_NE(err.message().find("'" + path + ".tmp'"), std::string::npos)
+        << err.message();
+    EXPECT_NE(err.message().find(std::strerror(EFBIG)), std::string::npos)
+        << err.message();
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    Result<std::vector<std::uint8_t>> kept = readFileBytes(path);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_TRUE(kept.value() == previous.value());
+
+    // With the limit lifted the same state saves to the pinned bytes.
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    expectRingHeavyPinnedBytes(path);
+    removeFileIfExists(path);
+}
+
+TEST(Checkpoint, StaleTempFileIsOverwrittenAndNeverRead)
+{
+    // A save killed mid-write leaves <path>.tmp behind. Make it the
+    // worst case: a complete checkpoint of another state, padded past
+    // the size of the next save's file.
+    const SimConfig cfg = ringHeavyScenario();
+    const std::string path = tmpPath("ckpt_stale_tmp.tapasckp");
+    const std::string tmp = path + ".tmp";
+    ClusterSim other(cfg);
+    other.runSteps(12);
+    ASSERT_TRUE(other.saveCheckpoint(tmp).ok());
+    Result<std::vector<std::uint8_t>> stale = readFileBytes(tmp);
+    ASSERT_TRUE(stale.ok());
+    stale.value().resize(300000, 0x5a);
+    ASSERT_TRUE(
+        atomicWriteFile(tmp, stale.value().data(), stale.value().size())
+            .ok());
+    removeFileIfExists(path);
+
+    // A restore reads the destination only: with none there is
+    // nothing to restore, whatever the temp file holds.
+    ClusterSim fresh(cfg);
+    ClusterSim victim(cfg);
+    Error err = victim.restoreCheckpoint(path);
+    ASSERT_FALSE(err.ok());
+    EXPECT_EQ(err.code(), ErrorCode::Io);
+    EXPECT_EQ(victim.stateDigest(), fresh.stateDigest());
+
+    // The next save truncates the temp file, so the file it publishes
+    // holds none of the stale bytes.
+    ClusterSim sim(cfg);
+    sim.runSteps(static_cast<int>(kDay / cfg.stepLength));
+    ASSERT_TRUE(sim.saveCheckpoint(path).ok());
+    EXPECT_FALSE(fileExists(tmp));
+    expectRingHeavyPinnedBytes(path);
+
+    // Killed again, a later save leaves another stale temp file; a
+    // restore still reads the published one.
+    ASSERT_TRUE(
+        atomicWriteFile(tmp, stale.value().data(), stale.value().size())
+            .ok());
+    ClusterSim restored(cfg);
+    err = restored.restoreCheckpoint(path);
+    ASSERT_TRUE(err.ok()) << err.message();
+    EXPECT_EQ(restored.stateDigest(), sim.stateDigest());
+    removeFileIfExists(tmp);
     removeFileIfExists(path);
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * stateDigest() hashes the checkpoint stream without a copy of it,
- * and restoreCheckpoint() streams the file without a buffer the size
- * of it: no allocation made while either runs may be as large as the
- * telemetry section, not even for a damaged ring count. A binary of
+ * saveCheckpoint() writes it through one window, and
+ * restoreCheckpoint() streams the file without a buffer the size of
+ * it: no allocation made while any of them runs may be as large as
+ * the telemetry section, not even for a damaged ring count, and none
+ * made by a save is larger than the window. A binary of
  * its own, because it replaces the global allocation functions to see
  * every allocation's size.
  */
@@ -170,6 +172,35 @@ TEST(CheckpointMemory, RestoreAllocatesLessThanTheRingSection)
         << "the restore buffered the file it reads";
 }
 
+TEST(CheckpointMemory, SaveAllocatesLessThanTheRingSection)
+{
+    // A week of the ring-heavy case: the metrics' samples alone fill
+    // several windows, so a save that buffered its small fields would
+    // allocate past the window.
+    SimConfig cfg = ringHeavyConfig();
+    cfg.horizon = kWeek;
+    ClusterSim sim(cfg);
+    sim.runSteps(static_cast<int>(cfg.horizon / cfg.stepLength));
+
+    const std::string path = tmpPath("save_memory.tapasckp");
+    Error err;
+    recorded([&] { err = sim.saveCheckpoint(path); });
+    const std::size_t save_largest = largest.load();
+    ASSERT_TRUE(err.ok()) << err.message();
+    Result<CheckpointData> data = readCheckpointFile(path);
+    removeFileIfExists(path);
+    ASSERT_TRUE(data.ok());
+    std::size_t small_bytes = 0;
+    for (const CheckpointSection &section : data.value().sections) {
+        if (section.id != kTelemetrySection)
+            small_bytes += section.payload.size();
+    }
+    ASSERT_GT(small_bytes, 3 * CheckpointReader::kWindowBytes);
+    ASSERT_GT(telemetryBytes(data.value()), CheckpointReader::kWindowBytes);
+    EXPECT_LE(save_largest, CheckpointReader::kWindowBytes)
+        << "the save buffered the fields it writes";
+}
+
 TEST(CheckpointMemory, DamagedRingCountsAllocateLessThanTheirFrame)
 {
     // CRC-valid files whose telemetry section overstates a count: the
@@ -216,7 +247,7 @@ TEST(CheckpointMemory, DamagedRingCountsAllocateLessThanTheirFrame)
          {Damage{"ring sample count", 24, samples},
           Damage{"server ring count", 8, rings}}) {
         CheckpointData data = saved.value();
-        CheckpointWriter writer(data.configDigest);
+        CheckpointWriter writer(path, data.configDigest);
         for (CheckpointSection &section : data.sections) {
             if (section.id == kTelemetrySection) {
                 std::memcpy(section.payload.data() + damage.at,
@@ -230,7 +261,7 @@ TEST(CheckpointMemory, DamagedRingCountsAllocateLessThanTheirFrame)
                 ar.bytes(section.payload.data(), section.payload.size());
             });
         }
-        ASSERT_TRUE(writer.write(path).ok());
+        ASSERT_TRUE(writer.commit().ok());
 
         ClusterSim victim(cfg);
         Error err;

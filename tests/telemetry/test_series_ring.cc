@@ -284,13 +284,13 @@ TEST(SampleRingCheckpoint, GatheredCheckpointFileHoldsFieldWiseBytes)
     ASSERT_GT(rings[2].view().secondChunk().size, 0u);
     const std::string path =
         std::string(::testing::TempDir()) + "ring_gathered.tapasckp";
-    CheckpointWriter writer(0x77);
+    CheckpointWriter writer(path, 0x77);
     for (std::uint32_t id = 0; id < rings.size(); ++id) {
         writer.section(id, [&](Archive &ar) {
             rings[id].checkpointState(ar);
         });
     }
-    ASSERT_TRUE(writer.write(path).ok());
+    ASSERT_TRUE(writer.commit().ok());
 
     Result<CheckpointData> back = readCheckpointFile(path);
     ASSERT_TRUE(back.ok());
